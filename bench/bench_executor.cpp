@@ -110,8 +110,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 #include "src/core/baselines.h"
 #include "src/core/decision_tree.h"
 #include "src/ddl/strategy_executor.h"
-#include "src/mem/arena.h"
-#include "src/mem/batch_plan.h"
 #include "src/util/json_writer.h"
 #include "src/util/rng.h"
 
@@ -225,15 +223,12 @@ ArmResult RunArm(const Scenario& scenario, const std::vector<CompressionOption>&
 
 // --- Kernel throughput arms ----------------------------------------------------------
 //
-// Per-compressor elements/s over the five vectorized hot loops, three arms each:
+// Per-compressor elements/s over the five vectorized hot loops, two arms each:
 //   scalar:  per-tensor Compress with the scalar reference table forced;
-//   simd:    per-tensor Compress with the best host-supported table forced;
-//   batched: the SoA path — all tensors staged into one BatchedCompressPlan column
-//            (the staging copy is part of the measured time) and compressed in a
-//            single CompressBatch on the best table.
-// All three arms see identical (data, seed) pairs, so their payloads must be
-// byte-identical; the run aborts with exit 1 if any arm's payload fingerprint
-// diverges. The fingerprint is computed on the scalar arm, which makes it
+//   simd:    per-tensor Compress with the best host-supported table forced.
+// Both arms see identical (data, seed) pairs, so their payloads must be
+// byte-identical; the run aborts with exit 1 if the arms' payload fingerprints
+// diverge. The fingerprint is computed on the scalar arm, which makes it
 // host-independent and safe to --check against a baseline from any ISA.
 
 struct KernelScenario {
@@ -249,8 +244,7 @@ const KernelScenario kKernelScenarios[] = {
     {"kernel-fp16", {.algorithm = "fp16"}},
 };
 
-// The kernel workload mirrors the trainer's batching shape: many tensors at the
-// default batch cutoff size.
+// The kernel workload: many small tensors, compressed one by one.
 constexpr size_t kKernelTensors = 64;
 constexpr size_t kKernelElements = 4096;
 
@@ -297,39 +291,6 @@ KernelArmResult RunKernelPerTensorArm(const Compressor& compressor,
                               std::chrono::steady_clock::now() - start).count());
   }
   kernels::SetActiveForTesting(nullptr);
-  KernelArmResult arm;
-  arm.elements_per_second = best > 0 ? static_cast<double>(total) / best : 0.0;
-  arm.fingerprint = FingerprintPayloads(payloads);
-  return arm;
-}
-
-// SoA-batched arm on the best table: stage + CompressBatch per pass, both measured.
-KernelArmResult RunKernelBatchedArm(const Compressor& compressor,
-                                    const std::vector<std::vector<float>>& tensors,
-                                    std::vector<CompressedTensor>& payloads,
-                                    int passes) {
-  mem::Arena arena;
-  mem::BatchedCompressPlan plan;
-  size_t padded_total = 0;
-  size_t total = 0;
-  for (const auto& t : tensors) {
-    padded_total += mem::BatchedCompressPlan::Padded(t.size());
-    total += t.size();
-  }
-  double best = 1e300;
-  for (int pass = 0; pass < passes; ++pass) {
-    mem::ArenaScope scope(arena);
-    const auto start = std::chrono::steady_clock::now();
-    plan.Begin(arena, padded_total);
-    for (size_t t = 0; t < tensors.size(); ++t) {
-      std::span<float> slot = plan.Stage(tensors[t].size(), DeriveSeed(2024, t),
-                                         &payloads[t]);
-      std::copy(tensors[t].begin(), tensors[t].end(), slot.begin());
-    }
-    plan.Execute(compressor);
-    best = std::min(best, std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start).count());
-  }
   KernelArmResult arm;
   arm.elements_per_second = best > 0 ? static_cast<double>(total) / best : 0.0;
   arm.fingerprint = FingerprintPayloads(payloads);
@@ -476,7 +437,7 @@ int main(int argc, char** argv) {
 
   json.EndArray();
 
-  // Kernel throughput arms: scalar vs best-ISA vs SoA-batched, payload-identical.
+  // Kernel throughput arms: scalar vs best-ISA, payload-identical.
   const int kernel_passes = quick ? 5 : 30;
   const kernels::KernelOps* best = kernels::SupportedOps().back();
   json.Key("kernels");
@@ -495,24 +456,16 @@ int main(int argc, char** argv) {
         *compressor, &kernels::Scalar(), tensors, payloads, kernel_passes);
     const KernelArmResult simd =
         RunKernelPerTensorArm(*compressor, best, tensors, payloads, kernel_passes);
-    const KernelArmResult batched =
-        RunKernelBatchedArm(*compressor, tensors, payloads, kernel_passes);
 
-    if (simd.fingerprint != scalar.fingerprint ||
-        batched.fingerprint != scalar.fingerprint) {
+    if (simd.fingerprint != scalar.fingerprint) {
       std::cerr << "FATAL: " << scenario.name << ": payload divergence (scalar "
                 << HexFingerprint(scalar.fingerprint) << ", " << best->isa << " "
-                << HexFingerprint(simd.fingerprint) << ", batched "
-                << HexFingerprint(batched.fingerprint) << ")\n";
+                << HexFingerprint(simd.fingerprint) << ")\n";
       failed = true;
     }
     const double simd_speedup = scalar.elements_per_second > 0
                                     ? simd.elements_per_second / scalar.elements_per_second
                                     : 0.0;
-    const double batched_speedup =
-        scalar.elements_per_second > 0
-            ? batched.elements_per_second / scalar.elements_per_second
-            : 0.0;
     const std::string fingerprint = HexFingerprint(scalar.fingerprint);
 
     json.BeginObject();
@@ -525,17 +478,11 @@ int main(int argc, char** argv) {
     json.Field("simd_isa", best->isa);
     json.Field("simd_elements_per_second", simd.elements_per_second);
     json.Field("simd_speedup", simd_speedup);
-    json.Field("batched_elements_per_second", batched.elements_per_second);
-    json.Field("batched_speedup", batched_speedup);
     json.EndObject();
 
-    std::fprintf(stderr,
-                 "%-22s scalar %8.1fMe/s  %-6s %8.1fMe/s (%.2fx)  batched %8.1fMe/s "
-                 "(%.2fx)  %s\n",
+    std::fprintf(stderr, "%-22s scalar %8.1fMe/s  %-6s %8.1fMe/s (%.2fx)  %s\n",
                  scenario.name.c_str(), scalar.elements_per_second * 1e-6, best->isa,
-                 simd.elements_per_second * 1e-6, simd_speedup,
-                 batched.elements_per_second * 1e-6, batched_speedup,
-                 fingerprint.c_str());
+                 simd.elements_per_second * 1e-6, simd_speedup, fingerprint.c_str());
 
     if (!check_path.empty()) {
       std::string expected;

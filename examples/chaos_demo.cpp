@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   OnlineReselector reselector(model, profiled, *compressor, gc, SelectorOptions{}, drift);
 
   std::cout << "\niter  straggler  cpu_spike  inter_bw  iteration_ms  note\n";
-  std::vector<TraceInstant> instants;
+  std::vector<obs::TraceInstant> instants;
   std::vector<TimelineEntry> last_entries;
   const uint64_t iterations = 12;
   for (uint64_t it = 0; it < iterations; ++it) {

@@ -1,6 +1,7 @@
 // Cluster trace exporter: runs one simulated training iteration under a chosen scheme
 // and writes the timeline as a chrome://tracing / Perfetto JSON file, with one track per
-// resource (gpu / cpu / intra / inter). Open the file at https://ui.perfetto.dev.
+// resource (gpu / cpu / intra / inter), flow arrows along each tensor's pipeline, and
+// link/CPU occupancy counter tracks. Open the file at https://ui.perfetto.dev.
 //
 // Usage: cluster_trace [model] [algorithm] [testbed] [scheme] [output.json]
 //   scheme: fp32 | hipress | hitopkcomm | bytepscompress | espresso
@@ -11,7 +12,7 @@
 #include "src/core/baselines.h"
 #include "src/core/espresso.h"
 #include "src/models/model_zoo.h"
-#include "src/trace/chrome_trace.h"
+#include "src/obs/trace_writer.h"
 
 int main(int argc, char** argv) {
   using namespace espresso;
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write " << output << "\n";
     return 1;
   }
-  WriteChromeTrace(file, model, result.entries);
+  obs::WriteExtendedChromeTrace(file, model, cluster, result.entries);
   std::cout << "Simulated one iteration of " << model.name << " + " << algorithm << " ("
             << scheme << ") on " << testbed << ": iteration "
             << result.iteration_time * 1e3 << " ms, " << result.entries.size()

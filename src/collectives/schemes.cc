@@ -68,18 +68,8 @@ SchemeResult CompressedIndivisibleAllgather(const Compressor& compressor,
   }
   std::span<uint8_t> delivered = ws.arena.Alloc<uint8_t>(p);
   std::fill(delivered.begin(), delivered.end(), uint8_t{1});
-  // Batched pre-pass payloads replace the per-rank CompressRank calls (the compression
-  // itself already happened in one CompressBatch); the swap keeps both stores' tensor
-  // capacities warm, and TransmitRank order — hence any stateful channel's fault
-  // schedule — is identical either way.
-  const bool pre = !ctx.precompressed.empty();
-  ESP_CHECK(!pre || ctx.precompressed.size() == p);
   for (size_t r = 0; r < p; ++r) {
-    if (pre) {
-      std::swap(payloads[r], ctx.precompressed[r]);
-    } else {
-      CompressRank(compressor, ctx, r, buffers[r], &payloads[r]);
-    }
+    CompressRank(compressor, ctx, r, buffers[r], &payloads[r]);
     delivered[r] = TransmitRank(compressor, ctx, r, ctx.tensor_id, &payloads[r], &result)
                        ? uint8_t{1}
                        : uint8_t{0};

@@ -50,11 +50,6 @@ struct SchemeContext {
   // Scratch source (payload sets, delivery flags, aggregation buffers). nullptr
   // resolves to the calling thread's default workspace.
   mem::CollectiveWorkspace* workspace = nullptr;
-  // Pre-compressed per-rank payloads from a BatchedCompressPlan pre-pass (size ==
-  // ranks, or empty). When set, the indivisible scheme swaps these in instead of
-  // calling CompressRank — error feedback must already have been applied/committed by
-  // the producer. Transmit order and all downstream accounting are unchanged.
-  std::span<CompressedTensor> precompressed;
 };
 
 // Figure 3. On return every rank buffer holds the aggregated (decompressed) result.

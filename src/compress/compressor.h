@@ -18,9 +18,8 @@
 
 namespace espresso {
 
-// One tensor of a batched compression call. `data` points into a staging column (the
-// BatchedCompressPlan packs small tensors into one 64-byte-aligned arena run) and must
-// stay valid for the duration of CompressBatch.
+// One tensor of a CompressBatch call. `data` must stay valid for the duration of the
+// call.
 struct BatchCompressItem {
   const float* data = nullptr;
   size_t elements = 0;
@@ -44,10 +43,10 @@ class Compressor {
   virtual void Compress(std::span<const float> input, uint64_t seed,
                         CompressedTensor* out) const = 0;
 
-  // Compresses a batch of staged tensors. Guaranteed payload-identical to calling
-  // Compress(item.data[0..elements], item.seed, item.out) per item in order — the
-  // default does exactly that; SIMD-aware compressors override it to phase the work
-  // (all reductions, then all quantization passes) across the packed column.
+  // Compresses each item in order, exactly as Compress(item.data[0..elements],
+  // item.seed, item.out) would. Nothing in src/ calls it (every compression goes
+  // through Compress); it stays because perfbench's forwarding TimedCompressor
+  // overrides it.
   virtual void CompressBatch(std::span<const BatchCompressItem> items) const;
 
   // Accumulates the decompressed tensor INTO `out` (out += decompress(in)).

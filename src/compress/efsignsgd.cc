@@ -26,27 +26,6 @@ void EfSignSgdCompressor::Compress(std::span<const float> input, uint64_t /*seed
   out->scales.push_back(scale);
 }
 
-void EfSignSgdCompressor::CompressBatch(std::span<const BatchCompressItem> items) const {
-  const kernels::KernelOps& ops = kernels::Active();
-  // Phase 1: every l1 reduction; the scale is final immediately, so it lands in the
-  // output and phase 2 is purely the packing sweep.
-  for (const BatchCompressItem& item : items) {
-    ESP_CHECK_EQ(reinterpret_cast<uintptr_t>(item.data) & (kernels::kColumnAlignment - 1), 0u);
-    item.out->Clear();
-    item.out->kind = PayloadKind::kPackedBits;
-    item.out->original_elements = item.elements;
-    item.out->bytes.assign((item.elements + 7) / 8, 0);
-    const double l1 = ops.sum_abs(item.data, item.elements);
-    const float scale =
-        item.elements == 0 ? 0.0f : static_cast<float>(l1 / static_cast<double>(item.elements));
-    item.out->scales.push_back(scale);
-  }
-  // Phase 2: every sign-pack pass.
-  for (const BatchCompressItem& item : items) {
-    ops.sign_pack(item.data, item.elements, item.out->bytes.data());
-  }
-}
-
 void EfSignSgdCompressor::DecompressAdd(const CompressedTensor& in, std::span<float> out) const {
   ESP_CHECK_EQ(in.original_elements, out.size());
   ESP_CHECK_EQ(in.scales.size(), 1u);

@@ -9,13 +9,15 @@ ErrorFeedback::ErrorFeedback(double momentum) : momentum_(momentum) {
   ESP_CHECK_LT(momentum, 1.0);
 }
 
-void ErrorFeedback::BuildCorrected(uint64_t tensor_id, std::span<const float> grad,
-                                   std::span<float> out) {
-  ESP_CHECK_EQ(grad.size(), out.size());
+void ErrorFeedback::CompressWithFeedback(const Compressor& compressor, uint64_t tensor_id,
+                                         std::span<const float> grad, uint64_t seed,
+                                         CompressedTensor* out) {
+  ESP_CHECK(out != nullptr);
   auto& residual = residuals_[tensor_id];
   if (residual.size() != grad.size()) {
     residual.assign(grad.size(), 0.0f);
   }
+  scratch_.resize(grad.size());
   if (momentum_ > 0.0) {
     // DGC momentum correction: u_t = m * u_{t-1} + g_t; corrected = residual + u_t.
     auto& velocity = velocities_[tensor_id];
@@ -24,43 +26,23 @@ void ErrorFeedback::BuildCorrected(uint64_t tensor_id, std::span<const float> gr
     }
     for (size_t i = 0; i < grad.size(); ++i) {
       velocity[i] = static_cast<float>(momentum_) * velocity[i] + grad[i];
-      out[i] = velocity[i] + residual[i];
+      scratch_[i] = velocity[i] + residual[i];
     }
   } else {
     // corrected = grad + residual
     for (size_t i = 0; i < grad.size(); ++i) {
-      out[i] = grad[i] + residual[i];
+      scratch_[i] = grad[i] + residual[i];
     }
   }
-}
-
-void ErrorFeedback::CommitPayload(const Compressor& compressor, uint64_t tensor_id,
-                                  std::span<const float> corrected,
-                                  const CompressedTensor& payload) {
-  auto& residual = residuals_[tensor_id];
-  ESP_CHECK_EQ(residual.size(), corrected.size());
-  // residual' = corrected - decompress(payload)
-  for (size_t i = 0; i < corrected.size(); ++i) {
-    residual[i] = corrected[i];
-  }
-  // Subtract the decompressed payload: DecompressAdd adds, so negate via a scratch
-  // pass. The scratch persists across calls (assign reuses capacity), keeping the
-  // steady state allocation-free for stable tensor shapes.
-  decompressed_scratch_.assign(corrected.size(), 0.0f);
-  compressor.DecompressAdd(payload, decompressed_scratch_);
-  for (size_t i = 0; i < corrected.size(); ++i) {
-    residual[i] -= decompressed_scratch_[i];
-  }
-}
-
-void ErrorFeedback::CompressWithFeedback(const Compressor& compressor, uint64_t tensor_id,
-                                         std::span<const float> grad, uint64_t seed,
-                                         CompressedTensor* out) {
-  ESP_CHECK(out != nullptr);
-  scratch_.resize(grad.size());
-  BuildCorrected(tensor_id, grad, scratch_);
   compressor.Compress(scratch_, seed, out);
-  CommitPayload(compressor, tensor_id, scratch_, *out);
+  // residual' = corrected - decompress(payload). DecompressAdd adds, so decompress into
+  // a zeroed scratch first. The scratch persists across calls (assign reuses capacity),
+  // keeping the steady state allocation-free for stable tensor shapes.
+  decompressed_scratch_.assign(grad.size(), 0.0f);
+  compressor.DecompressAdd(*out, decompressed_scratch_);
+  for (size_t i = 0; i < grad.size(); ++i) {
+    residual[i] = scratch_[i] - decompressed_scratch_[i];
+  }
 }
 
 void ErrorFeedback::AbsorbLostPayload(const Compressor& compressor, uint64_t tensor_id,

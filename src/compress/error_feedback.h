@@ -29,16 +29,6 @@ class ErrorFeedback {
   void CompressWithFeedback(const Compressor& compressor, uint64_t tensor_id,
                             std::span<const float> grad, uint64_t seed, CompressedTensor* out);
 
-  // Split form for batched compression: BuildCorrected writes the residual- (and
-  // momentum-) corrected gradient into `out` (a staging column slot); after the caller
-  // has compressed it, CommitPayload folds the payload back into the residual. The pair
-  // is exactly CompressWithFeedback with the Compress call lifted out, and the state
-  // for distinct tensor_ids is independent, so build-all / compress-all / commit-all
-  // ordering across tensors is bit-identical to the interleaved per-tensor loop.
-  void BuildCorrected(uint64_t tensor_id, std::span<const float> grad, std::span<float> out);
-  void CommitPayload(const Compressor& compressor, uint64_t tensor_id,
-                     std::span<const float> corrected, const CompressedTensor& payload);
-
   // Folds a payload that was LOST on the wire back into the residual. After
   // CompressWithFeedback, the residual is corrected - decompress(payload); if the
   // payload never reaches the aggregation, the whole corrected gradient should carry
@@ -62,7 +52,7 @@ class ErrorFeedback {
   double momentum_ = 0.0;
   std::unordered_map<uint64_t, std::vector<float>> residuals_;
   std::unordered_map<uint64_t, std::vector<float>> velocities_;  // momentum-corrected u_t
-  std::vector<float> scratch_;
+  std::vector<float> scratch_;  // corrected gradient, reused per call
   std::vector<float> decompressed_scratch_;  // DecompressAdd target, reused per call
 };
 

@@ -26,13 +26,6 @@ void Fp16Compressor::Compress(std::span<const float> input, uint64_t /*seed*/,
                                 reinterpret_cast<uint16_t*>(out->bytes.data()));
 }
 
-void Fp16Compressor::CompressBatch(std::span<const BatchCompressItem> items) const {
-  for (const BatchCompressItem& item : items) {
-    ESP_CHECK_EQ(reinterpret_cast<uintptr_t>(item.data) & (kernels::kColumnAlignment - 1), 0u);
-    Compress({item.data, item.elements}, item.seed, item.out);
-  }
-}
-
 void Fp16Compressor::DecompressAdd(const CompressedTensor& in, std::span<float> out) const {
   ESP_CHECK_EQ(in.original_elements, out.size());
   kernels::Active().fp16_decode_add(reinterpret_cast<const uint16_t*>(in.bytes.data()),

@@ -5,9 +5,8 @@
 // assert the alignment the instruction assumes (debug builds; sanitizer legs run
 // !NDEBUG); the *U variants are the one sanctioned home of the unaligned intrinsics,
 // each carrying the conventions:allow marker. Kernel inputs are caller-owned
-// std::vector storage with no alignment guarantee, so bodies default to *U — only the
-// BatchedCompressPlan column (64B by the Arena contract) and kernel-local stack
-// buffers earn *A.
+// std::vector storage with no alignment guarantee, so bodies default to *U — only
+// kernel-local stack buffers earn *A.
 //
 // Each ISA's block is gated on the compiler's own target macros, so a TU only sees
 // the wrappers its -m flags can actually encode.
@@ -45,10 +44,6 @@ ESPRESSO_KERNEL_INLINE void StoreU4i(uint32_t* p, __m128i v) {
   // conventions:allow(unaligned-simd) checked wrapper
   _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
 }
-ESPRESSO_KERNEL_INLINE __m128 LoadA4f(const float* p) {
-  assert(IsAligned(p, 16));
-  return _mm_load_ps(p);
-}
 ESPRESSO_KERNEL_INLINE void StoreA4f(float* p, __m128 v) {
   assert(IsAligned(p, 16));
   _mm_store_ps(p, v);
@@ -79,10 +74,6 @@ ESPRESSO_KERNEL_INLINE void StoreU8h(uint16_t* p, __m128i v) {
 ESPRESSO_KERNEL_INLINE __m128i LoadU8h(const uint16_t* p) {
   // conventions:allow(unaligned-simd) checked wrapper
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-}
-ESPRESSO_KERNEL_INLINE __m256 LoadA8f(const float* p) {
-  assert(IsAligned(p, 32));
-  return _mm256_load_ps(p);
 }
 
 #endif  // __AVX2__

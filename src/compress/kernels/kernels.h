@@ -36,17 +36,9 @@
 
 namespace espresso::kernels {
 
-// Alignment guaranteed by BatchedCompressPlan columns (mem::Arena::AllocAligned) and
-// asserted at batched-kernel entry: one cache line, enough for any current vector ISA.
-inline constexpr size_t kColumnAlignment = 64;
-
 // Lane count of the reduction contract (contract 1 above). Eight double lanes map to
 // two __m256d on AVX2, four __m128d on SSE2, four float64x2_t on NEON.
 inline constexpr size_t kReductionLanes = 8;
-
-inline bool IsColumnAligned(const void* p) {
-  return (reinterpret_cast<uintptr_t>(p) & (kColumnAlignment - 1)) == 0;
-}
 
 // --- Counter RNG (contract 2) -------------------------------------------------------
 //

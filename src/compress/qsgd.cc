@@ -51,32 +51,6 @@ void QsgdCompressor::Compress(std::span<const float> input, uint64_t seed,
   ops.qsgd_quantize(input.data(), input.size(), norm, levels_, k0, k1, out->bytes.data());
 }
 
-void QsgdCompressor::CompressBatch(std::span<const BatchCompressItem> items) const {
-  const kernels::KernelOps& ops = kernels::Active();
-  // Phase 1: every norm reduction over the packed column. Norms land in the outputs,
-  // so no side storage is needed between phases.
-  for (const BatchCompressItem& item : items) {
-    ESP_CHECK_EQ(reinterpret_cast<uintptr_t>(item.data) & (kernels::kColumnAlignment - 1), 0u);
-    item.out->Clear();
-    item.out->kind = PayloadKind::kPackedBits;
-    item.out->original_elements = item.elements;
-    const float norm = static_cast<float>(std::sqrt(ops.sum_squares(item.data, item.elements)));
-    item.out->scales.push_back(norm);
-    item.out->bytes.resize(item.elements);
-  }
-  // Phase 2: every quantization pass.
-  for (const BatchCompressItem& item : items) {
-    const float norm = item.out->scales[0];
-    if (norm == 0.0f) {
-      continue;
-    }
-    uint32_t k0 = 0;
-    uint32_t k1 = 0;
-    SplitSeed(item.seed, item.elements, &k0, &k1);
-    ops.qsgd_quantize(item.data, item.elements, norm, levels_, k0, k1, item.out->bytes.data());
-  }
-}
-
 void QsgdCompressor::DecompressAdd(const CompressedTensor& in, std::span<float> out) const {
   ESP_CHECK_EQ(in.original_elements, out.size());
   ESP_CHECK_EQ(in.scales.size(), 1u);

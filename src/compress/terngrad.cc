@@ -45,30 +45,6 @@ void TernGradCompressor::Compress(std::span<const float> input, uint64_t seed,
   ops.terngrad_quantize(input.data(), input.size(), max_abs, k0, k1, out->bytes.data());
 }
 
-void TernGradCompressor::CompressBatch(std::span<const BatchCompressItem> items) const {
-  const kernels::KernelOps& ops = kernels::Active();
-  // Phase 1: every max-abs reduction; scales land in the outputs.
-  for (const BatchCompressItem& item : items) {
-    ESP_CHECK_EQ(reinterpret_cast<uintptr_t>(item.data) & (kernels::kColumnAlignment - 1), 0u);
-    item.out->Clear();
-    item.out->kind = PayloadKind::kPackedBits;
-    item.out->original_elements = item.elements;
-    item.out->scales.push_back(ops.max_abs(item.data, item.elements));
-    item.out->bytes.assign((item.elements + 3) / 4, 0);
-  }
-  // Phase 2: every ternarize+pack pass.
-  for (const BatchCompressItem& item : items) {
-    const float max_abs = item.out->scales[0];
-    if (max_abs == 0.0f) {
-      continue;
-    }
-    uint32_t k0 = 0;
-    uint32_t k1 = 0;
-    SplitSeed(item.seed, item.elements, &k0, &k1);
-    ops.terngrad_quantize(item.data, item.elements, max_abs, k0, k1, item.out->bytes.data());
-  }
-}
-
 void TernGradCompressor::DecompressAdd(const CompressedTensor& in, std::span<float> out) const {
   ESP_CHECK_EQ(in.original_elements, out.size());
   ESP_CHECK_EQ(in.scales.size(), 1u);

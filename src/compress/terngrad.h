@@ -15,7 +15,6 @@ class TernGradCompressor final : public Compressor {
   size_t CompressedBytes(size_t elements) const override;
   void Compress(std::span<const float> input, uint64_t seed,
                 CompressedTensor* out) const override;
-  void CompressBatch(std::span<const BatchCompressItem> items) const override;
   void DecompressAdd(const CompressedTensor& in, std::span<float> out) const override;
 };
 

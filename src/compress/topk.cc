@@ -55,13 +55,6 @@ void TopKCompressor::Compress(std::span<const float> input, uint64_t /*seed*/,
   ESP_CHECK_EQ(emitted, k);
 }
 
-void TopKCompressor::CompressBatch(std::span<const BatchCompressItem> items) const {
-  for (const BatchCompressItem& item : items) {
-    ESP_CHECK_EQ(reinterpret_cast<uintptr_t>(item.data) & (kernels::kColumnAlignment - 1), 0u);
-    Compress({item.data, item.elements}, item.seed, item.out);
-  }
-}
-
 void TopKCompressor::DecompressAdd(const CompressedTensor& in, std::span<float> out) const {
   ESP_CHECK_EQ(in.original_elements, out.size());
   ESP_CHECK_EQ(in.indices.size(), in.values.size());

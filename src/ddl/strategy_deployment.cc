@@ -230,12 +230,12 @@ std::shared_ptr<const DeployedStrategy> ExecuteDeployedStrategy(
   return snapshot;
 }
 
-std::vector<TraceInstant> DeployTraceInstants(const std::vector<DeployEvent>& events,
-                                              double seconds_per_iteration) {
-  std::vector<TraceInstant> instants;
+std::vector<obs::TraceInstant> DeployTraceInstants(const std::vector<DeployEvent>& events,
+                                                   double seconds_per_iteration) {
+  std::vector<obs::TraceInstant> instants;
   instants.reserve(events.size());
   for (const DeployEvent& event : events) {
-    TraceInstant instant;
+    obs::TraceInstant instant;
     instant.time_s = static_cast<double>(event.iteration) * seconds_per_iteration;
     instant.name = "deploy_" + event.event;
     instant.detail = "v" + std::to_string(event.version) + " origin=" + event.origin +

@@ -31,7 +31,7 @@
 #include "src/core/strategy_ir.h"
 #include "src/ddl/strategy_executor.h"
 #include "src/obs/audit_log.h"
-#include "src/trace/chrome_trace.h"
+#include "src/obs/trace_writer.h"
 
 namespace espresso {
 
@@ -161,8 +161,8 @@ std::shared_ptr<const DeployedStrategy> ExecuteDeployedStrategy(
 
 // Renders a deployment history as chrome-trace instant events, placing each event at
 // `iteration * seconds_per_iteration` on the trace clock.
-std::vector<TraceInstant> DeployTraceInstants(const std::vector<DeployEvent>& events,
-                                              double seconds_per_iteration);
+std::vector<obs::TraceInstant> DeployTraceInstants(const std::vector<DeployEvent>& events,
+                                                   double seconds_per_iteration);
 
 }  // namespace espresso
 

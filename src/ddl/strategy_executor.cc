@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/mem/arena.h"
-#include "src/mem/batch_plan.h"
 #include "src/mem/stable_vec.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
@@ -83,13 +82,6 @@ struct ExecutorWorkspace::Impl {
   mem::StableVec<RangedPayload> gather_scratch;      // allgather/gather/broadcast staging
   std::vector<mem::StableVec<RangedPayload>> inbox;  // alltoall per-member staging
   std::vector<std::vector<float>> shards;            // reduce-scatter staging
-  // Small-tensor batching (ExecuteStrategy pre-pass): the SoA staging plan, the
-  // payload store indexed [batched tensor * ranks + rank], the staged corrected
-  // columns awaiting EF commit, and the batched tensor index list. All grow-only.
-  mem::BatchedCompressPlan batch_plan;
-  mem::StableVec<CompressedTensor> batch_payloads;
-  std::vector<std::span<float>> batch_corrected;
-  std::vector<size_t> batch_tensors;
 };
 
 ExecutorWorkspace::ExecutorWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -107,17 +99,14 @@ namespace {
 class OptionExecutor {
  public:
   OptionExecutor(const CompressionOption& option, const ExecutorConfig& config,
-                 uint64_t tensor_id, RankBuffers& buffers, ExecutorWorkspace::Impl& ws,
-                 std::span<CompressedTensor> precompressed = {})
+                 uint64_t tensor_id, RankBuffers& buffers, ExecutorWorkspace::Impl& ws)
       : option_(option),
         config_(config),
         tensor_id_(tensor_id),
         buffers_(buffers),
         elements_(CheckUniformSize(buffers)),
         ws_(ws),
-        states_(ws.states),
-        precompressed_(precompressed) {
-    ESP_CHECK(precompressed_.empty() || precompressed_.size() == config.ranks());
+        states_(ws.states) {
     ESP_CHECK_GT(config.machines, 0u) << "ExecutorConfig needs at least one machine";
     ESP_CHECK_GT(config.gpus_per_machine, 0u)
         << "ExecutorConfig needs at least one GPU per machine";
@@ -270,15 +259,6 @@ class OptionExecutor {
   // (divisible middle stages, second steps) are transient and carry no residual.
   void Compress(size_t rank, size_t range_key, std::span<const float> view,
                 CompressedTensor* out) {
-    // Batched pre-pass payloads: ExecuteStrategy admits only options whose sole
-    // EF-bearing compression is every rank's full-range gradient at the first comm, so
-    // the guard identifies that site exactly and each rank consumes its payload once.
-    // Swap keeps the payload store's capacities circulating for the next step.
-    if (!precompressed_.empty() && first_compression_ && range_key == 0 &&
-        view.size() == elements_) {
-      std::swap(*out, precompressed_[rank]);
-      return;
-    }
     if (first_compression_ && config_.feedback != nullptr) {
       ESP_CHECK_LT(rank, config_.feedback->size());
       (*config_.feedback)[rank].CompressWithFeedback(
@@ -631,27 +611,8 @@ class OptionExecutor {
   const size_t elements_;
   ExecutorWorkspace::Impl& ws_;
   std::vector<RankState>& states_;
-  std::span<CompressedTensor> precompressed_;  // per-rank batched payloads, or empty
   bool first_compression_ = true;  // EF applies until the first compression completes
 };
-
-// A tensor's option joins the batched pre-pass when its pipeline opens with Compress
-// followed immediately by a compressed allgather/gather — the shapes where EVERY rank
-// compresses its full-range gradient at offset 0 under the first-compression error
-// feedback key. Broadcast is excluded (only the root compresses; batching would run
-// error feedback for ranks that never compress) and alltoall is excluded (per-part
-// compressions carry distinct range keys).
-bool BatchableOption(const CompressionOption& option) {
-  if (option.ops.size() < 2) {
-    return false;
-  }
-  if (option.ops[0].task != ActionTask::kCompress) {
-    return false;
-  }
-  const Op& comm = option.ops[1];
-  return comm.task == ActionTask::kComm && comm.compressed &&
-         (comm.routine == Routine::kAllgather || comm.routine == Routine::kGather);
-}
 
 }  // namespace
 
@@ -667,89 +628,10 @@ void ExecuteStrategy(const Strategy& strategy, const ExecutorConfig& config,
                      std::vector<RankBuffers>& gradients, ExecutorWorkspace* workspace) {
   ESP_CHECK_EQ(strategy.options.size(), gradients.size())
       << "strategy has one option per tensor; gradient tensor count must match";
-  ExecutorWorkspace& resolved =
+  ExecutorWorkspace& ws =
       workspace != nullptr ? *workspace : ExecutorWorkspace::ThreadDefault();
-  ExecutorWorkspace::Impl& ws = resolved.impl();
-  const size_t ranks = config.ranks();
-
-  // Pre-pass: collect the small tensors whose options compress every rank's full
-  // gradient up front, stage their EF-corrected gradients into one SoA column, and
-  // compress the whole batch in a single CompressBatch call. Error feedback for
-  // distinct tensors is independent state, so hoisting it ahead of the option loop is
-  // bit-identical to the interleaved order.
-  std::vector<size_t>& batched = ws.batch_tensors;
-  batched.clear();
-  if (config.batch_cutoff_elements > 0 && config.compressor != nullptr) {
-    for (size_t t = 0; t < gradients.size(); ++t) {
-      if (!BatchableOption(strategy.options[t]) || gradients[t].size() != ranks) {
-        continue;
-      }
-      const size_t n = gradients[t].front().size();
-      if (n == 0 || n > config.batch_cutoff_elements) {
-        continue;
-      }
-      bool uniform = true;
-      for (const std::vector<float>& b : gradients[t]) {
-        uniform = uniform && b.size() == n;
-      }
-      if (uniform) {
-        batched.push_back(t);
-      }
-    }
-  }
-  mem::ArenaScope batch_scope(ws.arena);
-  std::span<CompressedTensor> payloads;
-  if (!batched.empty()) {
-    size_t padded_total = 0;
-    for (size_t t : batched) {
-      padded_total += ranks * mem::BatchedCompressPlan::Padded(gradients[t].front().size());
-    }
-    ws.batch_plan.Begin(ws.arena, padded_total);
-    ws.batch_payloads.clear();
-    ws.batch_corrected.clear();
-    // Push every output slot BEFORE taking addresses: push() invalidates references
-    // when the backing vector grows, and Stage() keeps the pointer until Execute.
-    for (size_t i = 0; i < batched.size() * ranks; ++i) {
-      ws.batch_payloads.push();
-    }
-    size_t item_index = 0;
-    for (size_t t : batched) {
-      for (size_t r = 0; r < ranks; ++r) {
-        std::span<float> slot = ws.batch_plan.Stage(gradients[t][r].size(), config.seed,
-                                                    &ws.batch_payloads[item_index++]);
-        if (config.feedback != nullptr) {
-          ESP_CHECK_EQ(config.feedback->size(), ranks);
-          (*config.feedback)[r].BuildCorrected(t * 1315423911ULL, gradients[t][r], slot);
-        } else {
-          std::copy(gradients[t][r].begin(), gradients[t][r].end(), slot.begin());
-        }
-        ws.batch_corrected.push_back(slot);
-      }
-    }
-    ws.batch_plan.Execute(*config.compressor);
-    if (config.feedback != nullptr) {
-      for (size_t bi = 0; bi < batched.size(); ++bi) {
-        for (size_t r = 0; r < ranks; ++r) {
-          const size_t item = bi * ranks + r;
-          (*config.feedback)[r].CommitPayload(*config.compressor,
-                                              batched[bi] * 1315423911ULL,
-                                              ws.batch_corrected[item],
-                                              ws.batch_payloads[item]);
-        }
-      }
-    }
-    // StableVec storage is contiguous and all pushes are done: spans are stable now.
-    payloads = {ws.batch_payloads.begin(), ws.batch_payloads.end()};
-  }
-
-  size_t next_batched = 0;
   for (size_t t = 0; t < gradients.size(); ++t) {
-    std::span<CompressedTensor> pre = {};
-    if (next_batched < batched.size() && batched[next_batched] == t) {
-      pre = payloads.subspan(next_batched * ranks, ranks);
-      ++next_batched;
-    }
-    OptionExecutor(strategy.options[t], config, t, gradients[t], ws, pre).Run();
+    OptionExecutor(strategy.options[t], config, t, gradients[t], ws.impl()).Run();
   }
 }
 

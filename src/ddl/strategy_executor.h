@@ -31,12 +31,6 @@ struct ExecutorConfig {
   const Compressor* compressor = nullptr;          // required for compressed options
   std::vector<ErrorFeedback>* feedback = nullptr;  // one per global rank, optional
   uint64_t seed = 0;
-  // ExecuteStrategy batches the compression of tensors at or below this element count
-  // whose option compresses every rank's full gradient at its first communication
-  // (compressed allgather/gather pipelines): corrected gradients are staged into one
-  // SoA column (mem::BatchedCompressPlan) and compressed in a single CompressBatch
-  // call. Payloads are bit-identical to the per-tensor path. 0 disables batching.
-  size_t batch_cutoff_elements = 4096;
 
   size_t ranks() const { return machines * gpus_per_machine; }
 };

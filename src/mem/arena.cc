@@ -16,8 +16,7 @@ void* Arena::AllocBytes(size_t bytes, size_t align) {
     if (current_ < blocks_.size()) {
       Block& b = blocks_[current_];
       // Align the absolute address, not the block offset: make_unique only promises
-      // malloc alignment for the block base, so offset-relative rounding would hand
-      // out pointers that miss over-aligned (e.g. 64-byte) requests.
+      // malloc alignment for the block base.
       const uintptr_t base = reinterpret_cast<uintptr_t>(b.data.get());
       const size_t aligned =
           ((base + b.used + align - 1) & ~(uintptr_t{align} - 1)) - base;

@@ -53,17 +53,6 @@ class Arena {
     return s;
   }
 
-  // Over-aligned variant for layouts with requirements beyond alignof(T), such as the
-  // 64-byte SIMD columns of the batched compression plan. `align` must be a power of
-  // two and a multiple of alignof(T).
-  template <typename T>
-  std::span<T> AllocAligned(size_t count, size_t align) {
-    static_assert(std::is_trivially_destructible_v<T> && std::is_trivially_copyable_v<T>,
-                  "Arena only holds trivial types");
-    void* p = AllocBytes(count * sizeof(T), align);
-    return {static_cast<T*>(p), count};
-  }
-
   Mark CurrentMark() const { return Mark{current_, CurrentUsed()}; }
 
   // Rewinds to `mark`; every block keeps its storage. Spans handed out after the mark

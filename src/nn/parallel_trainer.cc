@@ -4,8 +4,6 @@
 #include <chrono>
 
 #include "src/collectives/schemes.h"
-#include "src/mem/batch_plan.h"
-#include "src/mem/stable_vec.h"
 #include "src/mem/workspace.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
@@ -98,31 +96,6 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
   RankBuffers buffers(config.workers);
   mem::CollectiveWorkspace sync_workspace;
 
-  // Small-tensor batching (indivisible scheme only): per step, the below-cutoff
-  // tensors' corrected gradients for every worker are staged into one SoA column and
-  // compressed in a single CompressBatch; the sync loop then swaps the payloads in.
-  // Error feedback per (worker, tensor) is independent state, so hoisting it ahead of
-  // the per-tensor loop is bit-identical to the interleaved order — and the transmit
-  // order the channel sees is untouched.
-  const bool batch_sync = config.scheme == SyncScheme::kCompressedIndivisible &&
-                          config.batch_cutoff_elements > 0;
-  std::vector<size_t> batched_tensors;
-  if (batch_sync) {
-    for (size_t t = 0; t < tensor_count; ++t) {
-      if (tensor_sizes[t] > 0 && tensor_sizes[t] <= config.batch_cutoff_elements) {
-        batched_tensors.push_back(t);
-      }
-    }
-  }
-  size_t batch_padded_total = 0;
-  for (size_t t : batched_tensors) {
-    batch_padded_total +=
-        config.workers * mem::BatchedCompressPlan::Padded(tensor_sizes[t]);
-  }
-  mem::BatchedCompressPlan batch_plan;
-  mem::StableVec<CompressedTensor> batch_payloads;
-  std::vector<std::span<float>> batch_corrected;
-
   std::vector<EpochStats> history;
   uint64_t step_counter = 0;
   obs::MetricsRegistry& registry = obs::GlobalMetrics();
@@ -154,47 +127,6 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
       const double compute_s = SecondsSince(step_start);
       const auto sync_start = std::chrono::steady_clock::now();
 
-      // Batched compression pre-pass over the small tensors (one CompressBatch for
-      // all of them, every worker). Payloads are consumed by the sync loop below.
-      mem::ArenaScope batch_scope(sync_workspace.arena);
-      if (!batched_tensors.empty()) {
-        batch_plan.Begin(sync_workspace.arena, batch_padded_total);
-        batch_payloads.clear();
-        batch_corrected.clear();
-        // Push every output slot BEFORE taking addresses: push() invalidates
-        // references when the backing vector grows, and Stage() keeps the pointer
-        // until Execute.
-        for (size_t i = 0; i < batched_tensors.size() * config.workers; ++i) {
-          batch_payloads.push();
-        }
-        size_t item_index = 0;
-        for (size_t t : batched_tensors) {
-          const uint64_t seed = DeriveSeed(config.seed, step_counter * tensor_count + t);
-          for (size_t w = 0; w < config.workers; ++w) {
-            std::span<float> slot = batch_plan.Stage(tensor_sizes[t], seed,
-                                                     &batch_payloads[item_index++]);
-            if (config.error_feedback) {
-              feedback[w].BuildCorrected(t, worker_grads[w][t], slot);
-            } else {
-              std::copy(worker_grads[w][t].begin(), worker_grads[w][t].end(),
-                        slot.begin());
-            }
-            batch_corrected.push_back(slot);
-          }
-        }
-        batch_plan.Execute(*config.compressor);
-        if (config.error_feedback) {
-          for (size_t bi = 0; bi < batched_tensors.size(); ++bi) {
-            for (size_t w = 0; w < config.workers; ++w) {
-              const size_t item = bi * config.workers + w;
-              feedback[w].CommitPayload(*config.compressor, batched_tensors[bi],
-                                        batch_corrected[item], batch_payloads[item]);
-            }
-          }
-        }
-      }
-      size_t next_batched = 0;
-
       // Synchronize tensor by tensor through the configured scheme.
       for (size_t t = 0; t < tensor_count; ++t) {
         for (size_t w = 0; w < config.workers; ++w) {
@@ -220,11 +152,6 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
             ctx.tensor_id = t;
             ctx.seed = DeriveSeed(config.seed, step_counter * tensor_count + t);
             ctx.workspace = &sync_workspace;
-            if (next_batched < batched_tensors.size() && batched_tensors[next_batched] == t) {
-              ctx.precompressed = {batch_payloads.begin() + next_batched * config.workers,
-                                   config.workers};
-              ++next_batched;
-            }
             SchemeResult scheme_result;
             if (config.scheme == SyncScheme::kCompressedIndivisible) {
               scheme_result = CompressedIndivisibleAllgather(*config.compressor, ctx, buffers);

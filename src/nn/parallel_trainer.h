@@ -37,11 +37,6 @@ struct TrainConfig {
   bool error_feedback = true;
   // DGC momentum correction factor for the error-feedback store (0 = plain EF).
   double momentum_correction = 0.0;
-  // Indivisible-scheme sync batches tensors at or below this element count: corrected
-  // gradients of all small tensors x workers are staged into one SoA column and
-  // compressed in a single CompressBatch per step, payload-identical to the per-tensor
-  // path. 0 disables batching.
-  size_t batch_cutoff_elements = 4096;
   uint64_t seed = 1;
   // Worker-gradient threads. 0 runs the per-worker backward passes inline on the
   // calling thread; >= 1 fans them out over a ThreadPool. The schedule is

@@ -1,4 +1,6 @@
-// Extended chrome-trace / Perfetto writer: everything WriteChromeTrace emits, plus
+// Chrome-trace / Perfetto writer for simulated timelines: one track per resource
+// (gpu / cpu / intra / inter) with a slice per timeline entry, named by op kind and
+// tensor, and fault / hot-swap instants on a "faults" track; plus
 //   * flow arrows linking each tensor's pipeline ops (compress -> send -> decompress)
 //     across resource tracks, so a chain reads as one causal sequence in Perfetto;
 //   * counter tracks derived from the simulated schedule: consumed link bandwidth
@@ -11,14 +13,22 @@
 #define SRC_OBS_TRACE_WRITER_H_
 
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "src/core/timeline.h"
 #include "src/costmodel/calibration.h"
 #include "src/obs/span.h"
-#include "src/trace/chrome_trace.h"
 
 namespace espresso::obs {
+
+// A point event overlaid on the timeline (chrome "instant" event, ph = "i"): fault
+// injections, retries, strategy hot-swaps. Rendered on the "faults" track.
+struct TraceInstant {
+  double time_s = 0.0;
+  std::string name;    // e.g. "payload_drop", "strategy_reselect"
+  std::string detail;  // free-form args payload shown in the event inspector
+};
 
 struct ExtendedTraceOptions {
   bool flow_events = true;

@@ -18,8 +18,6 @@
 #include <vector>
 
 #include "src/compress/compressor.h"
-#include "src/mem/arena.h"
-#include "src/mem/batch_plan.h"
 #include "src/util/rng.h"
 
 namespace espresso::kernels {
@@ -293,34 +291,6 @@ TEST(KernelEquivalence, CompressorPayloadsIdenticalAcrossIsas) {
                                   (std::string(algo.label) + "/" + ops->isa).c_str());
       }
       SetActiveForTesting(nullptr);
-    }
-  }
-}
-
-TEST(KernelEquivalence, CompressBatchMatchesPerItemCompress) {
-  const size_t sizes[] = {1, 7, 33, 1024, 4096};
-  for (const AlgoCase& algo : AllAlgorithms()) {
-    const auto compressor = CreateCompressor(algo.config);
-    mem::Arena arena;
-    mem::BatchedCompressPlan plan;
-    size_t padded_total = 0;
-    for (size_t n : sizes) {
-      padded_total += mem::BatchedCompressPlan::Padded(n);
-    }
-    mem::ArenaScope scope(arena);
-    plan.Begin(arena, padded_total);
-    std::vector<CompressedTensor> batched(std::size(sizes));
-    std::vector<std::vector<float>> inputs;
-    for (size_t t = 0; t < std::size(sizes); ++t) {
-      inputs.push_back(MakeInput(sizes[t], DeriveSeed(8, t), false));
-      std::span<float> slot = plan.Stage(sizes[t], DeriveSeed(9, t), &batched[t]);
-      std::copy(inputs[t].begin(), inputs[t].end(), slot.begin());
-    }
-    plan.Execute(*compressor);
-    for (size_t t = 0; t < std::size(sizes); ++t) {
-      CompressedTensor want;
-      compressor->Compress(inputs[t], DeriveSeed(9, t), &want);
-      ExpectPayloadBitIdentical(batched[t], want, algo.label);
     }
   }
 }

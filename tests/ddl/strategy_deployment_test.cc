@@ -281,7 +281,7 @@ TEST(StrategyDeployment, TraceInstantsRenderTheHistory) {
   deployment.Deploy(fixture.CompileSelected(10));
   deployment.Rollback("test");
 
-  const std::vector<TraceInstant> instants =
+  const std::vector<obs::TraceInstant> instants =
       DeployTraceInstants(deployment.events(), 0.5);
   ASSERT_EQ(instants.size(), 3u);
   EXPECT_EQ(instants[0].name, "deploy_bootstrap");

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/collectives/primitives.h"
+#include "src/compress/kernels/kernels.h"
 #include "src/core/baselines.h"
 #include "src/core/decision_tree.h"
 #include "src/util/rng.h"
@@ -204,6 +207,60 @@ TEST(StrategyExecutor, ExecuteStrategyHandlesMixedOptions) {
   for (size_t t = 0; t < 3; ++t) {
     ExpectAllRanksEqual(gradients[t]);
     ExpectNearNaiveSum(gradients[t], expected[t], 0.05f);
+  }
+}
+
+// The whole executor pipeline must not depend on the dispatched ISA: scalar-forced and
+// best-table runs of the same strategy, with error feedback carried across steps, agree
+// bit for bit for every compressor over the candidate and baseline options.
+TEST(StrategyExecutor, StrategyExecutionIsIsaIndependent) {
+  const std::vector<CompressorConfig> compressors = {
+      {.algorithm = "randomk", .ratio = 0.25}, {.algorithm = "topk", .ratio = 0.25},
+      {.algorithm = "efsignsgd"},              {.algorithm = "qsgd", .bits = 4},
+      {.algorithm = "terngrad"},               {.algorithm = "fp16"},
+      {.algorithm = "threshold", .threshold = 0.2}};
+  const ClusterSpec cluster = NvlinkCluster(2, 2);
+  std::vector<CompressionOption> options = CandidateOptions(TreeConfig{2, 2, false});
+  options.push_back(InterOnlyIndivisibleOption(cluster, Device::kGpu));
+  options.push_back(InterOnlyDivisibleOption(cluster, Device::kGpu));
+  options.push_back(AlltoallAlltoallOption(cluster, Device::kGpu));
+  // Odd and vector-multiple lengths, so both the SIMD bodies and the scalar tails run.
+  const size_t sizes[] = {17, 96, 4096, 5000, 64};
+  const size_t ranks = 4;
+  const kernels::KernelOps* best = kernels::SupportedOps().back();
+  for (const CompressorConfig& cc : compressors) {
+    const auto compressor = CreateCompressor(cc);
+    Strategy strategy;
+    for (size_t t = 0; t < std::size(sizes); ++t) {
+      strategy.options.push_back(options[(t * 3) % options.size()]);
+    }
+    std::vector<ErrorFeedback> feedback_scalar(ranks);
+    std::vector<ErrorFeedback> feedback_simd(ranks);
+    ExecutorWorkspace ws_scalar;
+    ExecutorWorkspace ws_simd;
+    for (uint64_t step = 0; step < 2; ++step) {
+      std::vector<RankBuffers> scalar;
+      for (size_t t = 0; t < std::size(sizes); ++t) {
+        scalar.push_back(RandomBuffers(ranks, sizes[t], DeriveSeed(707 * (step + 1), t)));
+      }
+      std::vector<RankBuffers> simd = scalar;
+      ExecutorConfig config{.machines = 2, .gpus_per_machine = 2,
+                            .compressor = compressor.get(), .seed = step};
+      kernels::SetActiveForTesting(&kernels::Scalar());
+      config.feedback = &feedback_scalar;
+      ExecuteStrategy(strategy, config, scalar, &ws_scalar);
+      kernels::SetActiveForTesting(best);
+      config.feedback = &feedback_simd;
+      ExecuteStrategy(strategy, config, simd, &ws_simd);
+      kernels::SetActiveForTesting(nullptr);
+      for (size_t t = 0; t < scalar.size(); ++t) {
+        for (size_t r = 0; r < ranks; ++r) {
+          ASSERT_EQ(std::memcmp(scalar[t][r].data(), simd[t][r].data(),
+                                scalar[t][r].size() * sizeof(float)), 0)
+              << cc.algorithm << " step " << step << " tensor " << t << " rank " << r;
+        }
+      }
+    }
   }
 }
 

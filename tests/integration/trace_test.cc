@@ -5,7 +5,8 @@
 #include "src/core/baselines.h"
 #include "src/core/timeline.h"
 #include "src/models/model_zoo.h"
-#include "src/trace/chrome_trace.h"
+#include "src/obs/trace_writer.h"
+#include "src/obs/validate.h"
 
 namespace espresso {
 namespace {
@@ -19,31 +20,14 @@ TEST(ChromeTrace, EmitsValidLookingJson) {
       evaluator.Evaluate(HiPressStrategy(model, cluster, *compressor), true);
 
   std::ostringstream os;
-  WriteChromeTrace(os, model, result.entries);
+  obs::WriteExtendedChromeTrace(os, model, cluster, result.entries);
   const std::string json = os.str();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
+  const obs::ValidationResult valid = obs::ValidateJsonDocument(json);
+  EXPECT_TRUE(valid.ok) << valid.error;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("embedding.weight"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"thread_name\""), std::string::npos);
-
-  // Balanced braces/brackets (cheap structural sanity without a parser).
-  int braces = 0, brackets = 0;
-  bool in_string = false;
-  for (size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (c == '"' && (i == 0 || json[i - 1] != '\\')) {
-      in_string = !in_string;
-    }
-    if (in_string) {
-      continue;
-    }
-    braces += (c == '{') - (c == '}');
-    brackets += (c == '[') - (c == ']');
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
 }
 
 TEST(ChromeTrace, EventCountMatchesEntries) {
@@ -54,7 +38,7 @@ TEST(ChromeTrace, EventCountMatchesEntries) {
   const TimelineResult result =
       evaluator.Evaluate(Fp32Strategy(model, cluster), true);
   std::ostringstream os;
-  WriteChromeTrace(os, model, result.entries);
+  obs::WriteExtendedChromeTrace(os, model, cluster, result.entries);
   const std::string json = os.str();
   size_t events = 0;
   for (size_t pos = json.find("\"ph\":\"X\""); pos != std::string::npos;

@@ -112,24 +112,5 @@ TEST(Arena, AlignmentIsRespected) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(d.data()) % alignof(double), 0u);
 }
 
-TEST(Arena, AllocAlignedHonorsOveralignedRequests) {
-  // The SoA staging columns (mem::BatchedCompressPlan) require cache-line alignment,
-  // beyond alignof(float). The alignment must hold for the ABSOLUTE address, not the
-  // block offset, and must survive a deliberately misaligned bump pointer.
-  Arena arena;
-  for (int round = 0; round < 8; ++round) {
-    arena.Alloc<uint8_t>(static_cast<size_t>(1 + round * 3));  // misalign
-    std::span<float> s = arena.AllocAligned<float>(16, 64);
-    ASSERT_EQ(s.size(), 16u);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(s.data()) % 64, 0u) << "round " << round;
-    s[0] = 1.0f;
-    s[15] = 2.0f;  // writable end to end
-  }
-  // Also across a block boundary: force a fresh block with a large request.
-  arena.Alloc<uint8_t>(1);
-  std::span<float> big = arena.AllocAligned<float>(8192, 64);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(big.data()) % 64, 0u);
-}
-
 }  // namespace
 }  // namespace espresso::mem

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace espresso {
 namespace {
 
@@ -11,6 +13,11 @@ struct ZooExpectation {
   double size_mb_low;   // Table 4, with synthesis tolerance
   double size_mb_high;
 };
+
+// gtest lists each case with its GetParam() value, and ctest names the case after that
+// listing. The default printer dumps the struct's bytes, `name` pointer included, so
+// the listed names changed with the load address; print the model name instead.
+void PrintTo(const ZooExpectation& e, std::ostream* os) { *os << e.name; }
 
 class ZooParam : public ::testing::TestWithParam<ZooExpectation> {};
 
