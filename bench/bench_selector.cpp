@@ -15,7 +15,8 @@
 // --out FILE    write the JSON report to FILE instead of stdout
 // --check FILE  compare this run's strategy fingerprints against a committed report;
 //               exit 1 on any divergence (catches nondeterminism regressions — the
-//               committed timings are informational and are not compared)
+//               committed timings are informational and are not compared), or when a
+//               warm re-selection simulates any timeline (every query should hit)
 // --metrics-out write the run's metrics registry (Prometheus text; JSON for .json)
 // --trace-out   write the run's wall-clock spans as a chrome trace
 #include <algorithm>
@@ -94,7 +95,7 @@ ArmResult RunArm(const JobConfig& job, const Compressor& compressor, size_t thre
       arm.telemetry = result.telemetry;
     }
     // Warm re-selection: the steady-state cost of re-deciding with unchanged inputs
-    // (e.g. after a periodic profiler refresh) — nearly every F(S) query hits the memo.
+    // (e.g. after a periodic profiler refresh) — every F(S) query hits the memo.
     if (cache_capacity > 0 && rep + 1 == repetitions) {
       arm.warm_seconds = 1e300;
       for (int warm = 0; warm < repetitions; ++warm) {
@@ -282,6 +283,12 @@ int main(int argc, char** argv) {
                      combo.name.c_str(), fingerprint.c_str(), expected.c_str());
         check_failed = true;
       }
+      if (accel.warm_telemetry.simulations > 0) {
+        std::fprintf(stderr, "FAIL: %s warm re-selection simulated %" PRIu64
+                     " timelines, want 0\n",
+                     combo.name.c_str(), accel.warm_telemetry.simulations);
+        check_failed = true;
+      }
     }
   }
 
@@ -311,7 +318,8 @@ int main(int argc, char** argv) {
     espresso::obs::WriteSpanTrace(trace_out, espresso::obs::GlobalTrace());
   }
   if (check_failed) {
-    std::cerr << "selector diverged from the committed baseline\n";
+    std::cerr << "selector diverged from the committed baseline or missed its warm "
+                 "cache\n";
     return 1;
   }
   return 0;

@@ -32,6 +32,7 @@ struct SelectorMetrics {
   obs::Counter cache_hits;
   obs::Counter cache_misses;
   obs::Counter cache_evictions;
+  obs::Counter fanouts;
   obs::Histogram select_seconds;
   obs::Histogram algorithm1_seconds;
   obs::Histogram refine_seconds;
@@ -46,15 +47,18 @@ const SelectorMetrics& Metrics() {
     m.selections = r.RegisterCounter("espresso_selector_selections_total",
                                      "Completed EspressoSelector::Select calls");
     m.evaluations = r.RegisterCounter("espresso_selector_evaluations_total",
-                                      "Logical F(S) queries (cache hits included)");
+                                      "Logical F(S) and bubble-set queries (cache hits included)");
     m.simulations = r.RegisterCounter("espresso_selector_simulations_total",
                                       "Timelines actually simulated by the selector");
     m.cache_hits = r.RegisterCounter("espresso_selector_cache_hits_total",
-                                     "F(S) memoization cache hits");
+                                     "F(S) and bubble-set memoization cache hits");
     m.cache_misses = r.RegisterCounter("espresso_selector_cache_misses_total",
-                                       "F(S) memoization cache misses");
+                                       "F(S) and bubble-set memoization cache misses");
     m.cache_evictions = r.RegisterCounter("espresso_selector_cache_evictions_total",
-                                          "F(S) memoization cache evictions");
+                                          "F(S) and bubble-set memoization cache evictions");
+    m.fanouts = r.RegisterCounter("espresso_selector_fanouts_total",
+                                  "Scoring batches whose cache misses were submitted "
+                                  "to the selector's thread pool");
     m.select_seconds = r.RegisterHistogram("espresso_selector_select_seconds",
                                            "End-to-end Select() wall time",
                                            obs::DefaultTimeBuckets());
@@ -93,6 +97,7 @@ SelectorTelemetry SelectorTelemetry::FromMetricsSnapshot(
   t.cache_hits = counter("espresso_selector_cache_hits_total");
   t.cache_misses = counter("espresso_selector_cache_misses_total");
   t.cache_evictions = counter("espresso_selector_cache_evictions_total");
+  t.fanouts = counter("espresso_selector_fanouts_total");
   t.algorithm1_seconds = histogram_sum("espresso_selector_stage_algorithm1_seconds");
   t.refine_seconds = histogram_sum("espresso_selector_stage_refine_seconds");
   t.trajectory_seconds = histogram_sum("espresso_selector_stage_trajectory_seconds");
@@ -143,28 +148,31 @@ void EspressoSelector::Init() {
       candidate = candidate.WithDevice(Device::kCpu);
     }
   }
+  for (const CompressionOption& candidate : candidates_) {
+    candidate_fingerprints_.push_back(OptionFingerprint(candidate));
+  }
   if (options_.cache_capacity > 0 && cache_ == nullptr) {
     cache_ = std::make_shared<EvaluationCache>(options_.cache_capacity);
   }
-  pool_ = std::make_unique<ThreadPool>(options_.threads);
-  const size_t chunk_count = std::max<size_t>(1, options_.threads);
-  for (size_t i = 0; i < chunk_count; ++i) {
-    contexts_.emplace_back();
-  }
+  contexts_.emplace_back();  // the caller's; ParallelFor adds the workers' on demand
 }
 
 template <typename Fn>
 void EspressoSelector::ParallelFor(size_t count, const Fn& fn) const {
-  if (count == 0) {
-    return;
-  }
-  const size_t chunks = std::min(contexts_.size(), count);
+  const size_t chunks = std::min(options_.threads, count);
   if (chunks <= 1) {
     for (size_t i = 0; i < count; ++i) {
       fn(i, size_t{0}, &contexts_[0]);
     }
     return;
   }
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<ThreadPool>(options_.threads);
+    while (contexts_.size() < options_.threads) {
+      contexts_.emplace_back();
+    }
+  }
+  ++fanouts_;
   for (size_t c = 0; c < chunks; ++c) {
     pool_->Submit([this, &fn, c, chunks, count] {
       const size_t begin = c * count / chunks;
@@ -177,84 +185,123 @@ void EspressoSelector::ParallelFor(size_t count, const Fn& fn) const {
   pool_->Wait();
 }
 
+template <typename KeyFn, typename SimulateFn, typename StoreFn>
+void EspressoSelector::ScoreBatch(size_t count, const KeyFn& key,
+                                  const SimulateFn& simulate, const StoreFn& store) const {
+  evaluations_ += count;
+  misses_.clear();
+  for (size_t i = 0; i < count; ++i) {
+    Miss miss{i, 0, 0.0};
+    if (cache_ != nullptr) {
+      miss.key = key(i);
+      if (cache_->Lookup(miss.key, &miss.value)) {
+        store(i, miss.value);
+        continue;
+      }
+    }
+    misses_.push_back(miss);
+  }
+  ParallelFor(misses_.size(), [&](size_t m, size_t chunk,
+                                  TimelineEvaluator::EvalContext* ctx) {
+    misses_[m].value = simulate(misses_[m].query, chunk, ctx);
+  });
+  for (const Miss& miss : misses_) {
+    if (cache_ != nullptr) {
+      cache_->Insert(miss.key, miss.value);
+    }
+    store(miss.query, miss.value);
+  }
+}
+
 double EspressoSelector::CachedScore(const Strategy& base, const StrategyHasher& hasher,
-                                     size_t index, const CompressionOption& candidate,
-                                     TimelineEvaluator::EvalContext* ctx) const {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
+                                     size_t index,
+                                     const CompressionOption& candidate) const {
   if (options_.myopic) {
     // Wall-clock scoring: the sum of the candidate's own op durations, ignoring all
     // interactions among tensors (§3.1: "Only considering tau_comm and tau_comp ...
     // can harm the performance"). Kept as the crippled Dimension-1 mechanism. Not
     // memoized: the values are not F(S) and the sum is cheaper than a cache probe.
+    ++evaluations_;
     double total = 0.0;
     for (const Op& op : candidate.ops) {
       total += evaluator_.OpDuration(op, model_.tensors[index].elements);
     }
     return total;
   }
-  if (cache_ == nullptr) {
-    return evaluator_.ScoreWithOption(base, index, candidate, ctx);
-  }
-  const uint64_t key = hasher.KeyWith(index, candidate);
   double value = 0.0;
-  if (cache_->Lookup(key, &value)) {
-    return value;
-  }
-  value = evaluator_.ScoreWithOption(base, index, candidate, ctx);
-  cache_->Insert(key, value);
+  ScoreBatch(
+      1, [&](size_t) { return hasher.KeyWith(index, candidate); },
+      [&](size_t, size_t, TimelineEvaluator::EvalContext* ctx) {
+        return evaluator_.ScoreWithOption(base, index, candidate, ctx);
+      },
+      [&](size_t, double score) { value = score; });
   return value;
 }
 
-double EspressoSelector::CachedIterationTime(const Strategy& strategy,
-                                             TimelineEvaluator::EvalContext* ctx) const {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  if (cache_ == nullptr) {
-    return evaluator_.IterationTime(strategy, ctx);
-  }
-  const uint64_t key = StrategyFingerprint(strategy);
+double EspressoSelector::CachedIterationTime(const Strategy& strategy) const {
   double value = 0.0;
-  if (cache_->Lookup(key, &value)) {
-    return value;
-  }
-  value = evaluator_.IterationTime(strategy, ctx);
-  cache_->Insert(key, value);
+  ScoreBatch(
+      1, [&](size_t) { return StrategyFingerprint(strategy); },
+      [&](size_t, size_t, TimelineEvaluator::EvalContext* ctx) {
+        return evaluator_.IterationTime(strategy, ctx);
+      },
+      [&](size_t, double time) { value = time; });
   return value;
 }
 
 void EspressoSelector::ScoreCandidates(const Strategy& base, const StrategyHasher& hasher,
                                        size_t index, std::vector<double>* times,
                                        const CompressionOption* skip) const {
-  const size_t m = candidates_.size();
-  times->assign(m, kInf);
-  ParallelFor(m, [&](size_t j, size_t, TimelineEvaluator::EvalContext* ctx) {
-    if (skip != nullptr && candidates_[j] == *skip) {
-      return;  // the caller already scored the current assignment
+  times->assign(candidates_.size(), kInf);
+  scored_.clear();
+  for (size_t j = 0; j < candidates_.size(); ++j) {
+    if (skip == nullptr || !(candidates_[j] == *skip)) {
+      scored_.push_back(j);  // a skipped candidate is the caller's, already scored
     }
-    (*times)[j] = CachedScore(base, hasher, index, candidates_[j], ctx);
-  });
+  }
+  if (options_.myopic) {
+    for (const size_t j : scored_) {
+      (*times)[j] = CachedScore(base, hasher, index, candidates_[j]);
+    }
+    return;
+  }
+  ScoreBatch(
+      scored_.size(),
+      [&](size_t i) { return hasher.KeyWith(index, candidate_fingerprints_[scored_[i]]); },
+      [&](size_t i, size_t, TimelineEvaluator::EvalContext* ctx) {
+        return evaluator_.ScoreWithOption(base, index, candidates_[scored_[i]], ctx);
+      },
+      [&](size_t i, double score) { (*times)[scored_[i]] = score; });
 }
 
 Strategy EspressoSelector::SelectGpuCompression(size_t* evaluations) const {
-  const uint64_t evals_before = evaluations_.load(std::memory_order_relaxed);
+  const uint64_t evals_before = evaluations_;
   const size_t n = model_.tensors.size();
   Strategy strategy = UniformStrategy(n, options_.force_cpu
                                              ? default_option_.WithDevice(Device::kCpu)
                                              : default_option_);
   StrategyHasher hasher;
   hasher.Reset(strategy);
-  TimelineEvaluator::EvalContext* ctx0 = &contexts_[0];
 
   // Lines 2-3: sort descending by size, tie-break by proximity to the output layer.
   const std::vector<std::vector<size_t>> groups = GroupBySizeDescending(model_);
 
-  // Property 1: rule out uncompressed tensors communicated before bubbles.
+  // Property 1: rule out uncompressed tensors communicated before bubbles. The bubble
+  // set is a pure function of the strategy, memoized under its fingerprint like F(S).
   std::vector<bool> removed(n, false);
+  std::vector<bool> before;
   auto remove_before_bubbles = [&] {
     if (options_.force_compress_all || options_.disable_bubble_elimination) {
       return;  // every tensor stays in play
     }
-    const std::vector<bool> before = evaluator_.BeforeBubble(strategy, ctx0);
-    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    ++evaluations_;
+    const uint64_t key = hasher.Key();
+    if (cache_ == nullptr || !cache_->LookupBubbles(key, &before)) {
+      before = evaluator_.BeforeBubble(strategy, &contexts_[0]);
+      if (cache_ != nullptr) {
+        cache_->InsertBubbles(key, before);
+      }
+    }
     for (size_t i = 0; i < n; ++i) {
       if (before[i] && !strategy.options[i].Compressed()) {
         removed[i] = true;
@@ -276,7 +323,7 @@ Strategy EspressoSelector::SelectGpuCompression(size_t* evaluations) const {
                                  !strategy.options[index].Compressed()
                              ? kInf
                              : CachedScore(strategy, hasher, index,
-                                           strategy.options[index], ctx0);
+                                           strategy.options[index]);
       ScoreCandidates(strategy, hasher, index, &times, nullptr);
       // Deterministic reduction: strict improvement only, so ties keep the earlier
       // (lower-index) candidate — byte-identical to the serial scan.
@@ -297,14 +344,14 @@ Strategy EspressoSelector::SelectGpuCompression(size_t* evaluations) const {
     }
   }
   if (evaluations != nullptr) {
-    *evaluations += evaluations_.load(std::memory_order_relaxed) - evals_before;
+    *evaluations += evaluations_ - evals_before;
   }
   return strategy;
 }
 
 Strategy EspressoSelector::OffloadToCpu(const Strategy& gpu_strategy, size_t* combinations,
                                         bool* exact, size_t* evaluations) const {
-  const uint64_t evals_before = evaluations_.load(std::memory_order_relaxed);
+  const uint64_t evals_before = evaluations_;
   const size_t n = gpu_strategy.options.size();
 
   // T_gpu: tensors whose option compresses (on GPUs). Group by (size, option
@@ -392,46 +439,41 @@ Strategy EspressoSelector::OffloadToCpu(const Strategy& gpu_strategy, size_t* co
   // Scores a batch of odometer states (flattened per-group counts). Each chunk worker
   // keeps one override table and applies/undoes the per-combo deltas on it — the full
   // strategy is never copied per visit.
-  std::vector<std::vector<const CompressionOption*>> tables(contexts_.size());
+  std::vector<std::vector<const CompressionOption*>> tables(
+      std::max<size_t>(1, options_.threads));
   auto score_combos = [&](const std::vector<size_t>& flat, size_t count,
                           std::vector<double>* times) {
     times->resize(count);
-    ParallelFor(count, [&](size_t b, size_t chunk, TimelineEvaluator::EvalContext* ctx) {
-      const size_t* counts = flat.data() + b * num_groups;
-      evaluations_.fetch_add(1, std::memory_order_relaxed);
-      uint64_t key = 0;
-      if (cache_ != nullptr) {
-        uint64_t total = base_total;
-        for (size_t gi = 0; gi < num_groups; ++gi) {
-          total += delta_prefix[gi][counts[gi]];
-        }
-        key = FinalizeStrategyKey(total);
-        double value = 0.0;
-        if (cache_->Lookup(key, &value)) {
-          (*times)[b] = value;
-          return;
-        }
-      }
-      std::vector<const CompressionOption*>& table = tables[chunk];
-      if (table.size() != n) {
-        table.assign(n, nullptr);
-      }
-      for (size_t gi = 0; gi < num_groups; ++gi) {
-        for (size_t k = 0; k < counts[gi]; ++k) {
-          table[groups[gi].members[k]] = &cpu_variants[gi];
-        }
-      }
-      const double t = evaluator_.ScoreWithOverrides(gpu_strategy, table.data(), ctx);
-      for (size_t gi = 0; gi < num_groups; ++gi) {
-        for (size_t k = 0; k < counts[gi]; ++k) {
-          table[groups[gi].members[k]] = nullptr;
-        }
-      }
-      if (cache_ != nullptr) {
-        cache_->Insert(key, t);
-      }
-      (*times)[b] = t;
-    });
+    ScoreBatch(
+        count,
+        [&](size_t b) {
+          const size_t* counts = flat.data() + b * num_groups;
+          uint64_t total = base_total;
+          for (size_t gi = 0; gi < num_groups; ++gi) {
+            total += delta_prefix[gi][counts[gi]];
+          }
+          return FinalizeStrategyKey(total);
+        },
+        [&](size_t b, size_t chunk, TimelineEvaluator::EvalContext* ctx) {
+          const size_t* counts = flat.data() + b * num_groups;
+          std::vector<const CompressionOption*>& table = tables[chunk];
+          if (table.size() != n) {
+            table.assign(n, nullptr);
+          }
+          for (size_t gi = 0; gi < num_groups; ++gi) {
+            for (size_t k = 0; k < counts[gi]; ++k) {
+              table[groups[gi].members[k]] = &cpu_variants[gi];
+            }
+          }
+          const double t = evaluator_.ScoreWithOverrides(gpu_strategy, table.data(), ctx);
+          for (size_t gi = 0; gi < num_groups; ++gi) {
+            for (size_t k = 0; k < counts[gi]; ++k) {
+              table[groups[gi].members[k]] = nullptr;
+            }
+          }
+          return t;
+        },
+        [&](size_t b, double t) { (*times)[b] = t; });
   };
 
   // Materializes the winning odometer state — the only place a strategy is copied.
@@ -528,22 +570,20 @@ Strategy EspressoSelector::OffloadToCpu(const Strategy& gpu_strategy, size_t* co
     *combinations = visited;
   }
   if (evaluations != nullptr) {
-    *evaluations += evaluations_.load(std::memory_order_relaxed) - evals_before;
+    *evaluations += evaluations_ - evals_before;
   }
   return materialize(best_counts.data());
 }
 
 bool EspressoSelector::RefineSweep(Strategy* strategy, size_t* evaluations) const {
   ESP_CHECK(strategy != nullptr);
-  const uint64_t evals_before = evaluations_.load(std::memory_order_relaxed);
+  const uint64_t evals_before = evaluations_;
   StrategyHasher hasher;
   hasher.Reset(*strategy);
-  TimelineEvaluator::EvalContext* ctx0 = &contexts_[0];
   bool improved = false;
   std::vector<double> times;
   for (size_t index = 0; index < strategy->options.size(); ++index) {
-    double best_time =
-        CachedScore(*strategy, hasher, index, strategy->options[index], ctx0);
+    double best_time = CachedScore(*strategy, hasher, index, strategy->options[index]);
     ScoreCandidates(*strategy, hasher, index, &times, &strategy->options[index]);
     const CompressionOption* best = nullptr;
     for (size_t j = 0; j < candidates_.size(); ++j) {
@@ -559,7 +599,7 @@ bool EspressoSelector::RefineSweep(Strategy* strategy, size_t* evaluations) cons
     }
   }
   if (evaluations != nullptr) {
-    *evaluations += evaluations_.load(std::memory_order_relaxed) - evals_before;
+    *evaluations += evaluations_ - evals_before;
   }
   return improved;
 }
@@ -567,12 +607,13 @@ bool EspressoSelector::RefineSweep(Strategy* strategy, size_t* evaluations) cons
 SelectionResult EspressoSelector::Select() const {
   obs::ScopedSpan span("selector.select", "selector", Metrics().select_seconds);
   SelectionResult result;
-  const uint64_t evals_start = evaluations_.load(std::memory_order_relaxed);
+  const uint64_t evals_start = evaluations_;
   const uint64_t sims_start = evaluator_.simulations();
+  const uint64_t fanouts_start = fanouts_;
   const EvalCacheStats cache_start = cache_ != nullptr ? cache_->stats() : EvalCacheStats{};
   uint64_t nested_evals = 0;
   uint64_t nested_sims = 0;
-  TimelineEvaluator::EvalContext* ctx0 = &contexts_[0];
+  uint64_t nested_fanouts = 0;
 
   const auto t0 = std::chrono::steady_clock::now();
   std::optional<Strategy> forced_trajectory;
@@ -606,13 +647,15 @@ SelectionResult EspressoSelector::Select() const {
     // Seed a second trajectory from the best uniform assignment — when it is remotely
     // competitive — and keep the winner.
     const size_t n = model_.tensors.size();
-    const double gpu_time = CachedIterationTime(gpu, ctx0);
+    const double gpu_time = CachedIterationTime(gpu);
     std::vector<double> uniform_times(candidates_.size(), kInf);
-    ParallelFor(candidates_.size(),
-                [&](size_t j, size_t, TimelineEvaluator::EvalContext* ctx) {
-                  uniform_times[j] =
-                      CachedIterationTime(UniformStrategy(n, candidates_[j]), ctx);
-                });
+    ScoreBatch(
+        candidates_.size(),
+        [&](size_t j) { return UniformStrategyFingerprint(n, candidates_[j]); },
+        [&](size_t j, size_t, TimelineEvaluator::EvalContext* ctx) {
+          return evaluator_.IterationTime(UniformStrategy(n, candidates_[j]), ctx);
+        },
+        [&](size_t j, double time) { uniform_times[j] = time; });
     double best_uniform_time = kInf;
     const CompressionOption* best_uniform = nullptr;
     for (size_t j = 0; j < candidates_.size(); ++j) {
@@ -628,7 +671,7 @@ SelectionResult EspressoSelector::Select() const {
           break;
         }
       }
-      if (CachedIterationTime(alternative, ctx0) < CachedIterationTime(gpu, ctx0)) {
+      if (CachedIterationTime(alternative) < CachedIterationTime(gpu)) {
         gpu = std::move(alternative);
       }
     }
@@ -653,12 +696,12 @@ SelectionResult EspressoSelector::Select() const {
       }
       // Keep even much-worse pre-offload trajectories alive: CPU offloading is what
       // rescues an everything-compressed strategy from its GPU contention.
-      if (CachedIterationTime(*forced_trajectory, ctx0) >
-          2.0 * CachedIterationTime(gpu, ctx0)) {
+      if (CachedIterationTime(*forced_trajectory) > 2.0 * CachedIterationTime(gpu)) {
         forced_trajectory.reset();
       }
-      nested_evals = all_compressed.evaluations_.load(std::memory_order_relaxed);
+      nested_evals = all_compressed.evaluations_;
       nested_sims = all_compressed.evaluator_.simulations();
+      nested_fanouts = all_compressed.fanouts_;
     }
     result.telemetry.trajectory_seconds =
         Seconds(t_refine, std::chrono::steady_clock::now());
@@ -680,8 +723,7 @@ SelectionResult EspressoSelector::Select() const {
     if (forced_trajectory.has_value()) {
       const Strategy alternative = OffloadToCpu(*forced_trajectory, nullptr, nullptr,
                                                 nullptr);
-      if (CachedIterationTime(alternative, ctx0) <
-          CachedIterationTime(result.strategy, ctx0)) {
+      if (CachedIterationTime(alternative) < CachedIterationTime(result.strategy)) {
         result.strategy = alternative;
       }
     }
@@ -690,10 +732,9 @@ SelectionResult EspressoSelector::Select() const {
   } else {
     result.strategy = std::move(gpu);
   }
-  result.iteration_time = CachedIterationTime(result.strategy, ctx0);
+  result.iteration_time = CachedIterationTime(result.strategy);
 
-  result.timeline_evaluations =
-      (evaluations_.load(std::memory_order_relaxed) - evals_start) + nested_evals;
+  result.timeline_evaluations = (evaluations_ - evals_start) + nested_evals;
   result.telemetry.evaluations = result.timeline_evaluations;
   result.telemetry.simulations = (evaluator_.simulations() - sims_start) + nested_sims;
   if (cache_ != nullptr) {
@@ -702,6 +743,7 @@ SelectionResult EspressoSelector::Select() const {
     result.telemetry.cache_misses = stats.misses - cache_start.misses;
     result.telemetry.cache_evictions = stats.evictions - cache_start.evictions;
   }
+  result.telemetry.fanouts = (fanouts_ - fanouts_start) + nested_fanouts;
   result.telemetry.threads = options_.threads;
   result.telemetry.total_seconds = Seconds(t0, std::chrono::steady_clock::now());
 
@@ -715,6 +757,7 @@ SelectionResult EspressoSelector::Select() const {
   registry.Add(metrics.cache_hits, result.telemetry.cache_hits);
   registry.Add(metrics.cache_misses, result.telemetry.cache_misses);
   registry.Add(metrics.cache_evictions, result.telemetry.cache_evictions);
+  registry.Add(metrics.fanouts, result.telemetry.fanouts);
   registry.Observe(metrics.algorithm1_seconds, result.telemetry.algorithm1_seconds);
   registry.Observe(metrics.refine_seconds, result.telemetry.refine_seconds);
   registry.Observe(metrics.trajectory_seconds, result.telemetry.trajectory_seconds);

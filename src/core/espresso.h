@@ -14,16 +14,18 @@
 // counts U = {u_1..u_d} needs searching (Theorem 1). When that product exceeds a
 // budget, per-group coordinate descent is used instead (and flagged in the result).
 //
-// Search acceleration: candidate scoring fans out across a ThreadPool
-// (SelectorOptions::threads) through TimelineEvaluator's thread-safe non-mutating
-// scoring entry points, and every F(S) query is memoized in a fingerprint-keyed LRU
-// (SelectorOptions::cache_capacity). Both knobs are bit-exact: the accelerated
-// selector returns the same strategy as the serial, uncached one — ties always resolve
-// to the lowest candidate index. See docs/PERFORMANCE.md.
+// Search acceleration: every F(S) query and every Property-1 bubble set is memoized
+// in a fingerprint-keyed LRU (SelectorOptions::cache_capacity). A batch of queries is
+// first probed against that cache on the caller's thread; only the misses are
+// simulated, fanned out across a ThreadPool (SelectorOptions::threads) through
+// TimelineEvaluator's thread-safe non-mutating scoring entry points. The pool is built
+// on the first fan-out, so a selection whose queries all hit starts no thread and runs
+// no simulation. Both knobs are bit-exact: the accelerated selector returns the same
+// strategy as the serial, uncached one — ties always resolve to the lowest candidate
+// index. See docs/PERFORMANCE.md.
 #ifndef SRC_CORE_ESPRESSO_H_
 #define SRC_CORE_ESPRESSO_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -57,8 +59,10 @@ struct SelectorOptions {
   // Algorithm 2 exhaustive-search budget; beyond it coordinate descent over the group
   // counts takes over (Lemma 1 still fixes the within-group order either way).
   size_t offload_search_budget = 3000;
-  // Worker threads for candidate scoring (0 = score on the caller's thread). The
-  // selected strategy is identical for any thread count.
+  // Worker threads that simulate a batch's cache misses when it has at least two
+  // (0 or 1 = simulate on the caller's thread). The pool starts on the first such
+  // batch, so a fully cached selection starts no thread. The selected strategy is
+  // identical for any thread count.
   size_t threads = 0;
   // Capacity of the memoized F(S) cache (0 disables memoization). The cache is keyed
   // by 64-bit strategy fingerprints and scoped to this selector's evaluator
@@ -67,19 +71,20 @@ struct SelectorOptions {
 };
 
 // Per-selection performance counters. Stage walls partition total_seconds; evaluation
-// counts come from a single atomic incremented at the scoring chokepoint, so they stay
-// accurate under parallel scoring (no hand-maintained tallies).
+// counts are taken at the one batch-scoring chokepoint on the caller's thread, so they
+// stay exact under parallel scoring (no hand-maintained tallies).
 struct SelectorTelemetry {
   double algorithm1_seconds = 0.0;   // Algorithm 1 greedy pass
   double refine_seconds = 0.0;       // fixpoint refinement sweeps
   double trajectory_seconds = 0.0;   // uniform-seed + forced-compression trajectories
   double offload_seconds = 0.0;      // Algorithm 2
   double total_seconds = 0.0;
-  uint64_t evaluations = 0;          // logical F(S) queries (cache hits included)
+  uint64_t evaluations = 0;          // logical F(S) and bubble-set queries (hits included)
   uint64_t simulations = 0;          // timelines actually simulated (cache misses)
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
+  uint64_t fanouts = 0;              // batches whose misses were submitted to the pool
   size_t threads = 0;                // scoring workers used
 
   double CacheHitRate() const {
@@ -143,39 +148,59 @@ class EspressoSelector {
  private:
   void Init();
 
+  // Answers `count` F(S) queries; every query the selector makes goes through here,
+  // and this is where evaluations are counted. `key(i)` is query i's fingerprint,
+  // `simulate(i, chunk, ctx)` computes its F(S), and `store(i, value)` receives the
+  // answer. The cache is probed on the caller's thread; only the misses reach
+  // ParallelFor, and their values enter the cache in query order, so the cache's
+  // contents and statistics are the same for every thread count.
+  template <typename KeyFn, typename SimulateFn, typename StoreFn>
+  void ScoreBatch(size_t count, const KeyFn& key, const SimulateFn& simulate,
+                  const StoreFn& store) const;
+
   // Memoized, non-mutating score of `candidate` at `index` within `base` (whose
-  // fingerprint is tracked by `hasher`). The only place evaluations are counted.
+  // fingerprint is tracked by `hasher`).
   double CachedScore(const Strategy& base, const StrategyHasher& hasher, size_t index,
-                     const CompressionOption& candidate,
-                     TimelineEvaluator::EvalContext* ctx) const;
+                     const CompressionOption& candidate) const;
 
   // Memoized full-strategy F(S) (fingerprint computed from scratch).
-  double CachedIterationTime(const Strategy& strategy,
-                             TimelineEvaluator::EvalContext* ctx) const;
+  double CachedIterationTime(const Strategy& strategy) const;
 
-  // Runs fn(first..last-1, context) over `count` items, chunked across the pool with
-  // one EvalContext per chunk. Deterministic: with threads == 0 everything runs inline
-  // on the caller's thread in index order.
+  // Runs fn(i, chunk, context) for i in [0, count), chunked across the pool with one
+  // EvalContext per chunk. Runs inline on the caller's thread, in index order, unless
+  // both `count` and threads are at least two; the first call that does fan out builds
+  // the pool.
   template <typename Fn>
   void ParallelFor(size_t count, const Fn& fn) const;
 
   // Scores every candidate against `base` with options[index] substituted, into
-  // `times` (resized to candidates_.size()). Parallel when threads > 0. A candidate
-  // equal to `skip` (if non-null) is left at +inf — the caller already scored it.
+  // `times` (resized to candidates_.size()). A candidate equal to `skip` (if non-null)
+  // is left at +inf — the caller already scored it.
   void ScoreCandidates(const Strategy& base, const StrategyHasher& hasher, size_t index,
                        std::vector<double>* times,
                        const CompressionOption* skip) const;
+
+  // One cache miss of a ScoreBatch call: the query, its key and its computed F(S).
+  struct Miss {
+    size_t query;
+    uint64_t key;
+    double value;
+  };
 
   ModelProfile model_;
   TreeConfig tree_config_;
   SelectorOptions options_;
   TimelineEvaluator evaluator_;
   std::vector<CompressionOption> candidates_;
+  std::vector<uint64_t> candidate_fingerprints_;  // OptionFingerprint(candidates_[j])
   CompressionOption default_option_;
   std::shared_ptr<EvaluationCache> cache_;        // null = memoization disabled
-  mutable std::unique_ptr<ThreadPool> pool_;      // scoring workers (inline when 0)
+  mutable std::unique_ptr<ThreadPool> pool_;      // built on the first fan-out
   mutable std::deque<TimelineEvaluator::EvalContext> contexts_;  // one per chunk
-  mutable std::atomic<uint64_t> evaluations_{0};  // logical F(S) queries
+  mutable uint64_t evaluations_ = 0;              // logical F(S) and bubble-set queries
+  mutable uint64_t fanouts_ = 0;                  // ParallelFor calls that used the pool
+  mutable std::vector<size_t> scored_;            // ScoreCandidates' candidate indices
+  mutable std::vector<Miss> misses_;              // ScoreBatch's misses
 };
 
 }  // namespace espresso

@@ -1,5 +1,7 @@
 #include "src/core/eval_cache.h"
 
+#include <utility>
+
 #include "src/util/hash.h"
 #include "src/util/logging.h"
 
@@ -22,8 +24,16 @@ uint64_t OptionFingerprint(const CompressionOption& option) {
   return h;
 }
 
+namespace {
+
+uint64_t MixIndexedFingerprint(size_t index, uint64_t option_fingerprint) {
+  return Mix64(option_fingerprint + Mix64(static_cast<uint64_t>(index) + 1));
+}
+
+}  // namespace
+
 uint64_t MixIndexedOption(size_t index, const CompressionOption& option) {
-  return Mix64(OptionFingerprint(option) + Mix64(static_cast<uint64_t>(index) + 1));
+  return MixIndexedFingerprint(index, OptionFingerprint(option));
 }
 
 uint64_t FinalizeStrategyKey(uint64_t total) { return Mix64(total); }
@@ -32,6 +42,15 @@ uint64_t StrategyFingerprint(const Strategy& strategy) {
   uint64_t total = 0;
   for (size_t i = 0; i < strategy.options.size(); ++i) {
     total += MixIndexedOption(i, strategy.options[i]);
+  }
+  return FinalizeStrategyKey(total);
+}
+
+uint64_t UniformStrategyFingerprint(size_t tensors, const CompressionOption& option) {
+  const uint64_t fingerprint = OptionFingerprint(option);
+  uint64_t total = 0;
+  for (size_t i = 0; i < tensors; ++i) {
+    total += MixIndexedFingerprint(i, fingerprint);
   }
   return FinalizeStrategyKey(total);
 }
@@ -46,8 +65,13 @@ void StrategyHasher::Reset(const Strategy& strategy) {
 }
 
 uint64_t StrategyHasher::KeyWith(size_t index, const CompressionOption& option) const {
+  return KeyWith(index, OptionFingerprint(option));
+}
+
+uint64_t StrategyHasher::KeyWith(size_t index, uint64_t option_fingerprint) const {
   ESP_CHECK_LT(index, mixed_.size());
-  return FinalizeStrategyKey(total_ - mixed_[index] + MixIndexedOption(index, option));
+  return FinalizeStrategyKey(total_ - mixed_[index] +
+                             MixIndexedFingerprint(index, option_fingerprint));
 }
 
 void StrategyHasher::Set(size_t index, const CompressionOption& option) {
@@ -72,6 +96,25 @@ bool EvaluationCache::Lookup(uint64_t key, double* value) {
 void EvaluationCache::Insert(uint64_t key, double value) {
   std::lock_guard<std::mutex> lock(mu_);
   if (lru_.Put(key, value)) {
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+bool EvaluationCache::LookupBubbles(uint64_t key, std::vector<bool>* before) {
+  ESP_CHECK(before != nullptr);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (const std::vector<bool>* found = bubbles_.Get(key)) {
+    *before = *found;
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
+void EvaluationCache::InsertBubbles(uint64_t key, std::vector<bool> before) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (bubbles_.Put(key, std::move(before))) {
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }

@@ -21,7 +21,9 @@ ModelProfileResult ProfileModel(const ModelProfile& ground_truth, size_t iterati
     for (size_t i = 0; i < n; ++i) {
       // One trace sample: the true computation time perturbed by run-to-run noise
       // (kernel scheduling, clocks). Clamped so a pathological draw stays positive.
-      const double factor = std::max(0.1, 1.0 + rng.Normal(0.0, jitter));
+      // Zero jitter draws nothing: a normal distribution needs a positive stddev.
+      const double factor =
+          jitter == 0.0 ? 1.0 : std::max(0.1, 1.0 + rng.Normal(0.0, jitter));
       const double sample = ground_truth.tensors[i].backward_time_s * factor;
       sum[i] += sample;
       sum_sq[i] += sample * sample;

@@ -84,7 +84,7 @@ bool ServeServer::Start(std::string* error) {
 
   pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
   running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  accept_thread_ = std::thread([this, listen_fd = listen_fd_] { AcceptLoop(listen_fd); });
   return true;
 }
 
@@ -116,9 +116,9 @@ void ServeServer::Stop() {
   pool_.reset();
 }
 
-void ServeServer::AcceptLoop() {
+void ServeServer::AcceptLoop(int listen_fd) {
   while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) {
         continue;

@@ -56,7 +56,9 @@ class ServeServer {
   bool running() const { return running_.load(); }
 
  private:
-  void AcceptLoop();
+  // Takes the listener by value: Stop() resets listen_fd_ while the loop may still be
+  // blocked in accept().
+  void AcceptLoop(int listen_fd);
   void ServeConnection(int fd);
 
   SelectionService* const service_;

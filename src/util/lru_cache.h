@@ -2,6 +2,7 @@
 // path. Single-threaded by design (the thread-safe wrapper lives in
 // src/core/eval_cache.h); Get/Put are O(1) amortized. Capacity is fixed at
 // construction; inserting into a full cache evicts the least-recently-used entry.
+// The index grows on demand; Reserve() sizes it for a full cache up front.
 #ifndef SRC_UTIL_LRU_CACHE_H_
 #define SRC_UTIL_LRU_CACHE_H_
 
@@ -20,8 +21,10 @@ class LruCache {
  public:
   explicit LruCache(size_t capacity) : capacity_(capacity) {
     ESP_CHECK_GT(capacity, 0u) << "LruCache requires a positive capacity";
-    map_.reserve(capacity);
   }
+
+  // Sizes the index for `capacity` entries, so filling the cache never rehashes.
+  void Reserve() { map_.reserve(capacity_); }
 
   // Returns the value and marks the entry most-recently-used, or nullptr on a miss.
   const Value* Get(const Key& key) {

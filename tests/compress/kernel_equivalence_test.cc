@@ -56,6 +56,13 @@ std::vector<float> MakeInput(size_t n, uint64_t seed, bool with_non_finite) {
 uint64_t Bits64(double d) { return std::bit_cast<uint64_t>(d); }
 uint32_t Bits32(float f) { return std::bit_cast<uint32_t>(f); }
 
+// memcmp equality over `bytes` bytes. An empty vector's data() may be null, and
+// memcmp on a null pointer is undefined even for zero bytes, so zero bytes compare
+// equal without a call.
+bool SameBytes(const void* got, const void* want, size_t bytes) {
+  return bytes == 0 || std::memcmp(got, want, bytes) == 0;
+}
+
 TEST(KernelEquivalence, ReductionsBitIdenticalAcrossIsasLengthsAndOffsets) {
   const KernelOps& ref = Scalar();
   for (const KernelOps* ops : SupportedOps()) {
@@ -132,11 +139,11 @@ TEST(KernelEquivalence, SelectTopkMatchesScalar) {
                 ops->select_topk(x, n, t, n_fill, got_idx.data(), got_val.data());
             ASSERT_EQ(got_count, want_count)
                 << ops->isa << " select_topk n=" << n << " t=" << t;
-            ASSERT_EQ(std::memcmp(got_idx.data(), want_idx.data(),
-                                  want_idx.size() * sizeof(uint32_t)), 0)
+            ASSERT_TRUE(SameBytes(got_idx.data(), want_idx.data(),
+                                  want_idx.size() * sizeof(uint32_t)))
                 << ops->isa << " select_topk indices n=" << n;
-            ASSERT_EQ(std::memcmp(got_val.data(), want_val.data(),
-                                  want_val.size() * sizeof(float)), 0)
+            ASSERT_TRUE(SameBytes(got_val.data(), want_val.data(),
+                                  want_val.size() * sizeof(float)))
                 << ops->isa << " select_topk values n=" << n;
           }
         }
@@ -168,14 +175,14 @@ TEST(KernelEquivalence, QuantizersBitIdenticalAcrossIsas) {
         std::vector<uint8_t> got_tern((n + 3) / 4, 0);
         ref.terngrad_quantize(x, n, mabs, k0, k1, want_tern.data());
         ops->terngrad_quantize(x, n, mabs, k0, k1, got_tern.data());
-        ASSERT_EQ(std::memcmp(got_tern.data(), want_tern.data(), want_tern.size()), 0)
+        ASSERT_TRUE(SameBytes(got_tern.data(), want_tern.data(), want_tern.size()))
             << ops->isa << " terngrad n=" << n << " off=" << off;
 
         std::vector<uint8_t> want_sign((n + 7) / 8, 0);
         std::vector<uint8_t> got_sign((n + 7) / 8, 0);
         ref.sign_pack(x, n, want_sign.data());
         ops->sign_pack(x, n, got_sign.data());
-        ASSERT_EQ(std::memcmp(got_sign.data(), want_sign.data(), want_sign.size()), 0)
+        ASSERT_TRUE(SameBytes(got_sign.data(), want_sign.data(), want_sign.size()))
             << ops->isa << " sign_pack n=" << n << " off=" << off;
       }
     }
@@ -204,7 +211,7 @@ TEST(KernelEquivalence, Fp16RoundTripBitIdenticalAcrossIsas) {
         }
         ref.fp16_decode_add(want_half.data(), n, want_out.data());
         ops->fp16_decode_add(got_half.data(), n, got_out.data());
-        ASSERT_EQ(std::memcmp(got_out.data(), want_out.data(), n * sizeof(float)), 0)
+        ASSERT_TRUE(SameBytes(got_out.data(), want_out.data(), n * sizeof(float)))
             << ops->isa << " fp16_decode_add n=" << n << " off=" << off;
       }
     }
@@ -265,13 +272,13 @@ void ExpectPayloadBitIdentical(const CompressedTensor& got, const CompressedTens
   EXPECT_EQ(got.original_elements, want.original_elements) << label;
   ASSERT_EQ(got.indices, want.indices) << label;
   ASSERT_EQ(got.values.size(), want.values.size()) << label;
-  EXPECT_EQ(std::memcmp(got.values.data(), want.values.data(),
-                        want.values.size() * sizeof(float)), 0)
+  EXPECT_TRUE(SameBytes(got.values.data(), want.values.data(),
+                        want.values.size() * sizeof(float)))
       << label << " values";
   ASSERT_EQ(got.bytes, want.bytes) << label;
   ASSERT_EQ(got.scales.size(), want.scales.size()) << label;
-  EXPECT_EQ(std::memcmp(got.scales.data(), want.scales.data(),
-                        want.scales.size() * sizeof(float)), 0)
+  EXPECT_TRUE(SameBytes(got.scales.data(), want.scales.data(),
+                        want.scales.size() * sizeof(float)))
       << label << " scales";
 }
 

@@ -9,6 +9,7 @@
 #include "src/core/espresso.h"
 #include "src/core/eval_cache.h"
 #include "src/models/model_zoo.h"
+#include "src/obs/metrics.h"
 
 namespace espresso {
 namespace {
@@ -99,23 +100,74 @@ TEST(EspressoParallel, Gpt2AcceleratedMatchesSerial) {
   EXPECT_EQ(accel.telemetry.evaluations, serial.telemetry.evaluations);
   EXPECT_LT(accel.telemetry.simulations, serial.telemetry.simulations);
   EXPECT_GT(accel.telemetry.cache_hits, 0u);
+  // A cold selection has batches of misses to spread over the pool; the serial one
+  // never touches a pool.
+  EXPECT_GT(accel.telemetry.fanouts, 0u);
+  EXPECT_EQ(serial.telemetry.fanouts, 0u);
 }
 
 // Re-selecting on the same selector reuses the warm cache and still reproduces the
 // cold result exactly — this is the steady-state re-decision path bench_selector
-// reports as warm_speedup.
+// reports as warm_speedup. Every F(S) query and every bubble set is then a cache hit,
+// so the warm pass simulates nothing and never hands work to the pool.
 TEST(EspressoParallel, WarmReselectionIsStable) {
   const ModelProfile model = Vgg16();
   const ClusterSpec cluster = PcieCluster();
   const auto compressor = Make("efsignsgd");
-  EspressoSelector selector(model, cluster, *compressor);
+  for (const size_t threads : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SelectorOptions options;
+    options.threads = threads;
+    EspressoSelector selector(model, cluster, *compressor, options);
+    const SelectionResult cold = selector.Select();
+    const SelectionResult warm = selector.Select();
+    EXPECT_EQ(StrategyFingerprint(warm.strategy), StrategyFingerprint(cold.strategy));
+    EXPECT_DOUBLE_EQ(warm.iteration_time, cold.iteration_time);
+    EXPECT_GT(cold.telemetry.simulations, 0u);
+    EXPECT_EQ(warm.telemetry.simulations, 0u);
+    EXPECT_EQ(warm.telemetry.cache_misses, 0u);
+    EXPECT_EQ(warm.telemetry.fanouts, 0u);
+    ASSERT_NE(selector.cache(), nullptr);
+    EXPECT_GT(selector.cache()->stats().hits, 0u);
+  }
+}
+
+// The saved-work identities hold on a warm re-selection too: every query is a hit or a
+// miss, and every miss is one simulation. The bubble-set queries of Property 1 take
+// part — they are looked up in the same cache and counted as evaluations.
+TEST(EspressoParallel, WarmTelemetryCountsEveryQueryOnce) {
+  const ModelProfile model = Gpt2();
+  const ClusterSpec cluster = PcieCluster();
+  const auto compressor = Make("efsignsgd");
+  SelectorOptions options;
+  options.threads = 2;
+  EspressoSelector selector(model, cluster, *compressor, options);
   const SelectionResult cold = selector.Select();
   const SelectionResult warm = selector.Select();
-  EXPECT_EQ(StrategyFingerprint(warm.strategy), StrategyFingerprint(cold.strategy));
-  EXPECT_DOUBLE_EQ(warm.iteration_time, cold.iteration_time);
-  EXPECT_LT(warm.telemetry.simulations, cold.telemetry.simulations);
-  ASSERT_NE(selector.cache(), nullptr);
-  EXPECT_GT(selector.cache()->stats().hits, 0u);
+  for (const SelectionResult* result : {&cold, &warm}) {
+    const SelectorTelemetry& t = result->telemetry;
+    EXPECT_EQ(t.evaluations - t.simulations, t.cache_hits);
+    EXPECT_EQ(t.cache_hits + t.cache_misses, t.evaluations);
+    EXPECT_EQ(t.cache_misses, t.simulations);
+  }
+  EXPECT_EQ(warm.telemetry.evaluations, cold.telemetry.evaluations);
+  EXPECT_EQ(warm.telemetry.cache_hits, warm.telemetry.evaluations);
+}
+
+// The registry mirrors the per-call fan-out count, so a scrape shows how often
+// selections paid for a pool round trip.
+TEST(EspressoParallel, FanoutsAreMirroredInTheRegistry) {
+  const auto fanouts_total = [] {
+    return SelectorTelemetry::FromMetricsSnapshot(obs::GlobalMetrics().Scrape()).fanouts;
+  };
+  const uint64_t before = fanouts_total();
+  const auto compressor = Make("dgc");
+  SelectorOptions options;
+  options.threads = 2;
+  EspressoSelector selector(Vgg16(), NvlinkCluster(), *compressor, options);
+  const SelectionResult result = selector.Select();
+  EXPECT_GT(result.telemetry.fanouts, 0u);
+  EXPECT_EQ(fanouts_total() - before, result.telemetry.fanouts);
 }
 
 // Telemetry invariants: stage walls partition the total, the atomic evaluation counter
@@ -143,11 +195,11 @@ TEST(EspressoParallel, TelemetryIsConsistent) {
       // Uncached, non-myopic: every logical query simulates a timeline.
       EXPECT_EQ(t.simulations, t.evaluations);
     } else {
-      // Cache hits are exactly the simulations saved. (Bubble analysis queries bypass
-      // the cache — they run a simulation without a cache lookup — so hits + misses
-      // can undercount evaluations, but the saved-work identity always holds.)
+      // Cache hits are exactly the simulations saved. Every query — F(S) or a
+      // Property-1 bubble set — is looked up once, so hits + misses account for every
+      // evaluation.
       EXPECT_EQ(t.evaluations - t.simulations, t.cache_hits);
-      EXPECT_LE(t.cache_hits + t.cache_misses, t.evaluations);
+      EXPECT_EQ(t.cache_hits + t.cache_misses, t.evaluations);
       EXPECT_GT(t.cache_hits, 0u);
     }
   }

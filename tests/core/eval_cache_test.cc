@@ -56,6 +56,29 @@ TEST(EvalCache, CountsHitsMissesEvictions) {
   EXPECT_EQ(cache.capacity(), 2u);
 }
 
+TEST(EvalCache, BubbleSetsShareTheStatisticsNotTheEntries) {
+  EvaluationCache cache(1);
+  std::vector<bool> before;
+  EXPECT_FALSE(cache.LookupBubbles(7, &before));
+  cache.InsertBubbles(7, {true, false, true});
+  ASSERT_TRUE(cache.LookupBubbles(7, &before));
+  EXPECT_EQ(before, (std::vector<bool>{true, false, true}));
+  // The same fingerprint keys F(S) in a table of its own.
+  double value = 0.0;
+  EXPECT_FALSE(cache.Lookup(7, &value));
+  cache.Insert(7, 2.5);
+  ASSERT_TRUE(cache.LookupBubbles(7, &before));
+  cache.InsertBubbles(8, {false});  // evicts bubble set 7, not F(S) 7
+  EXPECT_FALSE(cache.LookupBubbles(7, &before));
+  EXPECT_TRUE(cache.Lookup(7, &value));
+  EXPECT_EQ(value, 2.5);
+  const EvalCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(cache.size(), 1u);  // F(S) entries only
+}
+
 TEST(Fingerprint, DistinguishesOptionsAndPositions) {
   const auto options = Options();
   ASSERT_GE(options.size(), 2u);
@@ -80,6 +103,16 @@ TEST(Fingerprint, StrategyFingerprintIsOrderSensitive) {
   EXPECT_EQ(StrategyFingerprint(a), StrategyFingerprint(a));
 }
 
+TEST(Fingerprint, UniformStrategyFingerprintMatchesTheBuiltStrategy) {
+  for (const CompressionOption& option : Options()) {
+    for (const size_t tensors : {size_t{0}, size_t{1}, size_t{148}}) {
+      EXPECT_EQ(UniformStrategyFingerprint(tensors, option),
+                StrategyFingerprint(UniformStrategy(tensors, option)))
+          << option.label << " x" << tensors;
+    }
+  }
+}
+
 TEST(StrategyHasher, IncrementalMatchesFullRecompute) {
   const auto options = Options();
   ASSERT_GE(options.size(), 3u);
@@ -92,6 +125,8 @@ TEST(StrategyHasher, IncrementalMatchesFullRecompute) {
   Strategy substituted = strategy;
   substituted.options[3] = options[2];
   EXPECT_EQ(hasher.KeyWith(3, options[2]), StrategyFingerprint(substituted));
+  EXPECT_EQ(hasher.KeyWith(3, OptionFingerprint(options[2])),
+            StrategyFingerprint(substituted));
   EXPECT_EQ(hasher.Key(), StrategyFingerprint(strategy));  // hasher unchanged
 
   // Set commits; a chain of Sets tracks the full recompute exactly.

@@ -87,8 +87,10 @@ TEST(AuditLog, WriteFailureIsCountedAndSticky) {
     GTEST_SKIP() << "/dev/full unavailable: " << error;
   }
   MetricsRegistry& registry = GlobalMetrics();
+  // Find() points into its snapshot, so each snapshot is kept while it is read.
+  const MetricsSnapshot before_snapshot = registry.Scrape();
   const MetricValue* before_metric =
-      registry.Scrape().Find("espresso_audit_write_failures_total");
+      before_snapshot.Find("espresso_audit_write_failures_total");
   const uint64_t before = before_metric != nullptr ? before_metric->count : 0;
 
   log.Append("doomed");
@@ -103,8 +105,9 @@ TEST(AuditLog, WriteFailureIsCountedAndSticky) {
   // Sticky: the first failure's description is retained.
   EXPECT_NE(log.last_write_error().find("seq 0"), std::string::npos);
 
+  const MetricsSnapshot after_snapshot = registry.Scrape();
   const MetricValue* after_metric =
-      registry.Scrape().Find("espresso_audit_write_failures_total");
+      after_snapshot.Find("espresso_audit_write_failures_total");
   ASSERT_NE(after_metric, nullptr);
   EXPECT_EQ(after_metric->count, before + 2);
 
