@@ -4,7 +4,7 @@
 // Usage:
 //   serve_demo <port|@port-file> <model.ini> <gc.ini> <system.ini>
 //              [--tenant=<name>] [--id=<id>] [--repeat=N] [--deadline-ms=N]
-//              [--ir-out=<file>] [--metrics-out=<file>] [--json-metrics]
+//              [--threads=N] [--ir-out=<file>] [--metrics-out=<file>] [--json-metrics]
 //
 // Sends one select request per --repeat (default 1) carrying the three INI files'
 // contents, prints the served digest and telemetry, and writes the LAST response's
@@ -71,6 +71,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       budget.deadline_ms = ms;
+    } else if (arg.rfind("--threads=", 0) == 0) {
+      int64_t threads = 0;
+      if (ParseInt64(arg.substr(10), &threads) != NumberParse::kOk) {
+        std::cerr << "error: --threads expects an integer\n";
+        return 2;
+      }
+      budget.threads = threads;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "error: unknown flag " << arg << "\n";
       return 2;
@@ -82,7 +89,7 @@ int main(int argc, char** argv) {
     std::cerr << "usage: " << argv[0]
               << " <port|@port-file> <model.ini> <gc.ini> <system.ini>"
               << " [--tenant=<name>] [--id=<id>] [--repeat=N] [--deadline-ms=N]"
-              << " [--ir-out=<file>] [--metrics-out=<file>] [--json-metrics]\n";
+              << " [--threads=N] [--ir-out=<file>] [--metrics-out=<file>] [--json-metrics]\n";
     return 2;
   }
 

@@ -21,8 +21,9 @@ struct RangedPayload {
 // Per-rank interpreter state: either a raw (sub-)vector of the tensor or a set of
 // compressed payloads awaiting decompression/aggregation. `active` is false for ranks
 // whose data was consumed by a rooted collective (Reduce/Gather). States persist in
-// the workspace across executions; every field is reinitialized per run, and the
-// capacity-keeping containers (raw, payloads) are reused in place.
+// the workspace across executions; every field is reinitialized per run. `raw` is the
+// caller's buffer, swapped in for the run and swapped back out at its end; payloads
+// are capacity-keeping containers reused in place.
 struct RankState {
   bool active = true;
   // When a rooted collective (Reduce/Gather) consumes a rank's data, the rank goes
@@ -34,6 +35,11 @@ struct RankState {
   std::vector<float> raw;                            // valid when payloads is empty
   mem::StableVec<RangedPayload> payloads;            // valid when non-empty
   bool pending_compress = false;  // a Comp op ran; the next comm compresses
+  // Nonzero while `payloads` is still the verbatim copy of a replicated payload set
+  // (compressed allgather/broadcast): every rank with the same id holds the same
+  // bytes, so they all decode to the same floats. Any other write to `payloads`
+  // resets it.
+  uint64_t payload_set = 0;
 
   bool HasPayloads() const { return !payloads.empty(); }
 };
@@ -81,7 +87,6 @@ struct ExecutorWorkspace::Impl {
   mem::StableVec<std::vector<size_t>> groups;        // Groups() output
   mem::StableVec<RangedPayload> gather_scratch;      // allgather/gather/broadcast staging
   std::vector<mem::StableVec<RangedPayload>> inbox;  // alltoall per-member staging
-  std::vector<std::vector<float>> shards;            // reduce-scatter staging
 };
 
 ExecutorWorkspace::ExecutorWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -129,9 +134,12 @@ class OptionExecutor {
       s.dormant_level = -1;
       s.offset = 0;
       s.length = elements_;
-      s.raw = buffers[r];  // copy-assign: reuses the persistent state's capacity
+      // Run in the caller's buffer: no intermediate range exceeds elements_, so the
+      // allocation never moves and Run() hands it back.
+      s.raw.swap(buffers[r]);
       s.payloads.clear();
       s.pending_compress = false;
+      s.payload_set = 0;
     }
   }
 
@@ -156,10 +164,10 @@ class OptionExecutor {
     }
     // A valid option ends with every rank holding the full aggregated tensor.
     for (size_t r = 0; r < states_.size(); ++r) {
-      const RankState& s = states_[r];
+      RankState& s = states_[r];
       ESP_CHECK(s.active && !s.HasPayloads() && s.offset == 0 && s.length == elements_)
           << "option did not terminate replicated: " << option_.Describe();
-      buffers_[r] = s.raw;
+      buffers_[r].swap(s.raw);
     }
   }
 
@@ -320,47 +328,50 @@ class OptionExecutor {
     }
   }
 
+  // sum[i] = 0 + raw_g0[i] + raw_g1[i] + ... over the group in group order. Blocked
+  // so each block of `sum` stays in cache while every member's slice streams past.
+  void SumGroup(const std::vector<size_t>& group, std::span<float> sum) const {
+    constexpr size_t kBlock = 4096;
+    for (size_t r : group) {
+      ESP_CHECK_EQ(states_[r].length, sum.size());
+    }
+    for (size_t b = 0; b < sum.size(); b += kBlock) {
+      const size_t n = std::min(kBlock, sum.size() - b);
+      float* dst = sum.data() + b;
+      for (size_t r : group) {
+        const float* src = states_[r].raw.data() + b;
+        for (size_t i = 0; i < n; ++i) {
+          dst[i] += src[i];
+        }
+      }
+    }
+  }
+
   void GroupAllreduce(const std::vector<size_t>& group) {
     RankState& first = states_[group.front()];
     ESP_CHECK(!first.pending_compress && !first.HasPayloads());
     mem::PooledFloats sum = ws_.pool.AcquireZeroedFloats(first.length);
-    for (size_t r : group) {
-      ESP_CHECK_EQ(states_[r].length, first.length);
-      for (size_t i = 0; i < sum->size(); ++i) {
-        (*sum)[i] += states_[r].raw[i];
-      }
-    }
+    SumGroup(group, sum.span());
     for (size_t r : group) {
       states_[r].raw.assign(sum->begin(), sum->end());
     }
   }
 
   void GroupReduceScatter(const std::vector<size_t>& group) {
-    const size_t G = group.size();
     const RankState& first = states_[group.front()];
     ESP_CHECK(!first.pending_compress && !first.HasPayloads());
-    const Partition part(first.length, G);
-    // All shards are computed before any state is overwritten (rank j's raw feeds
-    // every shard), staged in the workspace.
-    std::vector<std::vector<float>>& shards = ws_.shards;
-    // Grow-only: shrinking would destroy warm shard buffers when groups of different
-    // sizes share the workspace. Entries past G sit unused.
-    if (shards.size() < G) {
-      shards.resize(G);
-    }
-    for (size_t j = 0; j < G; ++j) {
-      shards[j].assign(part.Length(j), 0.0f);
-      for (size_t r : group) {
-        for (size_t i = 0; i < shards[j].size(); ++i) {
-          shards[j][i] += states_[r].raw[part.Offset(j) + i];
-        }
-      }
-    }
-    for (size_t j = 0; j < G; ++j) {
+    const Partition part(first.length, group.size());
+    // Shard j is range j of the group sum; the whole sum is staged before any state
+    // is overwritten (rank j's raw feeds every shard).
+    mem::PooledFloats sum = ws_.pool.AcquireZeroedFloats(first.length);
+    SumGroup(group, sum.span());
+    for (size_t j = 0; j < group.size(); ++j) {
       RankState& s = states_[group[j]];
-      s.offset += part.Offset(j);
-      s.length = part.Length(j);
-      s.raw.assign(shards[j].begin(), shards[j].end());
+      const size_t offset = part.Offset(j);
+      const size_t length = part.Length(j);
+      s.offset += offset;
+      s.length = length;
+      s.raw.assign(sum->begin() + offset, sum->begin() + offset + length);
     }
   }
 
@@ -391,8 +402,10 @@ class OptionExecutor {
           gathered.AppendFrom(s.payloads);
         }
       }
+      const uint64_t set = ++payload_sets_;
       for (size_t r : group) {
         states_[r].payloads.CopyFrom(gathered);
+        states_[r].payload_set = set;
         states_[r].raw.clear();
       }
       return;
@@ -436,6 +449,7 @@ class OptionExecutor {
         lo = std::min(lo, p.offset);
         hi = std::max(hi, p.offset + p.length);
       }
+      const uint64_t set = ++payload_sets_;
       for (size_t r : group) {
         RankState& s = states_[r];
         s.active = true;
@@ -444,6 +458,7 @@ class OptionExecutor {
         s.length = hi - lo;
         s.raw.clear();
         s.payloads.CopyFrom(payloads);
+        s.payload_set = set;
       }
       return;
     }
@@ -461,6 +476,7 @@ class OptionExecutor {
       s.length = length;
       s.raw.assign(value->begin(), value->end());
       s.payloads.clear();
+      s.payload_set = 0;
     }
   }
 
@@ -503,6 +519,7 @@ class OptionExecutor {
       s.length = part.Length(j);
       s.raw.clear();
       s.payloads.Swap(inbox[j]);  // constant-time; capacities circulate, never drop
+      s.payload_set = 0;
     }
   }
 
@@ -525,6 +542,7 @@ class OptionExecutor {
     RankState& root = states_[group.front()];
     root.raw.clear();
     root.payloads.Swap(gathered);
+    root.payload_set = 0;
     for (size_t j = 1; j < group.size(); ++j) {
       states_[group[j]].active = false;
       states_[group[j]].dormant_level = level;
@@ -575,12 +593,36 @@ class OptionExecutor {
     }
   }
 
+  // A rank before `rank` that decoded the same replicated payload set in the current
+  // Decompress op, or nullptr. Ranks run one after another, so its decode is exactly
+  // what `rank` would compute itself.
+  const RankState* DecodedReplica(size_t rank) const {
+    const uint64_t set = states_[rank].payload_set;
+    if (set == 0) {
+      return nullptr;
+    }
+    for (size_t q = 0; q < rank; ++q) {
+      if (states_[q].active && states_[q].payload_set == set) {
+        return &states_[q];
+      }
+    }
+    return nullptr;
+  }
+
   void Decompress(const Op& op) {
-    for (RankState& s : states_) {
+    for (size_t r = 0; r < states_.size(); ++r) {
+      RankState& s = states_[r];
       if (!s.active) {
         continue;
       }
       ESP_CHECK(s.HasPayloads()) << "decompress without payloads: " << option_.Describe();
+      if (const RankState* replica = DecodedReplica(r)) {
+        s.raw.assign(replica->raw.begin(), replica->raw.end());
+        s.offset = replica->offset;
+        s.length = replica->length;
+        s.payloads.clear();
+        continue;
+      }
       if (op.fan_in == 1 && s.payloads.size() > 1) {
         DedupePayloads(&s);
       }
@@ -602,6 +644,10 @@ class OptionExecutor {
       s.length = hi - lo;
       s.payloads.clear();
     }
+    // The ids stay set until every holder has looked for a decoded replica.
+    for (RankState& s : states_) {
+      s.payload_set = 0;
+    }
   }
 
   const CompressionOption& option_;
@@ -612,6 +658,7 @@ class OptionExecutor {
   ExecutorWorkspace::Impl& ws_;
   std::vector<RankState>& states_;
   bool first_compression_ = true;  // EF applies until the first compression completes
+  uint64_t payload_sets_ = 0;      // ids handed out to replicated payload sets
 };
 
 }  // namespace

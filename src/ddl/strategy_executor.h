@@ -35,13 +35,16 @@ struct ExecutorConfig {
   size_t ranks() const { return machines * gpus_per_machine; }
 };
 
-// Persistent scratch for the option interpreter: per-rank states (raw ranges and
-// compressed payload sets, recycled via capacity-keeping containers), group index
-// lists, payload gather/shuffle staging, and a BufferPool/Arena pair for transient
-// float scratch. One workspace serves every tensor of a strategy and every step of a
-// run — after the first execution at a given topology and tensor shape, the executor
-// performs no heap allocations. A workspace is single-threaded; executions with
-// different shapes/topologies may share one (containers grow to the high-water mark).
+// Persistent scratch for the option interpreter: per-rank states (compressed payload
+// sets, recycled via capacity-keeping containers), group index lists, payload
+// gather/shuffle staging, and a BufferPool/Arena pair for transient float scratch
+// (group sums, allgather merges). The ranks' raw ranges are not stored here: each
+// execution swaps the caller's buffers in and hands the same allocations back, so the
+// workspace keeps no per-rank tensor copy. One workspace serves every tensor of a
+// strategy and every step of a run — after the first execution at a given topology and
+// tensor shape, the executor performs no heap allocations. A workspace is
+// single-threaded; executions with different shapes/topologies may share one
+// (containers grow to the high-water mark).
 class ExecutorWorkspace {
  public:
   ExecutorWorkspace();
@@ -64,7 +67,8 @@ class ExecutorWorkspace {
 
 // Executes `option` for one tensor. `buffers` holds each global rank's local gradient
 // (machine-major order: rank = machine * gpus_per_machine + local); on return every
-// rank holds the aggregated tensor. `tensor_id` keys the error-feedback residual.
+// rank holds the aggregated tensor, in the same allocation it passed in (the executor
+// runs in the caller's buffers). `tensor_id` keys the error-feedback residual.
 // `workspace` supplies all scratch; nullptr resolves to the calling thread's default.
 void ExecuteOption(const CompressionOption& option, const ExecutorConfig& config,
                    uint64_t tensor_id, RankBuffers& buffers,

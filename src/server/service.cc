@@ -1,7 +1,9 @@
 #include "src/server/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <thread>
 
 #include "src/analysis/ir_validator.h"
 #include "src/core/espresso.h"
@@ -297,7 +299,10 @@ std::string SelectionService::HandleSelect(const SelectRequest& request) {
                     compressor->SupportsCompressedAggregation(), job.max_compress_ops};
     options.candidates = CandidateOptions(tree);
   }
-  options.threads = request.threads;
+  // Clamped to the host's cores: the selector sizes per-worker tables and its pool by
+  // this count, and bit-exactness means the clamp cannot change the strategy.
+  options.threads = std::min<size_t>(
+      request.threads, std::max(1u, std::thread::hardware_concurrency()));
   if (request.offload_search_budget > 0) {
     options.offload_search_budget = request.offload_search_budget;
   }
@@ -400,6 +405,7 @@ std::string SelectionService::HandleSelect(const SelectRequest& request) {
     json.Field("simulations", result.telemetry.simulations);
     json.Field("cache_hits", result.telemetry.cache_hits);
     json.Field("cache_misses", result.telemetry.cache_misses);
+    json.Field("threads", result.telemetry.threads);
     json.Field("selection_seconds", selection_seconds);
     json.Field("tenant_used", tenant_total);
     json.EndObject();

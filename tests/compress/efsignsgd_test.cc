@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "src/util/rng.h"
 
@@ -85,6 +87,66 @@ TEST(EfSignSgd, UnbiasedMagnitudeOnUniformSigns) {
   c.Decompress(payload, out);
   for (size_t i = 0; i < input.size(); ++i) {
     EXPECT_FLOAT_EQ(out[i], input[i]);
+  }
+}
+
+// Reference decode, one bit at a time. -scale passes through a volatile so the compiler
+// cannot fold `out[i] + -scale` into `out[i] - scale` (GCC does at -O3), which would
+// flip the sign of a NaN result.
+void PerBitDecompressAdd(const CompressedTensor& in, std::span<float> out) {
+  const float scale = in.scales[0];
+  volatile float negated = -scale;
+  const float neg = negated;
+  for (size_t i = 0; i < out.size(); ++i) {
+    const bool positive = (in.bytes[i / 8] >> (i % 8)) & 1u;
+    out[i] += positive ? scale : neg;
+  }
+}
+
+// The byte-at-a-time decode matches the per-bit reference bit for bit: every length
+// around the 8-element byte boundary, unaligned output spans, and scales whose sign
+// flip or sum is special (signed zeros, the smallest denormal, infinities, NaN).
+TEST(EfSignSgd, ByteWiseDecodeMatchesPerBitReference) {
+  EfSignSgdCompressor c;
+  const float scales[] = {1.5f,
+                          -1.5f,
+                          0.0f,
+                          -0.0f,
+                          std::numeric_limits<float>::denorm_min(),
+                          -std::numeric_limits<float>::denorm_min(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::quiet_NaN()};
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 67; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(4095);
+  lengths.push_back(4097);
+  Rng rng(11);
+  for (const size_t n : lengths) {
+    CompressedTensor payload;
+    payload.kind = PayloadKind::kPackedBits;
+    payload.original_elements = n;
+    payload.bytes.resize((n + 7) / 8);
+    for (uint8_t& byte : payload.bytes) {
+      byte = static_cast<uint8_t>(rng.engine()());  // the padding bits are random too
+    }
+    std::vector<float> base(n + 3);
+    rng.FillNormal(base, 0.0, 1.0);
+    for (const float scale : scales) {
+      payload.scales.assign(1, scale);
+      for (size_t offset = 0; offset < 4; ++offset) {
+        std::vector<float> expected = base;
+        std::vector<float> actual = base;
+        PerBitDecompressAdd(payload, std::span<float>(expected).subspan(offset, n));
+        c.DecompressAdd(payload, std::span<float>(actual).subspan(offset, n));
+        ASSERT_EQ(std::memcmp(expected.data(), actual.data(), base.size() * sizeof(float)),
+                  0)
+            << "n " << n << " offset " << offset << " scale " << scale;
+      }
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/collectives/primitives.h"
@@ -259,6 +260,112 @@ TEST(StrategyExecutor, StrategyExecutionIsIsaIndependent) {
                                 scalar[t][r].size() * sizeof(float)), 0)
               << cc.algorithm << " step " << step << " tensor " << t << " rank " << r;
         }
+      }
+    }
+  }
+}
+
+// Forwards to `inner`, counting DecompressAdd calls and recording where each
+// Compress input lives.
+class CountingCompressor final : public Compressor {
+ public:
+  explicit CountingCompressor(const Compressor& inner) : inner_(inner) {}
+  std::string_view name() const override { return inner_.name(); }
+  size_t CompressedBytes(size_t elements) const override {
+    return inner_.CompressedBytes(elements);
+  }
+  void Compress(std::span<const float> input, uint64_t seed,
+                CompressedTensor* out) const override {
+    compress_inputs.push_back(input.data());
+    inner_.Compress(input, seed, out);
+  }
+  void DecompressAdd(const CompressedTensor& in, std::span<float> out) const override {
+    ++decompress_calls;
+    inner_.DecompressAdd(in, out);
+  }
+
+  mutable size_t decompress_calls = 0;
+  mutable std::vector<const float*> compress_inputs;
+
+ private:
+  const Compressor& inner_;
+};
+
+CompressionOption OptionLabeled(const TreeConfig& tree, const std::string& label) {
+  for (const std::vector<CompressionOption>& options :
+       {CandidateOptions(tree), EnumerateOptions(tree).options}) {
+    for (const CompressionOption& option : options) {
+      if (option.label == label) {
+        return option;
+      }
+    }
+  }
+  ADD_FAILURE() << "no option " << label;
+  return {};
+}
+
+// After a compressed allgather every rank holds a copy of the same payload set, so the
+// Decompress op decodes it once (8 payloads) and the other 7 ranks copy the result.
+// Each rank still ends with exactly the floats decoding all 8 payloads itself gives.
+TEST(StrategyExecutor, ReplicatedPayloadSetIsDecodedOnce) {
+  const auto efsignsgd = CreateCompressor(CompressorConfig{.algorithm = "efsignsgd"});
+  const CountingCompressor counting(*efsignsgd);
+  const ExecutorConfig config{.machines = 2, .gpus_per_machine = 4,
+                              .compressor = &counting};
+  const CompressionOption option =
+      OptionLabeled(TreeConfig{config.machines, config.gpus_per_machine, false},
+                    "flat[comp+agc+dec]");
+  ASSERT_FALSE(option.ops.empty());
+  const size_t n = 1001;
+  RankBuffers buffers = RandomBuffers(config.ranks(), n, 12);
+
+  // Reference: each rank decodes the whole gathered set, in rank order.
+  std::vector<float> expected(n, 0.0f);
+  for (const std::vector<float>& rank : buffers) {
+    CompressedTensor payload;
+    efsignsgd->Compress(rank, config.seed, &payload);
+    efsignsgd->DecompressAdd(payload, expected);
+  }
+
+  ExecuteOption(option, config, 0, buffers);
+  EXPECT_EQ(counting.decompress_calls, config.ranks());
+  for (size_t r = 0; r < buffers.size(); ++r) {
+    ASSERT_EQ(buffers[r].size(), n);
+    EXPECT_EQ(std::memcmp(buffers[r].data(), expected.data(), n * sizeof(float)), 0)
+        << "rank " << r;
+  }
+}
+
+// The executor runs in the caller's buffers: each rank's range is compressed where the
+// caller's vector holds it, and every vector comes back with the allocation it went in
+// with, reduce-scatter stages included.
+TEST(StrategyExecutor, RunsInTheCallersBuffers) {
+  const auto fp16 = CreateCompressor(CompressorConfig{.algorithm = "fp16"});
+  const CountingCompressor counting(*fp16);
+  const ExecutorConfig config{.machines = 2, .gpus_per_machine = 4,
+                              .compressor = &counting};
+  const TreeConfig tree{config.machines, config.gpus_per_machine, false};
+  ExecutorWorkspace workspace;
+  for (const CompressionOption& option :
+       {OptionLabeled(tree, "flat[comp+agc+dec]"), DefaultUncompressedOption(tree),
+        OptionLabeled(tree, "hier[rs|comp+agc+dec|ag]")}) {
+    ASSERT_FALSE(option.ops.empty());
+    for (int step = 0; step < 2; ++step) {
+      RankBuffers buffers = RandomBuffers(config.ranks(), 515, 13 + step);
+      std::vector<const float*> before;
+      for (const std::vector<float>& b : buffers) {
+        before.push_back(b.data());
+      }
+      counting.compress_inputs.clear();
+      ExecuteOption(option, config, 0, buffers, &workspace);
+      ExpectAllRanksEqual(buffers);
+      for (size_t r = 0; r < buffers.size(); ++r) {
+        EXPECT_EQ(buffers[r].data(), before[r]) << option.label << " rank " << r;
+      }
+      EXPECT_EQ(counting.compress_inputs.size(), option.Compressed() ? config.ranks() : 0u);
+      for (const float* input : counting.compress_inputs) {
+        EXPECT_NE(std::find(before.begin(), before.end(), input), before.end())
+            << option.label << ": compressed a copy, not the caller's buffer";
       }
     }
   }

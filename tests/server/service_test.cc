@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <thread>
 
 #include "src/obs/audit_log.h"
 #include "src/server/client.h"
@@ -148,6 +150,33 @@ TEST(SelectionService, ExpiredDeadlineIsATypedError) {
   EXPECT_EQ(ErrorCode(service.HandleRequest(Select("r", "t", budget))),
             "deadline-expired");
   EXPECT_EQ(service.stats().served, 0u);
+}
+
+std::string ServedIr(const std::string& response) {
+  const JsonParseResult parsed = ParseJson(response);
+  const JsonValue* ir = parsed.ok ? parsed.value.Find("ir") : nullptr;
+  return ir != nullptr ? ir->text : "";
+}
+
+// A thread budget no host has used to kill the process (std::bad_alloc sizing the
+// selector's per-worker tables). It is clamped to the host's cores, and since threads
+// is a bit-exact knob the served IR is the serial request's, byte for byte.
+TEST(SelectionService, HostileThreadBudgetIsClampedNotFatal) {
+  SelectionService service({}, nullptr);
+  RequestBudget hostile;
+  hostile.threads = int64_t{1} << 40;
+  const std::string response = service.HandleRequest(Select("hostile", "alice", hostile));
+  ASSERT_EQ(ErrorCode(response), "");
+  EXPECT_LE(TelemetryField(response, "threads"),
+            std::max(1u, std::thread::hardware_concurrency()));
+
+  RequestBudget serial;
+  serial.threads = 0;
+  const std::string reference = service.HandleRequest(Select("serial", "alice", serial));
+  ASSERT_EQ(ErrorCode(reference), "");
+  EXPECT_EQ(TelemetryField(reference, "threads"), 0u);
+  EXPECT_FALSE(ServedIr(response).empty());
+  EXPECT_EQ(ServedIr(response), ServedIr(reference));
 }
 
 TEST(SelectionService, OverCapacityIsATypedError) {
