@@ -13,10 +13,12 @@
 // --threads N   worker threads for the accelerated arm
 // --configs DIR directory holding the shipped .ini files (default: configs)
 // --out FILE    write the JSON report to FILE instead of stdout
-// --check FILE  compare this run's strategy fingerprints against a committed report;
-//               exit 1 on any divergence (catches nondeterminism regressions — the
-//               committed timings are informational and are not compared), or when a
-//               warm re-selection simulates any timeline (every query should hit)
+// --check FILE  compare this run against a committed report; exit 1 when a strategy
+//               fingerprint or either arm's evaluation or simulation count differs
+//               (the counts are the same for every thread count, so they pin the
+//               search's work and accounting exactly — the committed timings are
+//               informational and are not compared), or when a warm re-selection
+//               simulates any timeline (every query should hit)
 // --metrics-out write the run's metrics registry (Prometheus text; JSON for .json)
 // --trace-out   write the run's wall-clock spans as a chrome trace
 #include <algorithm>
@@ -26,7 +28,9 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_host.h"
@@ -37,6 +41,7 @@
 #include "src/obs/span.h"
 #include "src/obs/trace_writer.h"
 #include "src/util/json_writer.h"
+#include "src/util/parse_number.h"
 
 namespace {
 
@@ -124,37 +129,63 @@ void WriteArm(JsonWriter& json, const char* key, const ArmResult& arm) {
   json.Field("cache_hits", arm.telemetry.cache_hits);
   json.Field("cache_misses", arm.telemetry.cache_misses);
   json.Field("cache_hit_rate", arm.telemetry.CacheHitRate());
+  json.Field("fanouts", arm.telemetry.fanouts);
   if (arm.warm_seconds > 0.0) {
     json.Field("warm_seconds", arm.warm_seconds);
     json.Field("warm_evaluations", arm.warm_telemetry.evaluations);
     json.Field("warm_simulations", arm.warm_telemetry.simulations);
     json.Field("warm_cache_hit_rate", arm.warm_telemetry.CacheHitRate());
+    json.Field("warm_fanouts", arm.warm_telemetry.fanouts);
   }
   json.EndObject();
 }
 
-// Pulls "name" -> "strategy_fingerprint" pairs out of a committed report. The report
-// is machine-written by this binary, so a positional scan is sufficient — no JSON
-// parser needed (the repo deliberately ships only a writer).
-bool BaselineFingerprint(const std::string& text, const std::string& combo,
-                         std::string* fingerprint) {
+// Committed reports are machine-written by this binary, so positional scans are
+// sufficient — no JSON parser needed (the repo deliberately ships only a writer).
+
+// The text of `combo`'s object in a committed report, from its name up to the next
+// combo's; empty when the combo is absent.
+std::string_view BaselineCombo(const std::string& text, const std::string& combo) {
   const std::string name_marker = "\"name\":\"" + combo + "\"";
   const size_t at = text.find(name_marker);
   if (at == std::string::npos) {
-    return false;
+    return {};
   }
-  const std::string fp_marker = "\"strategy_fingerprint\":\"";
-  const size_t fp_at = text.find(fp_marker, at);
-  if (fp_at == std::string::npos) {
+  const size_t next = text.find("\"name\":\"", at + name_marker.size());
+  return std::string_view(text).substr(at, next == std::string::npos ? next : next - at);
+}
+
+bool BaselineFingerprint(std::string_view scope, std::string* fingerprint) {
+  const std::string_view fp_marker = "\"strategy_fingerprint\":\"";
+  const size_t fp_at = scope.find(fp_marker);
+  if (fp_at == std::string_view::npos) {
     return false;
   }
   const size_t begin = fp_at + fp_marker.size();
-  const size_t end = text.find('"', begin);
-  if (end == std::string::npos) {
+  const size_t end = scope.find('"', begin);
+  if (end == std::string_view::npos) {
     return false;
   }
-  *fingerprint = text.substr(begin, end - begin);
+  *fingerprint = std::string(scope.substr(begin, end - begin));
   return true;
+}
+
+// The count `field` of arm `arm` ("serial" or "accelerated") within a combo's scope.
+bool BaselineCount(std::string_view scope, const std::string& arm, const std::string& field,
+                   uint64_t* value) {
+  const size_t arm_at = scope.find("\"" + arm + "\":{");
+  if (arm_at == std::string_view::npos) {
+    return false;
+  }
+  const std::string marker = "\"" + field + "\":";
+  const size_t at = scope.find(marker, arm_at);
+  if (at == std::string_view::npos) {
+    return false;
+  }
+  const size_t begin = at + marker.size();
+  const size_t end = scope.find_first_not_of("0123456789", begin);
+  return end != begin &&
+         ParseUint64(scope.substr(begin, end - begin), value) == NumberParse::kOk;
 }
 
 }  // namespace
@@ -274,14 +305,31 @@ int main(int argc, char** argv) {
                  accel.telemetry.CacheHitRate() * 100.0, fingerprint.c_str());
 
     if (!check_path.empty()) {
+      const std::string_view scope = BaselineCombo(baseline, combo.name);
       std::string expected;
-      if (!BaselineFingerprint(baseline, combo.name, &expected)) {
+      if (scope.empty()) {
         std::fprintf(stderr, "%-24s not in baseline, skipping check\n",
                      combo.name.c_str());
-      } else if (expected != fingerprint) {
+      } else if (!BaselineFingerprint(scope, &expected) || expected != fingerprint) {
         std::fprintf(stderr, "FAIL: %s fingerprint %s != committed %s\n",
                      combo.name.c_str(), fingerprint.c_str(), expected.c_str());
         check_failed = true;
+      }
+      for (const auto& [arm_name, arm] :
+           {std::pair<std::string, const ArmResult*>{"serial", &serial},
+            {"accelerated", &accel}}) {
+        for (const auto& [field, actual] :
+             {std::pair<std::string, uint64_t>{"evaluations", arm->telemetry.evaluations},
+              {"simulations", arm->telemetry.simulations}}) {
+          uint64_t committed = 0;
+          if (!scope.empty() &&
+              (!BaselineCount(scope, arm_name, field, &committed) || committed != actual)) {
+            std::fprintf(stderr, "FAIL: %s %s %s %" PRIu64 " != committed %" PRIu64 "\n",
+                         combo.name.c_str(), arm_name.c_str(), field.c_str(), actual,
+                         committed);
+            check_failed = true;
+          }
+        }
       }
       if (accel.warm_telemetry.simulations > 0) {
         std::fprintf(stderr, "FAIL: %s warm re-selection simulated %" PRIu64
@@ -318,8 +366,8 @@ int main(int argc, char** argv) {
     espresso::obs::WriteSpanTrace(trace_out, espresso::obs::GlobalTrace());
   }
   if (check_failed) {
-    std::cerr << "selector diverged from the committed baseline or missed its warm "
-                 "cache\n";
+    std::cerr << "selector diverged from the committed baseline (strategy or work) or "
+                 "missed its warm cache\n";
     return 1;
   }
   return 0;

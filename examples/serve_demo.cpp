@@ -4,7 +4,8 @@
 // Usage:
 //   serve_demo <port|@port-file> <model.ini> <gc.ini> <system.ini>
 //              [--tenant=<name>] [--id=<id>] [--repeat=N] [--deadline-ms=N]
-//              [--threads=N] [--ir-out=<file>] [--metrics-out=<file>] [--json-metrics]
+//              [--threads=N] [--offload-search-budget=N] [--ir-out=<file>]
+//              [--metrics-out=<file>] [--json-metrics]
 //
 // Sends one select request per --repeat (default 1) carrying the three INI files'
 // contents, prints the served digest and telemetry, and writes the LAST response's
@@ -78,6 +79,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       budget.threads = threads;
+    } else if (arg.rfind("--offload-search-budget=", 0) == 0) {
+      int64_t offload_budget = 0;
+      if (ParseInt64(arg.substr(24), &offload_budget) != NumberParse::kOk) {
+        std::cerr << "error: --offload-search-budget expects an integer\n";
+        return 2;
+      }
+      budget.offload_search_budget = offload_budget;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "error: unknown flag " << arg << "\n";
       return 2;
@@ -89,7 +97,8 @@ int main(int argc, char** argv) {
     std::cerr << "usage: " << argv[0]
               << " <port|@port-file> <model.ini> <gc.ini> <system.ini>"
               << " [--tenant=<name>] [--id=<id>] [--repeat=N] [--deadline-ms=N]"
-              << " [--threads=N] [--ir-out=<file>] [--metrics-out=<file>] [--json-metrics]\n";
+              << " [--threads=N] [--offload-search-budget=N] [--ir-out=<file>]"
+              << " [--metrics-out=<file>] [--json-metrics]\n";
     return 2;
   }
 

@@ -185,8 +185,8 @@ void EspressoSelector::ParallelFor(size_t count, const Fn& fn) const {
   pool_->Wait();
 }
 
-template <typename KeyFn, typename SimulateFn, typename StoreFn>
-void EspressoSelector::ScoreBatch(size_t count, const KeyFn& key,
+template <typename KeyFn, typename PrepareFn, typename SimulateFn, typename StoreFn>
+void EspressoSelector::ScoreBatch(size_t count, const KeyFn& key, const PrepareFn& prepare,
                                   const SimulateFn& simulate, const StoreFn& store) const {
   evaluations_ += count;
   misses_.clear();
@@ -200,6 +200,9 @@ void EspressoSelector::ScoreBatch(size_t count, const KeyFn& key,
       }
     }
     misses_.push_back(miss);
+  }
+  if (!misses_.empty()) {
+    prepare();
   }
   ParallelFor(misses_.size(), [&](size_t m, size_t chunk,
                                   TimelineEvaluator::EvalContext* ctx) {
@@ -231,8 +234,9 @@ double EspressoSelector::CachedScore(const Strategy& base, const StrategyHasher&
   double value = 0.0;
   ScoreBatch(
       1, [&](size_t) { return hasher.KeyWith(index, candidate); },
+      [&] { evaluator_.AdvanceCheckpoint(base, index, &checkpoint_); },
       [&](size_t, size_t, TimelineEvaluator::EvalContext* ctx) {
-        return evaluator_.ScoreWithOption(base, index, candidate, ctx);
+        return evaluator_.ResumeWithOption(checkpoint_, base, candidate, ctx);
       },
       [&](size_t, double score) { value = score; });
   return value;
@@ -241,7 +245,7 @@ double EspressoSelector::CachedScore(const Strategy& base, const StrategyHasher&
 double EspressoSelector::CachedIterationTime(const Strategy& strategy) const {
   double value = 0.0;
   ScoreBatch(
-      1, [&](size_t) { return StrategyFingerprint(strategy); },
+      1, [&](size_t) { return StrategyFingerprint(strategy); }, [] {},
       [&](size_t, size_t, TimelineEvaluator::EvalContext* ctx) {
         return evaluator_.IterationTime(strategy, ctx);
       },
@@ -268,8 +272,9 @@ void EspressoSelector::ScoreCandidates(const Strategy& base, const StrategyHashe
   ScoreBatch(
       scored_.size(),
       [&](size_t i) { return hasher.KeyWith(index, candidate_fingerprints_[scored_[i]]); },
+      [&] { evaluator_.AdvanceCheckpoint(base, index, &checkpoint_); },
       [&](size_t i, size_t, TimelineEvaluator::EvalContext* ctx) {
-        return evaluator_.ScoreWithOption(base, index, candidates_[scored_[i]], ctx);
+        return evaluator_.ResumeWithOption(checkpoint_, base, candidates_[scored_[i]], ctx);
       },
       [&](size_t i, double score) { (*times)[scored_[i]] = score; });
 }
@@ -454,6 +459,7 @@ Strategy EspressoSelector::OffloadToCpu(const Strategy& gpu_strategy, size_t* co
           }
           return FinalizeStrategyKey(total);
         },
+        [] {},
         [&](size_t b, size_t chunk, TimelineEvaluator::EvalContext* ctx) {
           const size_t* counts = flat.data() + b * num_groups;
           std::vector<const CompressionOption*>& table = tables[chunk];
@@ -651,7 +657,7 @@ SelectionResult EspressoSelector::Select() const {
     std::vector<double> uniform_times(candidates_.size(), kInf);
     ScoreBatch(
         candidates_.size(),
-        [&](size_t j) { return UniformStrategyFingerprint(n, candidates_[j]); },
+        [&](size_t j) { return UniformStrategyFingerprint(n, candidates_[j]); }, [] {},
         [&](size_t j, size_t, TimelineEvaluator::EvalContext* ctx) {
           return evaluator_.IterationTime(UniformStrategy(n, candidates_[j]), ctx);
         },

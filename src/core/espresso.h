@@ -20,9 +20,11 @@
 // simulated, fanned out across a ThreadPool (SelectorOptions::threads) through
 // TimelineEvaluator's thread-safe non-mutating scoring entry points. The pool is built
 // on the first fan-out, so a selection whose queries all hit starts no thread and runs
-// no simulation. Both knobs are bit-exact: the accelerated selector returns the same
-// strategy as the serial, uncached one — ties always resolve to the lowest candidate
-// index. See docs/PERFORMANCE.md.
+// no simulation. A tensor's candidates resume from one TimelineEvaluator::Checkpoint
+// of the timeline prefix they share; refinement sweeps visit tensors in ascending
+// order, so the checkpoint mostly advances in place. Both knobs are bit-exact: the
+// accelerated selector returns the same strategy as the serial, uncached one — ties
+// always resolve to the lowest candidate index. See docs/PERFORMANCE.md.
 #ifndef SRC_CORE_ESPRESSO_H_
 #define SRC_CORE_ESPRESSO_H_
 
@@ -153,13 +155,14 @@ class EspressoSelector {
   // `simulate(i, chunk, ctx)` computes its F(S), and `store(i, value)` receives the
   // answer. The cache is probed on the caller's thread; only the misses reach
   // ParallelFor, and their values enter the cache in query order, so the cache's
-  // contents and statistics are the same for every thread count.
-  template <typename KeyFn, typename SimulateFn, typename StoreFn>
-  void ScoreBatch(size_t count, const KeyFn& key, const SimulateFn& simulate,
-                  const StoreFn& store) const;
+  // contents and statistics are the same for every thread count. `prepare()` runs on
+  // the caller's thread before the misses are simulated, and only if there are any.
+  template <typename KeyFn, typename PrepareFn, typename SimulateFn, typename StoreFn>
+  void ScoreBatch(size_t count, const KeyFn& key, const PrepareFn& prepare,
+                  const SimulateFn& simulate, const StoreFn& store) const;
 
   // Memoized, non-mutating score of `candidate` at `index` within `base` (whose
-  // fingerprint is tracked by `hasher`).
+  // fingerprint is tracked by `hasher`). A miss resumes from checkpoint_.
   double CachedScore(const Strategy& base, const StrategyHasher& hasher, size_t index,
                      const CompressionOption& candidate) const;
 
@@ -175,7 +178,7 @@ class EspressoSelector {
 
   // Scores every candidate against `base` with options[index] substituted, into
   // `times` (resized to candidates_.size()). A candidate equal to `skip` (if non-null)
-  // is left at +inf — the caller already scored it.
+  // is left at +inf — the caller already scored it. Misses resume from checkpoint_.
   void ScoreCandidates(const Strategy& base, const StrategyHasher& hasher, size_t index,
                        std::vector<double>* times,
                        const CompressionOption* skip) const;
@@ -197,6 +200,9 @@ class EspressoSelector {
   std::shared_ptr<EvaluationCache> cache_;        // null = memoization disabled
   mutable std::unique_ptr<ThreadPool> pool_;      // built on the first fan-out
   mutable std::deque<TimelineEvaluator::EvalContext> contexts_;  // one per chunk
+  // The shared prefix for candidate scoring: advanced on the caller's thread, resumed
+  // read-only by every chunk.
+  mutable TimelineEvaluator::Checkpoint checkpoint_;
   mutable uint64_t evaluations_ = 0;              // logical F(S) and bubble-set queries
   mutable uint64_t fanouts_ = 0;                  // ParallelFor calls that used the pool
   mutable std::vector<size_t> scored_;            // ScoreCandidates' candidate indices

@@ -24,7 +24,14 @@ constexpr double kBubbleEpsilon = 100e-6;
 // Tolerance for "this op started exactly when its predecessor finished".
 constexpr double kChainEpsilon = 1e-9;
 
-// Resource ids are fixed by construction order in Run().
+#ifdef ESPRESSO_VERIFY_SCHEDULES
+// The verifier audits every schedule, so every schedule records its ops.
+constexpr bool kVerifySchedules = true;
+#else
+constexpr bool kVerifySchedules = false;
+#endif
+
+// Resource ids are fixed by construction order in StartSchedule().
 enum FixedResource : ResourceId {
   kGpuResource = 0,
   kCpuResource = 1,
@@ -47,14 +54,18 @@ const char* FixedResourceName(ResourceId id) {
   }
 }
 
-// Recorded at the simulation chokepoint, so the counter tracks RunRaw exactly —
-// the same quantity TimelineEvaluator::simulations() reports per instance.
+// Recorded at the simulation chokepoint, so the counter tracks CompleteSchedule
+// exactly — the same quantity TimelineEvaluator::simulations() reports per instance.
 obs::Counter SimulationsCounter() {
   static const obs::Counter counter = obs::GlobalMetrics().RegisterCounter(
       "espresso_timeline_simulations_total",
-      "Timeline simulations executed (every TimelineEvaluator::RunRaw call)");
+      "Timeline simulations executed (full runs and checkpoint resumes; building or "
+      "advancing a checkpoint counts none)");
   return counter;
 }
+
+// compute(i) is task i: StartSchedule adds the backward-compute chain first.
+TaskId ComputeTask(size_t i) { return static_cast<TaskId>(i); }
 
 obs::Histogram EvaluateSecondsHistogram() {
   static const obs::Histogram histogram = obs::GlobalMetrics().RegisterHistogram(
@@ -171,18 +182,7 @@ void TimelineEvaluator::SetResourceScales(const ResourceScales& scales) {
   resource_scales_ = scales;
 }
 
-double TimelineEvaluator::RunRaw(const OptionView& view, std::vector<RawEntry>* raw,
-                                 EvalContext* ctx) const {
-  const Strategy& strategy = *view.strategy;
-  ESP_CHECK_EQ(strategy.options.size(), model_.tensors.size());
-  const size_t n = model_.tensors.size();
-  simulations_.fetch_add(1, std::memory_order_relaxed);
-  obs::GlobalMetrics().Add(SimulationsCounter());
-
-  EvalContext local;
-  if (ctx == nullptr) {
-    ctx = &local;
-  }
+void TimelineEvaluator::StartSchedule(EvalContext* ctx) const {
   SimEngine& engine = ctx->engine;
   if (ctx->engine_ready && ctx->cpu_lanes == cluster_.cpu_workers_per_gpu) {
     engine.Reset();  // keeps task storage, event heap, and resource allocations
@@ -199,148 +199,155 @@ double TimelineEvaluator::RunRaw(const OptionView& view, std::vector<RawEntry>* 
     ctx->engine_ready = true;
     ctx->cpu_lanes = cluster_.cpu_workers_per_gpu;
   }
-  constexpr ResourceId gpu = kGpuResource;
-  constexpr ResourceId cpu = kCpuResource;
-  constexpr ResourceId intra = kIntraResource;
-  constexpr ResourceId inter = kInterResource;
   if (!resource_scales_.Neutral()) {
-    engine.SetResourceSpeedFactor(gpu, resource_scales_.gpu);
-    engine.SetResourceSpeedFactor(cpu, resource_scales_.cpu);
-    engine.SetResourceSpeedFactor(intra, resource_scales_.intra);
-    engine.SetResourceSpeedFactor(inter, resource_scales_.inter);
+    engine.SetResourceSpeedFactor(kGpuResource, resource_scales_.gpu);
+    engine.SetResourceSpeedFactor(kCpuResource, resource_scales_.cpu);
+    engine.SetResourceSpeedFactor(kIntraResource, resource_scales_.intra);
+    engine.SetResourceSpeedFactor(kInterResource, resource_scales_.inter);
   }
-
-  auto resource_for = [&](const Op& op) -> ResourceId {
-    if (op.task == ActionTask::kComm) {
-      switch (op.phase) {
-        case CommPhase::kFlat:
-          return cluster_.machines == 1 ? intra : inter;
-        case CommPhase::kIntraFirst:
-        case CommPhase::kIntraSecond:
-          return intra;
-        case CommPhase::kInter:
-          return inter;
-      }
-    }
-    return op.device == Device::kGpu ? gpu : cpu;
-  };
-
-  size_t task_estimate = n;
-  for (size_t i = 0; i < n; ++i) {
-    task_estimate += view.at(i).ops.size() + 2;
-  }
-  engine.ReserveTasks(task_estimate);
-
   // Backward-compute chain: compute(i) depends on compute(i-1). Added first so all
   // compute tasks have ids 0..n-1; pipeline ops of tensor i carry priority i, so a
   // compression kernel of tensor i wins the GPU over compute of tensor i+1 — the
   // contention of Figure 2(c).
-  std::vector<TaskId>& compute_tasks = ctx->compute_tasks;
-  compute_tasks.resize(n);
+  const size_t n = model_.tensors.size();
   for (size_t i = 0; i < n; ++i) {
-    compute_tasks[i] = engine.AddChainTask(
-        gpu, model_.tensors[i].backward_time_s,
-        i == 0 ? SimEngine::kNoDependency : compute_tasks[i - 1], static_cast<int>(i));
+    engine.AddChainTask(kGpuResource, model_.tensors[i].backward_time_s,
+                        i == 0 ? SimEngine::kNoDependency : ComputeTask(i - 1),
+                        static_cast<int>(i));
   }
+  ctx->op_tasks.clear();
+}
 
-#ifdef ESPRESSO_VERIFY_SCHEDULES
-  const bool record_ops = true;  // the verifier audits every schedule, recorded or not
-#else
-  const bool record_ops = raw != nullptr;
-#endif
-  std::vector<OpTaskRec>& op_tasks = ctx->op_tasks;
-  op_tasks.clear();
-  if (record_ops) {
-    op_tasks.reserve(task_estimate - n);
-  }
+void TimelineEvaluator::AppendTensorOps(size_t i, const CompressionOption& option,
+                                        bool record, EvalContext* ctx) const {
+  SimEngine& engine = ctx->engine;
+  auto resource_for = [&](const Op& op) -> ResourceId {
+    if (op.task == ActionTask::kComm) {
+      switch (op.phase) {
+        case CommPhase::kFlat:
+          return cluster_.machines == 1 ? kIntraResource : kInterResource;
+        case CommPhase::kIntraFirst:
+        case CommPhase::kIntraSecond:
+          return kIntraResource;
+        case CommPhase::kInter:
+          return kInterResource;
+      }
+    }
+    return op.device == Device::kGpu ? kGpuResource : kCpuResource;
+  };
   const bool host_copies = cluster_.host_copy_contends_intra && !zero_compression_cost_;
-  for (size_t i = 0; i < n; ++i) {
-    TaskId prev = compute_tasks[i];
-    const auto& option = view.at(i);
-    for (size_t k = 0; k < option.ops.size(); ++k) {
-      const Op& op = option.ops[k];
-      const double domain_bytes =
-          op.domain_fraction * static_cast<double>(model_.tensors[i].elements) * sizeof(float);
-      // On PCIe machines the host copy feeding a CPU compressor shares the intra fabric.
-      if (host_copies && op.task == ActionTask::kCompress && op.device == Device::kCpu) {
-        prev = engine.AddChainTask(intra, cluster_.intra.TransferTime(domain_bytes),
-                                   prev, static_cast<int>(i));
-        if (record_ops) {
-          op_tasks.push_back({i, kHostCopyOp, intra, prev});
-        }
+  const int priority = static_cast<int>(i);
+  TaskId prev = ComputeTask(i);
+  for (size_t k = 0; k < option.ops.size(); ++k) {
+    const Op& op = option.ops[k];
+    const double domain_bytes =
+        op.domain_fraction * static_cast<double>(model_.tensors[i].elements) * sizeof(float);
+    // On PCIe machines the host copy feeding a CPU compressor shares the intra fabric.
+    if (host_copies && op.task == ActionTask::kCompress && op.device == Device::kCpu) {
+      prev = engine.AddChainTask(kIntraResource, cluster_.intra.TransferTime(domain_bytes),
+                                 prev, priority);
+      if (record) {
+        ctx->op_tasks.push_back({i, kHostCopyOp, kIntraResource, prev});
       }
-      const double duration = OpDuration(op, model_.tensors[i].elements);
-      const ResourceId resource = resource_for(op);
-      const TaskId id =
-          engine.AddChainTask(resource, duration, prev, static_cast<int>(i));
-      if (record_ops) {
-        op_tasks.push_back({i, k, resource, id});
-      }
-      prev = id;
-      if (host_copies && op.task == ActionTask::kDecompress && op.device == Device::kCpu) {
-        prev = engine.AddChainTask(intra, cluster_.intra.TransferTime(domain_bytes),
-                                   prev, static_cast<int>(i));
-        if (record_ops) {
-          op_tasks.push_back({i, kHostCopyOp, intra, prev});
-        }
+    }
+    const double duration = OpDuration(op, model_.tensors[i].elements);
+    const ResourceId resource = resource_for(op);
+    prev = engine.AddChainTask(resource, duration, prev, priority);
+    if (record) {
+      ctx->op_tasks.push_back({i, k, resource, prev});
+    }
+    if (host_copies && op.task == ActionTask::kDecompress && op.device == Device::kCpu) {
+      prev = engine.AddChainTask(kIntraResource, cluster_.intra.TransferTime(domain_bytes),
+                                 prev, priority);
+      if (record) {
+        ctx->op_tasks.push_back({i, kHostCopyOp, kIntraResource, prev});
       }
     }
   }
+}
 
-  engine.Run();
-
+double TimelineEvaluator::CompleteSchedule(std::vector<RawEntry>* raw,
+                                           EvalContext* ctx) const {
+  simulations_.fetch_add(1, std::memory_order_relaxed);
+  obs::GlobalMetrics().Add(SimulationsCounter());
+  ctx->engine.Run();
   if (raw != nullptr) {
-    raw->clear();
-    raw->reserve(n + op_tasks.size());
-    for (size_t i = 0; i < n; ++i) {
-      raw->push_back(RawEntry{i, kComputeOp, kGpuResource,
-                              engine.TaskStart(compute_tasks[i]),
-                              engine.TaskEnd(compute_tasks[i])});
-    }
-    for (const OpTaskRec& ot : op_tasks) {
-      raw->push_back(RawEntry{ot.tensor, ot.op_index, ot.resource,
-                              engine.TaskStart(ot.task), engine.TaskEnd(ot.task)});
-    }
+    CollectRaw(*ctx, raw);
   }
+  return ctx->engine.Makespan();
+}
+
+void TimelineEvaluator::CollectRaw(const EvalContext& ctx, std::vector<RawEntry>* raw) const {
+  const SimEngine& engine = ctx.engine;
+  const size_t n = model_.tensors.size();
+  raw->clear();
+  raw->reserve(n + ctx.op_tasks.size());
+  for (size_t i = 0; i < n; ++i) {
+    raw->push_back(RawEntry{i, kComputeOp, kGpuResource, engine.TaskStart(ComputeTask(i)),
+                            engine.TaskEnd(ComputeTask(i))});
+  }
+  for (const OpTaskRec& ot : ctx.op_tasks) {
+    raw->push_back(RawEntry{ot.tensor, ot.op_index, ot.resource, engine.TaskStart(ot.task),
+                            engine.TaskEnd(ot.task)});
+  }
+}
+
 #ifdef ESPRESSO_VERIFY_SCHEDULES
-  {
-    // Verification build: every simulated timeline — the decision algorithm's hot loop
-    // included, from serial and parallel scoring workers alike — must satisfy the
-    // scheduling invariants. Cache hits in the selector never reach this point; they
-    // return a previously verified F(S) without re-simulating (see docs/PERFORMANCE.md).
-    // The ops we just scheduled are re-collected when the caller did not ask for
-    // records, and any scoring overrides are materialized for the verifier's
-    // strategy-conformance audits.
-    std::vector<RawEntry> verify_raw;
-    if (raw == nullptr) {
-      verify_raw.reserve(n + op_tasks.size());
-      for (size_t i = 0; i < n; ++i) {
-        verify_raw.push_back(RawEntry{i, kComputeOp, kGpuResource,
-                                      engine.TaskStart(compute_tasks[i]),
-                                      engine.TaskEnd(compute_tasks[i])});
-      }
-      for (const OpTaskRec& ot : op_tasks) {
-        verify_raw.push_back(RawEntry{ot.tensor, ot.op_index, ot.resource,
-                                      engine.TaskStart(ot.task), engine.TaskEnd(ot.task)});
-      }
-    }
-    Strategy verified = strategy;
-    for (size_t i = 0; i < n; ++i) {
-      const CompressionOption& effective = view.at(i);
-      if (&effective != &strategy.options[i]) {
-        verified.options[i] = effective;
-      }
-    }
-    VerifierConfig verifier_config;
-    verifier_config.cpu_workers = cluster_.cpu_workers_per_gpu;
-    const DiagnosticReport report = VerifySimulatedTimeline(
-        verified, ToEntries(verified, raw != nullptr ? *raw : verify_raw),
-        verifier_config);
-    ESP_CHECK(!report.HasErrors()) << "schedule verification failed:\n"
-                                   << report.ToString();
+void TimelineEvaluator::VerifySchedule(const Strategy& simulated,
+                                       const std::vector<RawEntry>* raw,
+                                       const EvalContext& ctx) const {
+  // Verification build: every simulated timeline — full runs and checkpoint resumes,
+  // the decision algorithm's hot loop included, from serial and parallel scoring
+  // workers alike — must satisfy the scheduling invariants. Cache hits in the selector
+  // never reach this point; they return a previously verified F(S) without
+  // re-simulating (see docs/PERFORMANCE.md).
+  std::vector<RawEntry> collected;
+  if (raw == nullptr) {
+    CollectRaw(ctx, &collected);
+    raw = &collected;
   }
+  VerifierConfig verifier_config;
+  verifier_config.cpu_workers = cluster_.cpu_workers_per_gpu;
+  const DiagnosticReport report =
+      VerifySimulatedTimeline(simulated, ToEntries(simulated, *raw), verifier_config);
+  ESP_CHECK(!report.HasErrors()) << "schedule verification failed:\n" << report.ToString();
+}
 #endif
-  return engine.Makespan();
+
+double TimelineEvaluator::RunRaw(const OptionView& view, std::vector<RawEntry>* raw,
+                                 EvalContext* ctx) const {
+  const Strategy& strategy = *view.strategy;
+  ESP_CHECK_EQ(strategy.options.size(), model_.tensors.size());
+  const size_t n = model_.tensors.size();
+  EvalContext local;
+  if (ctx == nullptr) {
+    ctx = &local;
+  }
+  StartSchedule(ctx);
+  const bool record = kVerifySchedules || raw != nullptr;
+  size_t task_estimate = n;
+  for (size_t i = 0; i < n; ++i) {
+    task_estimate += view.at(i).ops.size() + 2;
+  }
+  ctx->engine.ReserveTasks(task_estimate);
+  if (record) {
+    ctx->op_tasks.reserve(task_estimate - n);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    AppendTensorOps(i, view.at(i), record, ctx);
+  }
+  const double makespan = CompleteSchedule(raw, ctx);
+#ifdef ESPRESSO_VERIFY_SCHEDULES
+  // Overrides are materialized for the verifier's strategy-conformance audits.
+  Strategy simulated = strategy;
+  for (size_t i = 0; i < n; ++i) {
+    if (const CompressionOption& effective = view.at(i); &effective != &strategy.options[i]) {
+      simulated.options[i] = effective;
+    }
+  }
+  VerifySchedule(simulated, raw, *ctx);
+#endif
+  return makespan;
 }
 
 double TimelineEvaluator::IterationTime(const Strategy& strategy) const {
@@ -353,15 +360,70 @@ double TimelineEvaluator::IterationTime(const Strategy& strategy, EvalContext* c
   return model_.forward_time_s + RunRaw(view, nullptr, ctx) + model_.optimizer_time_s;
 }
 
-double TimelineEvaluator::ScoreWithOption(const Strategy& strategy, size_t index,
-                                          const CompressionOption& candidate,
-                                          EvalContext* ctx) const {
-  ESP_CHECK_LT(index, strategy.options.size());
-  OptionView view;
-  view.strategy = &strategy;
-  view.index = index;
-  view.single = &candidate;
-  return model_.forward_time_s + RunRaw(view, nullptr, ctx) + model_.optimizer_time_s;
+void TimelineEvaluator::AdvanceCheckpoint(const Strategy& base, size_t index,
+                                          Checkpoint* checkpoint) const {
+  const size_t n = model_.tensors.size();
+  ESP_CHECK_EQ(base.options.size(), n);
+  ESP_CHECK_LT(index, n);
+  Checkpoint& cp = *checkpoint;
+  bool in_place = cp.owner_ == this && cp.scales_ == resource_scales_ && cp.index_ <= index;
+  for (size_t t = 0; in_place && t < cp.index_; ++t) {
+    in_place = cp.PrefixMatches(t, base.options[t]);
+  }
+  size_t from = cp.index_;
+  if (!in_place) {
+    StartSchedule(&cp.storage_);
+    cp.owner_ = this;
+    cp.scales_ = resource_scales_;
+    cp.prefix_ops_.clear();
+    cp.prefix_begin_.assign(1, 0);
+    from = 0;
+  }
+  for (size_t t = from; t < index; ++t) {
+    const std::vector<Op>& ops = base.options[t].ops;
+    AppendTensorOps(t, base.options[t], kVerifySchedules, &cp.storage_);
+    cp.prefix_ops_.insert(cp.prefix_ops_.end(), ops.begin(), ops.end());
+    cp.prefix_begin_.push_back(cp.prefix_ops_.size());
+  }
+  cp.index_ = index;
+  cp.storage_.engine.RunUntil(ComputeTask(index));
+}
+
+double TimelineEvaluator::ResumeWithOption(const Checkpoint& checkpoint,
+                                           const Strategy& base,
+                                           const CompressionOption& candidate,
+                                           EvalContext* ctx) const {
+  const size_t n = model_.tensors.size();
+  ESP_CHECK_EQ(base.options.size(), n);
+  ESP_CHECK(checkpoint.owner_ == this && checkpoint.scales_ == resource_scales_)
+      << "checkpoint not advanced by this evaluator under its current resource scales";
+  const size_t index = checkpoint.index_;
+#ifdef ESPRESSO_VERIFY_SCHEDULES
+  for (size_t t = 0; t < index; ++t) {
+    ESP_CHECK(checkpoint.PrefixMatches(t, base.options[t]))
+        << "checkpoint was built from another base (tensor " << t << ")";
+  }
+#endif
+  EvalContext local;
+  if (ctx == nullptr) {
+    ctx = &local;
+  }
+  // Copy-assignment reuses the context's task, heap, and record storage.
+  ctx->engine = checkpoint.storage_.engine;
+  ctx->engine_ready = true;
+  ctx->cpu_lanes = cluster_.cpu_workers_per_gpu;
+  ctx->op_tasks = checkpoint.storage_.op_tasks;
+  AppendTensorOps(index, candidate, kVerifySchedules, ctx);
+  for (size_t t = index + 1; t < n; ++t) {
+    AppendTensorOps(t, base.options[t], kVerifySchedules, ctx);
+  }
+  const double makespan = CompleteSchedule(nullptr, ctx);
+#ifdef ESPRESSO_VERIFY_SCHEDULES
+  Strategy simulated = base;
+  simulated.options[index] = candidate;
+  VerifySchedule(simulated, nullptr, *ctx);
+#endif
+  return model_.forward_time_s + makespan + model_.optimizer_time_s;
 }
 
 double TimelineEvaluator::ScoreWithOverrides(const Strategy& strategy,

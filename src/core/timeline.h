@@ -17,7 +17,9 @@
 #ifndef SRC_CORE_TIMELINE_H_
 #define SRC_CORE_TIMELINE_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -56,16 +58,28 @@ struct ResourceScales {
   double inter = 1.0;
 
   bool Neutral() const { return gpu == 1.0 && cpu == 1.0 && intra == 1.0 && inter == 1.0; }
+  bool operator==(const ResourceScales&) const = default;
 };
 
 class TimelineEvaluator {
  public:
   // Reusable per-call scratch for the simulation: the engine (tasks, event heap,
   // resources) and the op-record buffers survive across evaluations, so the decision
-  // algorithm's hot loop runs allocation-free after warm-up. A context belongs to one
-  // caller thread at a time; parallel scoring workers each own one. Evaluation results
-  // are byte-identical with and without a context.
+  // algorithm's hot loop runs allocation-free after warm-up — a resume copy-assigns the
+  // checkpoint's engine into the context's storage, which keeps its capacity. A context
+  // belongs to one caller thread at a time; parallel scoring workers each own one.
+  // Evaluation results are byte-identical with and without a context.
   class EvalContext;
+
+  // The simulation of one base strategy stopped just before tensor i's backward
+  // compute completes. Every event before that point is the same for any option at
+  // tensors >= i: their ops all hang off compute(i), which compute(i+1) also waits for,
+  // and they take the same task ids in a resumed build as in a one-shot one. So all
+  // candidates for tensor i resume from one copy of this prefix. A checkpoint holds
+  // the options it was built from and is only reused for a base whose options match
+  // them exactly, under the same ResourceScales. One owner advances it; any number of
+  // threads may resume from it concurrently while it is not being advanced.
+  class Checkpoint;
 
   // `compressor` supplies payload sizing (CompressedBytes); it must outlive the
   // evaluator. `zero_compression_cost` prices all (de)compression at zero — the Upper
@@ -79,12 +93,19 @@ class TimelineEvaluator {
   double IterationTime(const Strategy& strategy) const;
   double IterationTime(const Strategy& strategy, EvalContext* ctx) const;
 
-  // F(S') where S' is `strategy` with options[index] replaced by `candidate`, WITHOUT
-  // mutating (or copying) the caller's strategy. This is the selector's candidate
-  // scoring entry point; it replaces the old save/mutate/evaluate/restore dance.
-  double ScoreWithOption(const Strategy& strategy, size_t index,
-                         const CompressionOption& candidate,
-                         EvalContext* ctx = nullptr) const;
+  // Moves `checkpoint` to tensor `index` of `base`. It advances in place when it
+  // stands at or before `index` and base's options below its index are unchanged;
+  // otherwise it is rebuilt. Counts no simulation. After warm-up neither path
+  // allocates.
+  void AdvanceCheckpoint(const Strategy& base, size_t index, Checkpoint* checkpoint) const;
+
+  // F(S') where S' is `base` with options[checkpoint.index()] replaced by `candidate`,
+  // resumed from `checkpoint`, which must have been advanced to that index of `base`.
+  // Equal as a double to IterationTime(S'), and counts as one simulation. Neither the
+  // caller's strategy nor the checkpoint is mutated or copied: the selector scores a
+  // tensor's candidates concurrently against one shared base and checkpoint.
+  double ResumeWithOption(const Checkpoint& checkpoint, const Strategy& base,
+                          const CompressionOption& candidate, EvalContext* ctx) const;
 
   // F(S') where S' substitutes overrides[i] (when non-null) for options[i]. Used by
   // the CPU-offload odometer to evaluate many-tensor device moves without
@@ -141,23 +162,15 @@ class TimelineEvaluator {
     TaskId task;
   };
 
-  // The strategy being simulated, with up to one substitution scheme applied: a single
-  // (index, option) override, or a per-index override table. Lets the scoring entry
-  // points evaluate modified strategies with zero copies.
+  // The strategy being simulated, optionally with a per-index override table applied
+  // (ScoreWithOverrides), so modified strategies are evaluated with zero copies. A
+  // single substitution goes through a Checkpoint instead.
   struct OptionView {
     const Strategy* strategy = nullptr;
-    size_t index = SIZE_MAX;                              // single-override index
-    const CompressionOption* single = nullptr;            // single-override option
-    const CompressionOption* const* table = nullptr;      // per-index override table
+    const CompressionOption* const* table = nullptr;  // per-index override table
 
     const CompressionOption& at(size_t i) const {
-      if (table != nullptr && table[i] != nullptr) {
-        return *table[i];
-      }
-      if (single != nullptr && i == index) {
-        return *single;
-      }
-      return strategy->options[i];
+      return table != nullptr && table[i] != nullptr ? *table[i] : strategy->options[i];
     }
   };
 
@@ -165,6 +178,31 @@ class TimelineEvaluator {
   // context's engine and buffers (a local context when ctx is null).
   double RunRaw(const OptionView& view, std::vector<RawEntry>* raw,
                 EvalContext* ctx) const;
+
+  // Readies ctx's engine for a new schedule: resources (kept across calls), the
+  // fault-injected speed factors, and the backward-compute chain, whose tasks take ids
+  // 0..n-1 so compute(i) is task i. Clears the op records.
+  void StartSchedule(EvalContext* ctx) const;
+
+  // Appends tensor i's pipeline under `option`, host copies included, chained off
+  // compute(i) with priority i. Records each op when `record` is set. RunRaw and the
+  // checkpoint paths build every schedule through here, so their task ids agree.
+  void AppendTensorOps(size_t i, const CompressionOption& option, bool record,
+                       EvalContext* ctx) const;
+
+  // Runs ctx's fully built schedule to completion and returns its makespan. This is
+  // the one place a simulation is counted. Fills `raw` when non-null.
+  double CompleteSchedule(std::vector<RawEntry>* raw, EvalContext* ctx) const;
+
+  // Compute intervals first, then each recorded op in tensor order.
+  void CollectRaw(const EvalContext& ctx, std::vector<RawEntry>* raw) const;
+
+#ifdef ESPRESSO_VERIFY_SCHEDULES
+  // Aborts unless ctx's finished schedule satisfies the scheduling invariants for
+  // `simulated`, the strategy it was built from. Uses `raw` when non-null.
+  void VerifySchedule(const Strategy& simulated, const std::vector<RawEntry>* raw,
+                      const EvalContext& ctx) const;
+#endif
 
   // Converts raw records to named entries (trace/verifier representation).
   std::vector<TimelineEntry> ToEntries(const Strategy& strategy,
@@ -192,9 +230,34 @@ class TimelineEvaluator::EvalContext {
   SimEngine engine;
   bool engine_ready = false;  // resources added and matching cpu_lanes
   size_t cpu_lanes = 0;
-  std::vector<TaskId> compute_tasks;
   std::vector<OpTaskRec> op_tasks;
-  std::vector<RawEntry> raw_scratch;  // BeforeBubble / verification records
+  std::vector<RawEntry> raw_scratch;  // BeforeBubble records
+};
+
+class TimelineEvaluator::Checkpoint {
+ public:
+  // The tensor whose backward compute the engine is stopped before.
+  size_t index() const { return index_; }
+
+ private:
+  friend class TimelineEvaluator;
+  // True when `option` has the content tensor t (< index_) was built from.
+  bool PrefixMatches(size_t t, const CompressionOption& option) const {
+    return std::equal(option.ops.begin(), option.ops.end(),
+                      prefix_ops_.begin() + static_cast<ptrdiff_t>(prefix_begin_[t]),
+                      prefix_ops_.begin() + static_cast<ptrdiff_t>(prefix_begin_[t + 1]));
+  }
+  // The stopped engine, and the prefix's op records in verify-schedules builds.
+  EvalContext storage_;
+  const TimelineEvaluator* owner_ = nullptr;  // null until first built
+  ResourceScales scales_;
+  size_t index_ = 0;
+  // The ops of options[0, index_) of the base the engine holds — the content
+  // CompressionOption::operator== compares — flattened: tensor t's ops are
+  // [prefix_begin_[t], prefix_begin_[t + 1]). Both keep their capacity across
+  // rebuilds, so advancing allocates nothing after warm-up.
+  std::vector<Op> prefix_ops_;
+  std::vector<size_t> prefix_begin_;
 };
 
 }  // namespace espresso

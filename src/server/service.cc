@@ -21,6 +21,14 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Largest accepted budget.offload_search_budget. Algorithm 2 materializes its whole
+// exhaustive space (product * groups counts) when the space fits the budget, so an
+// unbounded budget lets one request allocate without limit. 2^18 is above the largest
+// exhaustive space any shipped gpt2 or resnet101 triple searches at a budget of 10^6
+// (235,008, gpt2/topk/pcie), and caps that array near 2^18 * 18 groups * 8 B = 38 MB:
+// a space of at most 2^18 has at most 18 groups.
+constexpr uint64_t kMaxOffloadSearchBudget = uint64_t{1} << 18;
+
 // Lazily registered service metrics (idempotent against the global registry).
 struct ServeMetrics {
   obs::Counter requests;
@@ -198,6 +206,11 @@ std::string SelectionService::HandleRequest(std::string_view payload) {
                              "\"budget.offload_search_budget\" must be a non-negative "
                              "integer");
       }
+      if (value > kMaxOffloadSearchBudget) {
+        return ErrorResponse(id, request.tenant, ServeError::kMalformedRequest,
+                             "\"budget.offload_search_budget\" must be at most " +
+                                 std::to_string(kMaxOffloadSearchBudget));
+      }
       request.offload_search_budget = static_cast<size_t>(value);
     }
   }
@@ -290,9 +303,10 @@ std::string SelectionService::HandleSelect(const SelectRequest& request) {
   }
 
   // Identical selection setup to espresso_cli: default SelectorOptions, candidate
-  // pruning only under a user max_compress_ops constraint. Thread count and the
-  // offload budget are bit-exact knobs (docs/PERFORMANCE.md), so per-request
-  // budgets cannot change WHICH strategy a config triple gets — only how fast.
+  // pruning only under a user max_compress_ops constraint. The thread count is a
+  // bit-exact knob (docs/PERFORMANCE.md): it changes only how fast a triple is
+  // served. The offload budget is not: below a triple's exhaustive Algorithm-2 space,
+  // coordinate descent takes over and may select a different strategy.
   SelectorOptions options;
   if (job.max_compress_ops > 0) {
     TreeConfig tree{job.cluster.machines, job.cluster.gpus_per_machine,

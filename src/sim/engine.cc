@@ -1,6 +1,7 @@
 #include "src/sim/engine.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/obs/metrics.h"
 #include "src/util/logging.h"
@@ -21,7 +22,8 @@ const EngineMetrics& Metrics() {
     m.runs = r.RegisterCounter("espresso_sim_runs_total",
                                "Discrete-event simulation runs (SimEngine::Run)");
     m.tasks = r.RegisterCounter("espresso_sim_tasks_total",
-                                "Tasks dispatched across all simulation runs");
+                                "Tasks completed across all simulation runs (a shared "
+                                "stopped prefix counts once)");
     return m;
   }();
   return metrics;
@@ -34,7 +36,7 @@ ResourceId SimEngine::AddSerialResource(std::string name) {
 }
 
 ResourceId SimEngine::AddPoolResource(std::string name, size_t lanes) {
-  ESP_CHECK(!ran_);
+  ESP_CHECK(phase_ == Phase::kBuilding);
   ESP_CHECK_GT(lanes, 0u);
   Resource res;
   res.name = std::move(name);
@@ -45,18 +47,24 @@ ResourceId SimEngine::AddPoolResource(std::string name, size_t lanes) {
 
 TaskId SimEngine::AddTask(std::string name, ResourceId resource, double duration,
                           const std::vector<TaskId>& deps, int priority) {
-  const TaskId id = AddTaskAfter(std::move(name), resource, duration, kNoDependency, priority);
   for (TaskId dep : deps) {
     ESP_CHECK_GE(dep, 0);
-    ESP_CHECK_LT(dep, id);
-    AddDependent(dep, id);
+    ESP_CHECK_LT(static_cast<size_t>(dep), tasks_.size());  // the new task's id
+  }
+  const TaskId id = AddTaskAfter(std::move(name), resource, duration,
+                                 deps.empty() ? kNoDependency : deps[0], priority);
+  for (size_t k = 1; k < deps.size(); ++k) {
+    AddDependent(deps[k], id);
   }
   return id;
 }
 
 TaskId SimEngine::AddTaskAfter(std::string name, ResourceId resource, double duration,
                                TaskId dep, int priority) {
-  ESP_CHECK(!ran_);
+  ESP_CHECK(phase_ != Phase::kFinished);
+  // A stopped engine made its roots eligible already: a new root would never run.
+  ESP_CHECK(phase_ == Phase::kBuilding || dep != kNoDependency)
+      << "a task appended to a stopped engine needs a dependency";
   ESP_CHECK_GE(resource, 0);
   ESP_CHECK_LT(static_cast<size_t>(resource), resources_.size());
   ESP_CHECK_GE(duration, 0.0);
@@ -78,7 +86,7 @@ TaskId SimEngine::AddTaskAfter(std::string name, ResourceId resource, double dur
 }
 
 void SimEngine::SetResourceSpeedFactor(ResourceId id, double factor) {
-  ESP_CHECK(!ran_);
+  ESP_CHECK(phase_ == Phase::kBuilding);
   ESP_CHECK_GE(id, 0);
   ESP_CHECK_LT(static_cast<size_t>(id), resources_.size());
   ESP_CHECK_GT(factor, 0.0) << "resource speed factor must be positive";
@@ -86,16 +94,22 @@ void SimEngine::SetResourceSpeedFactor(ResourceId id, double factor) {
 }
 
 void SimEngine::Reset() {
+  const bool stopped = phase_ == Phase::kStopped;
   tasks_.clear();
   names_.clear();
   overflow_dependents_.clear();
   event_heap_.clear();
   makespan_ = 0.0;
-  ran_ = false;
+  completed_ = 0;
+  phase_ = Phase::kBuilding;
   for (Resource& res : resources_) {
-    // After Run() every eligible task has been dispatched; only the lane clocks need
-    // rewinding. Speed factors go back to the profiled baseline as well, so a reused
-    // engine starts from the same state as a freshly built one.
+    // A stopped engine abandons the eligible tasks it never dispatched. After Run()
+    // every eligible task has been dispatched; only the lane clocks need rewinding.
+    // Speed factors go back to the profiled baseline as well, so a reused engine
+    // starts from the same state as a freshly built one.
+    if (stopped) {
+      res.eligible.clear();
+    }
     ESP_CHECK(res.eligible.empty()) << "Reset() before Run() drained resource " << res.name;
     std::fill(res.lane_free.begin(), res.lane_free.end(), 0.0);
     res.speed_factor = 1.0;
@@ -140,28 +154,28 @@ void SimEngine::Dispatch(Resource& res, double now) {
   }
 }
 
-void SimEngine::Run() {
-  ESP_CHECK(!ran_);
-  ran_ = true;
-  obs::MetricsRegistry& registry = obs::GlobalMetrics();
-  registry.Add(Metrics().runs);
-  registry.Add(Metrics().tasks, tasks_.size());
+void SimEngine::PushEligible(TaskId id) {
+  const Task& task = tasks_[id];
+  Resource& res = resources_[task.resource];
+  res.eligible.push_back(EligibleKey(task.priority, id));
+  std::push_heap(res.eligible.begin(), res.eligible.end(), std::greater<>());
+}
 
+void SimEngine::Start() {
   for (TaskId id = 0; id < static_cast<TaskId>(tasks_.size()); ++id) {
-    const Task& task = tasks_[id];
-    if (task.unmet_deps == 0) {
-      Resource& res = resources_[task.resource];
-      res.eligible.push_back(EligibleKey(task.priority, id));
-      std::push_heap(res.eligible.begin(), res.eligible.end(), std::greater<>());
+    if (tasks_[id].unmet_deps == 0) {
+      PushEligible(id);
     }
   }
   for (Resource& res : resources_) {
     Dispatch(res, 0.0);
   }
+}
 
-  size_t completed = 0;
+void SimEngine::Advance(TaskId stop) {
+  size_t completed = completed_;
   ResourceId touched[8];
-  while (!event_heap_.empty()) {
+  while (!event_heap_.empty() && event_heap_.back().second != stop) {
     const auto [now, id] = event_heap_.back();
     event_heap_.pop_back();
     ++completed;
@@ -170,11 +184,8 @@ void SimEngine::Run() {
     touched[touched_count++] = tasks_[id].resource;
     ForEachDependent(id, [&](TaskId dep) {
       if (--tasks_[dep].unmet_deps == 0) {
-        const Task& task = tasks_[dep];
-        Resource& res = resources_[task.resource];
-        res.eligible.push_back(EligibleKey(task.priority, dep));
-        std::push_heap(res.eligible.begin(), res.eligible.end(), std::greater<>());
-        const ResourceId rid = task.resource;
+        PushEligible(dep);
+        const ResourceId rid = tasks_[dep].resource;
         bool seen = false;
         for (size_t i = 0; i < touched_count; ++i) {
           if (touched[i] == rid) {
@@ -201,25 +212,50 @@ void SimEngine::Run() {
       }
     }
   }
-  ESP_CHECK_EQ(completed, tasks_.size()) << "dependency cycle or unreachable task";
+  obs::GlobalMetrics().Add(Metrics().tasks, completed - completed_);
+  completed_ = completed;
+}
+
+void SimEngine::Run() {
+  ESP_CHECK(phase_ != Phase::kFinished);
+  if (phase_ == Phase::kBuilding) {
+    Start();
+  }
+  phase_ = Phase::kFinished;
+  Advance(kNoDependency);
+  obs::GlobalMetrics().Add(Metrics().runs);
+  ESP_CHECK_EQ(completed_, tasks_.size()) << "dependency cycle or unreachable task";
+}
+
+void SimEngine::RunUntil(TaskId stop) {
+  ESP_CHECK(phase_ != Phase::kFinished);
+  ESP_CHECK_GE(stop, 0);
+  ESP_CHECK_LT(static_cast<size_t>(stop), tasks_.size());
+  if (phase_ == Phase::kBuilding) {
+    Start();
+  }
+  phase_ = Phase::kStopped;
+  Advance(stop);
+  ESP_CHECK(!event_heap_.empty())
+      << "RunUntil(" << stop << "): the task completed earlier or never runs";
 }
 
 double SimEngine::TaskStart(TaskId id) const {
-  ESP_CHECK(ran_);
+  ESP_CHECK(phase_ == Phase::kFinished);
   ESP_CHECK_GE(id, 0);
   ESP_CHECK_LT(static_cast<size_t>(id), tasks_.size());
   return tasks_[id].start;
 }
 
 double SimEngine::TaskEnd(TaskId id) const {
-  ESP_CHECK(ran_);
+  ESP_CHECK(phase_ == Phase::kFinished);
   ESP_CHECK_GE(id, 0);
   ESP_CHECK_LT(static_cast<size_t>(id), tasks_.size());
   return tasks_[id].end;
 }
 
 double SimEngine::Makespan() const {
-  ESP_CHECK(ran_);
+  ESP_CHECK(phase_ == Phase::kFinished);
   return makespan_;
 }
 
@@ -230,7 +266,7 @@ const std::string& SimEngine::ResourceName(ResourceId id) const {
 }
 
 std::vector<TaskRecord> SimEngine::Records() const {
-  ESP_CHECK(ran_);
+  ESP_CHECK(phase_ == Phase::kFinished);
   std::vector<TaskRecord> records;
   records.reserve(tasks_.size());
   for (const Task& task : tasks_) {

@@ -17,6 +17,15 @@
 // dependencies avoid vectors, the per-task dependent list is inlined for the common
 // fan-outs (<= 2), eligible tasks order by one packed 64-bit key, and lane clocks are
 // flat arrays rather than heaps (lane counts are tiny).
+//
+// A simulation can also be stopped and resumed: RunUntil(stop) processes events until
+// `stop`'s completion is next, the stopped engine is copied, tasks hanging off
+// not-yet-completed tasks are appended to the copy, and Run() finishes it. When no
+// appended task could have become eligible before `stop` completes, and the appended
+// tasks take the ids a one-shot build would give them, the resumed schedule is
+// identical to a one-shot Run() of the whole DAG: every eligibility key and every event
+// tie-break is the same. The timeline evaluator shares one stopped prefix among all
+// candidates for one tensor this way.
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 
@@ -78,15 +87,22 @@ class SimEngine {
 
   static constexpr TaskId kNoDependency = -1;
 
-  // Runs the simulation to completion. May be called once per engine (or once per
-  // Reset() cycle).
+  // Runs the simulation to completion: once per engine and Reset() cycle, from the
+  // start or from where RunUntil() stopped (tasks appended since included).
   void Run();
+
+  // Processes completion events until `stop`'s completion is the next event, and leaves
+  // that event unprocessed. The stopped engine may be copied; tasks may then be appended,
+  // each depending on a task that has not completed, and Run() finishes the simulation.
+  // Calling RunUntil again on a stopped engine moves it forward to a later stop.
+  void RunUntil(TaskId stop);
 
   // Returns the engine to its pre-Run, no-tasks state while keeping every allocation:
   // task storage, the event heap, and the resources themselves (names, lanes) survive,
   // with lane clocks and speed factors reset. This is the hot-loop reuse path — the
   // decision algorithm's evaluation contexts run thousands of simulations on one
-  // engine without reallocating.
+  // engine without reallocating. A stopped engine drops its pending work; a finished
+  // one must have drained every eligible queue.
   void Reset();
 
   double TaskStart(TaskId id) const;
@@ -141,6 +157,16 @@ class SimEngine {
     ++task.dependent_count;
     ++tasks_[to].unmet_deps;
   }
+  // Building: tasks and resources may be added. Stopped: RunUntil() left events pending;
+  // tasks may still be appended. Finished: Run() completed every task.
+  enum class Phase : uint8_t { kBuilding, kStopped, kFinished };
+
+  void PushEligible(TaskId id);
+  // Makes the root tasks eligible and dispatches at time 0.
+  void Start();
+  // Processes completion events in (time, id) order until `stop`'s completion is next
+  // or none remain (kNoDependency never stops).
+  void Advance(TaskId stop);
   void Dispatch(Resource& res, double now);
   template <typename Fn>
   void ForEachDependent(TaskId id, Fn&& fn) const;
@@ -156,7 +182,8 @@ class SimEngine {
   // insertion beats a binary heap. A member so Reset() keeps capacity.
   std::vector<std::pair<double, TaskId>> event_heap_;
   double makespan_ = 0.0;  // tracked during Run() to avoid a full post-run scan
-  bool ran_ = false;
+  size_t completed_ = 0;   // completion events processed so far
+  Phase phase_ = Phase::kBuilding;
 };
 
 template <typename Fn>

@@ -252,33 +252,162 @@ TEST(Timeline, EvalContextReuseIsByteIdentical) {
   }
 }
 
+// The candidate set for one cluster: every pruned candidate plus its CPU variant, so
+// PCIe schedules carry host copies in the prefix and in the resumed suffix.
+std::vector<CompressionOption> CandidatesWithCpuVariants(const ClusterSpec& cluster,
+                                                         const Compressor& compressor) {
+  std::vector<CompressionOption> candidates =
+      CandidateOptions(TreeConfig{cluster.machines, cluster.gpus_per_machine,
+                                  compressor.SupportsCompressedAggregation()});
+  const size_t gpu_count = candidates.size();
+  for (size_t j = 0; j < gpu_count; ++j) {
+    if (candidates[j].Compressed()) {
+      candidates.push_back(candidates[j].WithDevice(Device::kCpu));
+    }
+  }
+  return candidates;
+}
+
+// A base strategy mixing every candidate, so no index has a trivial prefix.
+Strategy MixedStrategy(size_t tensors, const std::vector<CompressionOption>& candidates) {
+  Strategy s;
+  for (size_t t = 0; t < tensors; ++t) {
+    s.options.push_back(candidates[(t * 5 + t / 7) % candidates.size()]);
+  }
+  return s;
+}
+
 TEST(Timeline, ScoreWithOptionMatchesSubstitutionWithoutMutation) {
-  // ScoreWithOption(base, i, c) must equal F(base with options[i] = c) and must leave
-  // the caller's strategy untouched — the selector relies on this to score candidates
-  // concurrently against one shared base strategy.
+  // The single-substitution score of candidate c at index i — ResumeWithOption from a
+  // checkpoint advanced to i — must equal F(base with options[i] = c) as a double, and
+  // must leave the caller's strategy untouched: the selector scores candidates
+  // concurrently against one shared base and checkpoint.
+  struct Case {
+    const char* name;
+    ModelProfile model;
+    ClusterSpec cluster;
+    bool zero_compression_cost;
+    ResourceScales scales;
+    bool fp32_base;
+  };
+  const ResourceScales degraded{.gpu = 0.7, .cpu = 0.45, .intra = 0.9, .inter = 0.6};
+  const std::vector<Case> cases = {
+      {"toy-nvlink", ToyModel(), NvlinkCluster(), false, {}, true},
+      {"gpt2-pcie", Gpt2(), PcieCluster(), false, {}, false},
+      {"gpt2-nvlink", Gpt2(), NvlinkCluster(), false, {}, false},
+      {"gpt2-pcie-degraded", Gpt2(), PcieCluster(), false, degraded, false},
+      {"gpt2-pcie-zero-cost", Gpt2(), PcieCluster(), true, {}, false},
+  };
+  const auto compressor = Dgc();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TimelineEvaluator evaluator(c.model, c.cluster, *compressor, c.zero_compression_cost);
+    evaluator.SetResourceScales(c.scales);
+    const std::vector<CompressionOption> candidates =
+        CandidatesWithCpuVariants(c.cluster, *compressor);
+    ASSERT_GE(candidates.size(), 2u);
+    const Strategy base = c.fp32_base ? Fp32Strategy(c.model, c.cluster)
+                                      : MixedStrategy(c.model.tensors.size(), candidates);
+    const Strategy before = base;
+    TimelineEvaluator::EvalContext ctx;
+    TimelineEvaluator::Checkpoint checkpoint;
+    for (size_t i = 0; i < base.size(); ++i) {
+      evaluator.AdvanceCheckpoint(base, i, &checkpoint);
+      ASSERT_EQ(checkpoint.index(), i);
+      for (const CompressionOption& candidate : candidates) {
+        Strategy substituted = base;
+        substituted.options[i] = candidate;
+        EXPECT_EQ(evaluator.ResumeWithOption(checkpoint, base, candidate, &ctx),
+                  evaluator.IterationTime(substituted))
+            << "tensor " << i << " candidate " << candidate.label;
+      }
+    }
+    for (size_t i = 0; i < base.size(); ++i) {
+      EXPECT_EQ(base.options[i], before.options[i]) << "base mutated at " << i;
+    }
+  }
+}
+
+TEST(Timeline, CheckpointAdvancesInPlaceAcrossASweep) {
+  // A refinement sweep: ascending indices, and between advances the base changes only
+  // at the checkpoint's own index. Every resume must match a checkpoint rebuilt from
+  // scratch and a full simulation; advancing counts no simulation, and each resume
+  // counts exactly one.
+  const ModelProfile model = Gpt2();
+  const ClusterSpec cluster = PcieCluster();
+  const auto compressor = Dgc();
+  TimelineEvaluator evaluator(model, cluster, *compressor);
+  const std::vector<CompressionOption> candidates =
+      CandidatesWithCpuVariants(cluster, *compressor);
+  Strategy base = MixedStrategy(model.tensors.size(), candidates);
+  TimelineEvaluator::EvalContext ctx;
+  TimelineEvaluator::Checkpoint checkpoint;
+  for (size_t i = 0; i < base.size(); ++i) {
+    uint64_t simulations = evaluator.simulations();
+    evaluator.AdvanceCheckpoint(base, i, &checkpoint);
+    TimelineEvaluator::Checkpoint rebuilt;
+    evaluator.AdvanceCheckpoint(base, i, &rebuilt);
+    EXPECT_EQ(evaluator.simulations(), simulations);
+    for (size_t j = i % 3; j < candidates.size(); j += 3) {
+      const CompressionOption& candidate = candidates[j];
+      simulations = evaluator.simulations();
+      const double resumed = evaluator.ResumeWithOption(checkpoint, base, candidate, &ctx);
+      EXPECT_EQ(evaluator.simulations(), simulations + 1);
+      EXPECT_EQ(resumed, evaluator.ResumeWithOption(rebuilt, base, candidate, &ctx))
+          << "tensor " << i << " candidate " << candidate.label;
+      Strategy substituted = base;
+      substituted.options[i] = candidate;
+      EXPECT_EQ(resumed, evaluator.IterationTime(substituted))
+          << "tensor " << i << " candidate " << candidate.label;
+    }
+    base.options[i] = candidates[(i * 3 + 1) % candidates.size()];
+  }
+}
+
+TEST(Timeline, CheckpointRebuildsWhenItsPrefixOrScalesChange) {
+  const ModelProfile model = Gpt2();
+  const ClusterSpec cluster = PcieCluster();
+  const auto compressor = Dgc();
+  TimelineEvaluator evaluator(model, cluster, *compressor);
+  const std::vector<CompressionOption> candidates =
+      CandidatesWithCpuVariants(cluster, *compressor);
+  Strategy base = MixedStrategy(model.tensors.size(), candidates);
+  const CompressionOption& candidate = candidates.back();
+  auto full = [&](const Strategy& s, size_t i) {
+    Strategy substituted = s;
+    substituted.options[i] = candidate;
+    return evaluator.IterationTime(substituted);
+  };
+  TimelineEvaluator::Checkpoint checkpoint;
+  evaluator.AdvanceCheckpoint(base, 40, &checkpoint);
+  EXPECT_EQ(evaluator.ResumeWithOption(checkpoint, base, candidate, nullptr), full(base, 40));
+
+  // An option below the checkpoint's index changes: a later index must rebuild.
+  base.options[3] = candidates[(base.options[3] == candidates[0]) ? 1 : 0];
+  evaluator.AdvanceCheckpoint(base, 60, &checkpoint);
+  EXPECT_EQ(evaluator.ResumeWithOption(checkpoint, base, candidate, nullptr), full(base, 60));
+
+  // An earlier index rebuilds too.
+  evaluator.AdvanceCheckpoint(base, 10, &checkpoint);
+  EXPECT_EQ(evaluator.ResumeWithOption(checkpoint, base, candidate, nullptr), full(base, 10));
+
+  // New resource scales: the stopped engine was timed under the old ones.
+  evaluator.SetResourceScales(ResourceScales{.gpu = 0.5, .cpu = 1.0, .intra = 0.8, .inter = 1.0});
+  evaluator.AdvanceCheckpoint(base, 20, &checkpoint);
+  EXPECT_EQ(evaluator.ResumeWithOption(checkpoint, base, candidate, nullptr), full(base, 20));
+}
+
+TEST(TimelineDeathTest, ResumeRejectsACheckpointFromOtherScales) {
   const ModelProfile model = ToyModel();
   const ClusterSpec cluster = NvlinkCluster();
   const auto compressor = Dgc();
   TimelineEvaluator evaluator(model, cluster, *compressor);
-  const std::vector<CompressionOption> candidates =
-      CandidateOptions(TreeConfig{cluster.machines, cluster.gpus_per_machine,
-                                  compressor->SupportsCompressedAggregation()});
-  ASSERT_GE(candidates.size(), 2u);
   const Strategy base = Fp32Strategy(model, cluster);
-  const Strategy before = base;
-  TimelineEvaluator::EvalContext ctx;
-  for (size_t i = 0; i < base.size(); ++i) {
-    for (const CompressionOption& candidate : candidates) {
-      Strategy substituted = base;
-      substituted.options[i] = candidate;
-      EXPECT_EQ(evaluator.ScoreWithOption(base, i, candidate, &ctx),
-                evaluator.IterationTime(substituted))
-          << "tensor " << i << " candidate " << candidate.label;
-    }
-  }
-  for (size_t i = 0; i < base.size(); ++i) {
-    EXPECT_EQ(base.options[i], before.options[i]) << "base mutated at " << i;
-  }
+  TimelineEvaluator::Checkpoint checkpoint;
+  evaluator.AdvanceCheckpoint(base, 1, &checkpoint);
+  evaluator.SetResourceScales(ResourceScales{.gpu = 0.5});
+  EXPECT_DEATH(evaluator.ResumeWithOption(checkpoint, base, base.options[1], nullptr),
+               "resource scales");
 }
 
 TEST(Timeline, ScoreWithOverridesMatchesMaterializedStrategy) {

@@ -102,10 +102,12 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 #include "src/collectives/schemes.h"
 #include "src/core/baselines.h"
 #include "src/core/decision_tree.h"
+#include "src/core/timeline.h"
 #include "src/ddl/strategy_executor.h"
 #include "src/mem/buffer_pool.h"
 #include "src/mem/compressed_tensor_pool.h"
 #include "src/mem/workspace.h"
+#include "src/models/model_zoo.h"
 #include "src/util/rng.h"
 
 namespace espresso {
@@ -319,6 +321,45 @@ TEST(AllocationCount, ExecutorSteadyStateIsAllocationFree) {
   }
   const std::uint64_t delta = AllocationCount() - before;
   EXPECT_EQ(delta, 0u);
+}
+
+// Checkpointed candidate scoring (docs/PERFORMANCE.md): once a checkpoint and a context
+// have been through one sweep, a sweep that advances the checkpoint over every tensor
+// and resumes every candidate from it allocates nothing. The resume copy-assigns the
+// stopped engine into the context's storage, which keeps its capacity.
+TEST(AllocationCount, TimelineCheckpointSweepIsAllocationFree) {
+#ifdef ESPRESSO_VERIFY_SCHEDULES
+  GTEST_SKIP() << "the schedule verifier materializes every simulated timeline";
+#endif
+  const ModelProfile model = Gpt2();
+  const ClusterSpec cluster = PcieCluster();
+  const auto dgc = CreateCompressor(CompressorConfig{.algorithm = "dgc", .ratio = 0.01});
+  const TimelineEvaluator evaluator(model, cluster, *dgc);
+  std::vector<CompressionOption> candidates = CandidateOptions(
+      TreeConfig{cluster.machines, cluster.gpus_per_machine,
+                 dgc->SupportsCompressedAggregation()});
+  candidates.push_back(candidates.back().WithDevice(Device::kCpu));  // PCIe host copies
+  Strategy base;
+  for (size_t t = 0; t < model.tensors.size(); ++t) {
+    base.options.push_back(candidates[t % candidates.size()]);
+  }
+  TimelineEvaluator::Checkpoint checkpoint;
+  TimelineEvaluator::EvalContext ctx;
+  double total = 0.0;
+  auto sweep = [&] {
+    for (size_t i = 0; i < base.size(); ++i) {
+      evaluator.AdvanceCheckpoint(base, i, &checkpoint);  // rebuilt at 0, then in place
+      for (const CompressionOption& candidate : candidates) {
+        total += evaluator.ResumeWithOption(checkpoint, base, candidate, &ctx);
+      }
+    }
+  };
+  sweep();
+  const std::uint64_t before = AllocationCount();
+  sweep();
+  const std::uint64_t delta = AllocationCount() - before;
+  EXPECT_EQ(delta, 0u);
+  EXPECT_GT(total, 0.0);
 }
 
 // Same guarantee through the sparse compressed-domain aggregation paths (shared-seed

@@ -179,6 +179,36 @@ TEST(SelectionService, HostileThreadBudgetIsClampedNotFatal) {
   EXPECT_EQ(ServedIr(response), ServedIr(reference));
 }
 
+// An offload budget past the service's cap (2^18) is refused where it is parsed.
+// Uncapped, a budget above a triple's exhaustive Algorithm-2 space makes the selector
+// materialize that whole space, and a large enough one killed the process in
+// std::bad_alloc. 2^64-1 does not fit RequestBudget's int64_t, so it goes out as raw
+// JSON.
+TEST(SelectionService, HostileOffloadBudgetIsRefusedNotFatal) {
+  SelectionService service({}, nullptr);
+  RequestBudget hostile;
+  hostile.offload_search_budget = 1'000'000'000'000;
+  const std::string huge = service.HandleRequest(Select("huge", "alice", hostile));
+  EXPECT_EQ(ErrorCode(huge), "malformed-request");
+  EXPECT_NE(huge.find("at most 262144"), std::string::npos) << huge;
+
+  RequestBudget marker;
+  marker.offload_search_budget = 7;
+  std::string max_request = Select("max", "alice", marker);
+  const std::string field = "\"offload_search_budget\":7";
+  const size_t at = max_request.find(field);
+  ASSERT_NE(at, std::string::npos) << max_request;
+  max_request.replace(at, field.size(), "\"offload_search_budget\":18446744073709551615");
+  const std::string max = service.HandleRequest(max_request);
+  EXPECT_EQ(ErrorCode(max), "malformed-request");
+  EXPECT_NE(max.find("at most 262144"), std::string::npos) << max;
+
+  RequestBudget at_cap;
+  at_cap.offload_search_budget = int64_t{1} << 18;
+  EXPECT_EQ(ErrorCode(service.HandleRequest(Select("cap", "alice", at_cap))), "");
+  EXPECT_EQ(ErrorCode(service.HandleRequest(Select("plain", "alice"))), "");
+}
+
 TEST(SelectionService, OverCapacityIsATypedError) {
   ServiceConfig config;
   config.max_inflight = 0;  // no slots: every select is refused at admission

@@ -4,7 +4,9 @@
 //   (2) a resource never runs more tasks concurrently than it has lanes,
 //   (3) work conservation: a task never waits while a lane it could use is idle
 //       (checked as: start == max(ready, some-lane-free-time)),
-//   (4) determinism across identical builds.
+//   (4) determinism across identical builds,
+//   (5) stopping with RunUntil at any task, copying the stopped engine and finishing
+//       the copy reproduces the one-shot schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,7 +56,7 @@ FuzzCase MakeCase(uint64_t seed) {
   return c;
 }
 
-double RunCase(const FuzzCase& c, std::vector<TaskRecord>* records) {
+SimEngine BuildCase(const FuzzCase& c) {
   SimEngine engine;
   for (size_t r = 0; r < c.lanes.size(); ++r) {
     engine.AddPoolResource("r" + std::to_string(r), c.lanes[r]);
@@ -62,6 +64,11 @@ double RunCase(const FuzzCase& c, std::vector<TaskRecord>* records) {
   for (const FuzzTask& t : c.tasks) {
     engine.AddTask("", t.resource, t.duration, t.deps, t.priority);
   }
+  return engine;
+}
+
+double RunCase(const FuzzCase& c, std::vector<TaskRecord>* records) {
+  SimEngine engine = BuildCase(c);
   engine.Run();
   *records = engine.Records();
   return engine.Makespan();
@@ -136,6 +143,25 @@ TEST_P(EngineFuzz, ScheduleInvariantsHold) {
   for (size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(again[i].start, records[i].start);
     EXPECT_EQ(again[i].end, records[i].end);
+  }
+}
+
+TEST_P(EngineFuzz, StoppedCopyResumesToTheOneShotSchedule) {
+  const FuzzCase c = MakeCase(GetParam());
+  std::vector<TaskRecord> expected;
+  const double makespan = RunCase(c, &expected);
+  const SimEngine built = BuildCase(c);
+  for (TaskId stop = 0; stop < static_cast<TaskId>(c.tasks.size()); ++stop) {
+    SimEngine stopped = built;
+    stopped.RunUntil(stop);
+    SimEngine resumed = stopped;
+    resumed.Run();
+    EXPECT_EQ(resumed.Makespan(), makespan) << "stop " << stop;
+    const std::vector<TaskRecord> records = resumed.Records();
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].start, expected[i].start) << "stop " << stop << " task " << i;
+      EXPECT_EQ(records[i].end, expected[i].end) << "stop " << stop << " task " << i;
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace espresso {
 namespace {
 
@@ -215,6 +219,192 @@ TEST(SimEngine, ChainTasksMatchAddTaskAfter) {
     return engine.Makespan();
   };
   EXPECT_EQ(run(true), run(false));
+}
+
+// A DAG shaped like a training timeline: a backward-compute chain on a serial "gpu"
+// (tasks 0..n-1, priority i), then each tensor's op chain hanging off its compute task
+// with priority i, over the gpu, a two-lane "cpu" pool and two serial links. Integer
+// durations make many completions share a timestamp.
+struct TimelineDag {
+  size_t tensors = 0;
+  // ops[i] = (resource, duration) of tensor i's chain, in order.
+  std::vector<std::vector<std::pair<ResourceId, double>>> ops;
+};
+
+TimelineDag MakeTimelineDag(size_t tensors, unsigned salt) {
+  TimelineDag dag;
+  dag.tensors = tensors;
+  dag.ops.resize(tensors);
+  for (size_t i = 0; i < tensors; ++i) {
+    const size_t count = (i * 7 + salt) % 4;  // some tensors have no ops at all
+    for (size_t k = 0; k < count; ++k) {
+      const auto resource = static_cast<ResourceId>((i + k * 3 + salt) % 4);
+      dag.ops[i].emplace_back(resource, static_cast<double>((i + 2 * k + salt) % 3));
+    }
+  }
+  return dag;
+}
+
+void AddResources(SimEngine& engine) {
+  engine.AddSerialResource("gpu");
+  engine.AddPoolResource("cpu", 2);
+  engine.AddSerialResource("intra");
+  engine.AddSerialResource("inter");
+}
+
+void AddComputeChain(const TimelineDag& dag, SimEngine& engine) {
+  for (size_t i = 0; i < dag.tensors; ++i) {
+    engine.AddChainTask(0, 1.0 + static_cast<double>(i % 2),
+                        i == 0 ? SimEngine::kNoDependency : static_cast<TaskId>(i - 1),
+                        static_cast<int>(i));
+  }
+}
+
+void AddTensorOps(const TimelineDag& dag, size_t i, SimEngine& engine) {
+  TaskId prev = static_cast<TaskId>(i);
+  for (const auto& [resource, duration] : dag.ops[i]) {
+    prev = engine.AddChainTask(resource, duration, prev, static_cast<int>(i));
+  }
+}
+
+TEST(SimEngine, ResumeFromStoppedCopyMatchesOneShotRun) {
+  for (unsigned salt = 0; salt < 4; ++salt) {
+    const TimelineDag dag = MakeTimelineDag(12, salt);
+    SimEngine one_shot;
+    AddResources(one_shot);
+    AddComputeChain(dag, one_shot);
+    for (size_t i = 0; i < dag.tensors; ++i) {
+      AddTensorOps(dag, i, one_shot);
+    }
+    one_shot.Run();
+
+    for (size_t stop = 0; stop < dag.tensors; ++stop) {
+      SCOPED_TRACE("salt " + std::to_string(salt) + " stop " + std::to_string(stop));
+      // The prefix: every compute task plus the ops of the tensors before `stop`.
+      SimEngine prefix;
+      AddResources(prefix);
+      AddComputeChain(dag, prefix);
+      for (size_t i = 0; i < stop; ++i) {
+        AddTensorOps(dag, i, prefix);
+      }
+      prefix.RunUntil(static_cast<TaskId>(stop));
+      // Two resumes from the same stopped engine: a copy must not disturb it.
+      for (int round = 0; round < 2; ++round) {
+        SimEngine resumed;
+        AddResources(resumed);  // copy-assignment over an engine with its own storage
+        resumed = prefix;
+        for (size_t i = stop; i < dag.tensors; ++i) {
+          AddTensorOps(dag, i, resumed);
+        }
+        resumed.Run();
+        ASSERT_EQ(resumed.TaskCount(), one_shot.TaskCount());
+        for (TaskId id = 0; id < static_cast<TaskId>(one_shot.TaskCount()); ++id) {
+          EXPECT_EQ(resumed.TaskStart(id), one_shot.TaskStart(id)) << "task " << id;
+          EXPECT_EQ(resumed.TaskEnd(id), one_shot.TaskEnd(id)) << "task " << id;
+        }
+        EXPECT_EQ(resumed.Makespan(), one_shot.Makespan());
+      }
+    }
+  }
+}
+
+TEST(SimEngine, RunUntilAdvancesAStoppedEngineInPlace) {
+  // Stop at tensor 2, append tensors 2..6, stop again at 7, then finish: the same
+  // schedule as one stop at 7.
+  const TimelineDag dag = MakeTimelineDag(10, 1);
+  SimEngine direct;
+  AddResources(direct);
+  AddComputeChain(dag, direct);
+  for (size_t i = 0; i < 7; ++i) {
+    AddTensorOps(dag, i, direct);
+  }
+  direct.RunUntil(7);
+
+  SimEngine stepped;
+  AddResources(stepped);
+  AddComputeChain(dag, stepped);
+  for (size_t i = 0; i < 2; ++i) {
+    AddTensorOps(dag, i, stepped);
+  }
+  stepped.RunUntil(2);
+  stepped.RunUntil(2);  // already there: a no-op
+  for (size_t i = 2; i < 7; ++i) {
+    AddTensorOps(dag, i, stepped);
+  }
+  stepped.RunUntil(7);
+
+  for (SimEngine* engine : {&direct, &stepped}) {
+    for (size_t i = 7; i < dag.tensors; ++i) {
+      AddTensorOps(dag, i, *engine);
+    }
+    engine->Run();
+  }
+  ASSERT_EQ(direct.TaskCount(), stepped.TaskCount());
+  for (TaskId id = 0; id < static_cast<TaskId>(direct.TaskCount()); ++id) {
+    EXPECT_EQ(stepped.TaskStart(id), direct.TaskStart(id)) << "task " << id;
+  }
+  EXPECT_EQ(stepped.Makespan(), direct.Makespan());
+}
+
+TEST(SimEngine, ResetAfterRunUntilDropsPendingWork) {
+  // Stopped with tasks still queued on the pool and the gpu; Reset() must discard
+  // them so the next cycle schedules exactly like a fresh engine.
+  SimEngine engine;
+  const ResourceId gpu = engine.AddSerialResource("gpu");
+  const ResourceId pool = engine.AddPoolResource("cpu", 2);
+  const TaskId root = engine.AddTask("root", gpu, 1.0, {}, 0);
+  for (int k = 0; k < 5; ++k) {
+    engine.AddTask("", pool, 2.0, {root}, k);
+    engine.AddTask("", gpu, 1.0, {root}, k);
+  }
+  const TaskId last = engine.AddTask("last", gpu, 1.0, {root}, 9);
+  engine.RunUntil(last - 1);
+  engine.Reset();
+  EXPECT_EQ(engine.TaskCount(), 0u);
+
+  auto build = [](SimEngine& e, ResourceId r, ResourceId p) {
+    TaskId prev = SimEngine::kNoDependency;
+    for (int i = 0; i < 8; ++i) {
+      prev = e.AddChainTask(i % 2 == 0 ? r : p, 0.5 * (i + 1), prev, i);
+    }
+  };
+  build(engine, gpu, pool);
+  engine.Run();
+  SimEngine fresh;
+  const ResourceId fresh_gpu = fresh.AddSerialResource("gpu");
+  const ResourceId fresh_pool = fresh.AddPoolResource("cpu", 2);
+  build(fresh, fresh_gpu, fresh_pool);
+  fresh.Run();
+  EXPECT_EQ(engine.Makespan(), fresh.Makespan());
+}
+
+TEST(SimEngineDeathTest, ResumedRunStillRequiresEveryTaskToComplete) {
+  // A task appended after its dependency completed can never run; the end-of-Run
+  // check catches it on a resumed engine as on a one-shot one.
+  SimEngine engine;
+  const ResourceId r = engine.AddSerialResource("r");
+  const TaskId a = engine.AddTask("a", r, 1.0, {}, 0);
+  const TaskId b = engine.AddTask("b", r, 1.0, {a}, 0);
+  engine.RunUntil(b);
+  engine.AddTaskAfter("orphan", r, 1.0, a, 0);
+  EXPECT_DEATH(engine.Run(), "unreachable task");
+}
+
+TEST(SimEngineDeathTest, RunUntilACompletedTaskDies) {
+  SimEngine engine;
+  const ResourceId r = engine.AddSerialResource("r");
+  const TaskId a = engine.AddTask("a", r, 1.0, {}, 0);
+  const TaskId b = engine.AddTask("b", r, 1.0, {a}, 0);
+  engine.RunUntil(b);
+  EXPECT_DEATH(engine.RunUntil(a), "completed earlier");
+}
+
+TEST(SimEngineDeathTest, RootTaskOnStoppedEngineRejected) {
+  SimEngine engine;
+  const ResourceId r = engine.AddSerialResource("r");
+  const TaskId a = engine.AddTask("a", r, 1.0, {}, 0);
+  engine.RunUntil(a);
+  EXPECT_DEATH(engine.AddTask("root", r, 1.0, {}, 0), "needs a dependency");
 }
 
 TEST(SimEngineDeathTest, ForwardDependencyRejected) {
