@@ -2,7 +2,7 @@
 // GC information, and training-system information — selects a near-optimal compression
 // strategy offline, and reports the per-tensor decisions and the predicted speedup.
 //
-// Usage: espresso_cli <model.ini> <gc.ini> <system.ini> [strategy-out.esp]
+// Usage: espresso_cli <model.ini> <gc.ini> <system.ini>
 //                     [--ir-out=<file>] [--ir-in=<file>] [--force-digest]
 //                     [--metrics-out=<file>]... [--trace-out=<file>]...
 // Try:   espresso_cli configs/model_gpt2.ini configs/gc_dgc.ini configs/system_nvlink.ini
@@ -27,7 +27,6 @@
 #include "src/analysis/ir_validator.h"
 #include "src/core/baselines.h"
 #include "src/core/espresso.h"
-#include "src/core/strategy_io.h"
 #include "src/core/strategy_ir.h"
 #include "src/ddl/experiment.h"
 #include "src/ddl/job_config.h"
@@ -68,9 +67,8 @@ int main(int argc, char** argv) {
         break;
     }
   }
-  if (positional.size() != 3 && positional.size() != 4) {
-    std::cerr << "usage: " << argv[0]
-              << " <model.ini> <gc.ini> <system.ini> [strategy-out.esp]"
+  if (positional.size() != 3) {
+    std::cerr << "usage: " << argv[0] << " <model.ini> <gc.ini> <system.ini>"
               << " [--ir-out=<file>] [--ir-in=<file>] [--force-digest]"
               << " [--metrics-out=<file>]... [--trace-out=<file>]...\n";
     return 2;
@@ -174,14 +172,6 @@ int main(int argc, char** argv) {
       std::printf("  ... (%zu more tensors)\n", job.model.tensors.size() - 12);
       break;
     }
-  }
-  if (positional.size() == 4) {
-    if (!WriteStrategyFile(positional[3], result.strategy)) {
-      std::cerr << "error: cannot write " << positional[3] << "\n";
-      return 1;
-    }
-    std::cout << "\nStrategy written to " << positional[3]
-              << " (load it in the runtime with ReadStrategyFile)\n";
   }
   if (!ir_out.empty()) {
     StrategyProvenance provenance;

@@ -617,16 +617,30 @@ void RunDifferentialPass(const TreeConfig& tree, const ModelProfile& model,
                                ": " + ec.message());
       return;
     }
-    std::ofstream manifest(options.emit_corpus_dir + "/MANIFEST.tsv");
-    manifest << "file\texpect\n";
-    for (const CorpusEntry& entry : corpus) {
-      const std::string filename = entry.name + ".esp";
-      std::ofstream file(options.emit_corpus_dir + "/" + filename);
-      file << entry.text;
-      manifest << filename << '\t' << entry.expect << '\n';
+    // Every write is checked: a file that cannot be written (a directory in its way, a
+    // full disk) is an error, and only files that reached the disk are counted and
+    // listed in the manifest.
+    auto write_file = [&](const std::string& filename, const std::string& text) {
+      const std::string path = options.emit_corpus_dir + "/" + filename;
+      std::ofstream file(path);
+      file << text;
+      file.close();
+      if (!file) {
+        out->report.AddError(rules::kEscValidatorSplit, Diagnostic::kStrategyScope,
+                             "cannot write corpus file " + path);
+        return false;
+      }
       ++out->stats.corpus_files_written;
+      return true;
+    };
+    std::string manifest = "file\texpect\n";
+    for (const CorpusEntry& entry : corpus) {
+      const std::string filename = entry.name + ".ir.json";
+      if (write_file(filename, entry.text)) {
+        manifest += filename + '\t' + entry.expect + '\n';
+      }
     }
-    ++out->stats.corpus_files_written;  // the manifest itself
+    write_file("MANIFEST.tsv", manifest);
   }
 }
 

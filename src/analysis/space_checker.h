@@ -38,7 +38,7 @@
 //      documents; compiles each through the strategy IR writer and requires that the
 //      StrategyLinter verdict and the ValidateStrategyIR admission verdict agree on
 //      every round-tripped document, and that tampered documents fail to parse. The
-//      corpus can be emitted to disk (MANIFEST.tsv + .esp files) for the committed
+//      corpus can be emitted to disk (MANIFEST.tsv + .ir.json files) for the committed
 //      regression corpus under tests/analysis/corpus/.
 //
 // `inject` plants one known violation per mode so CI can prove each pass actually
@@ -96,8 +96,9 @@ struct SpaceCheckOptions {
   size_t corpus_strategies = 4;
   uint64_t corpus_seed = 0x5ca1ab1eULL;
 
-  // When non-empty, the differential pass writes the corpus (MANIFEST.tsv + .esp files)
-  // into this directory (created if missing).
+  // When non-empty, the differential pass writes the corpus (MANIFEST.tsv + .ir.json
+  // files) into this directory (created if missing). A file that cannot be written is
+  // an error diagnostic; corpus_files_written counts only the files written.
   std::string emit_corpus_dir;
 
   SpaceCheckInject inject = SpaceCheckInject::kNone;

@@ -6,12 +6,12 @@
 // input failure.
 //
 // Usage:
-//   strategy_lint <model.ini> <gc.ini> <system.ini> [strategy.esp]
+//   strategy_lint <model.ini> <gc.ini> <system.ini>
 //                 [--json <path>] [--no-schedule] [--no-dominance]
 //                 [--ir <path>] [--force-digest]
 //                 [--inject overlap|illegal-option|dominated|stale-digest]
 //
-// With no strategy file, the Espresso selector chooses one (the common CI mode: lint
+// Without --ir, the Espresso selector chooses the strategy (the common CI mode: lint
 // what the selector would actually ship). --ir validates a versioned strategy IR
 // document (docs/DEPLOYMENT.md) against the three configs instead: the full fail-closed
 // admission pipeline — digest comparison, lint, schedule verification — with
@@ -32,7 +32,6 @@
 #include "src/core/baselines.h"
 #include "src/core/decision_tree.h"
 #include "src/core/espresso.h"
-#include "src/core/strategy_io.h"
 #include "src/core/strategy_ir.h"
 #include "src/core/timeline.h"
 #include "src/ddl/job_config.h"
@@ -43,7 +42,7 @@ using namespace espresso;
 
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " <model.ini> <gc.ini> <system.ini> [strategy.esp]\n"
+            << " <model.ini> <gc.ini> <system.ini>\n"
                "         [--json <path>] [--no-schedule] [--no-dominance]\n"
                "         [--ir <path>] [--force-digest]\n"
                "         [--inject overlap|illegal-option|dominated|stale-digest]\n";
@@ -127,16 +126,12 @@ int main(int argc, char** argv) {
       positional.push_back(arg);
     }
   }
-  if (positional.size() < 3 || positional.size() > 4) {
+  if (positional.size() != 3) {
     return Usage(argv[0]);
   }
   if (!inject.empty() && inject != "overlap" && inject != "illegal-option" &&
       inject != "dominated" && inject != "stale-digest") {
     std::cerr << "unknown --inject mode: " << inject << "\n";
-    return Usage(argv[0]);
-  }
-  if (!ir_path.empty() && positional.size() == 4) {
-    std::cerr << "error: --ir and a strategy.esp file are mutually exclusive\n";
     return Usage(argv[0]);
   }
   if (inject == "stale-digest" && !ir_path.empty()) {
@@ -208,14 +203,7 @@ int main(int argc, char** argv) {
   }
 
   Strategy strategy;
-  if (positional.size() == 4) {
-    StrategyParseResult parsed = ReadStrategyFile(positional[3]);
-    if (!parsed.ok) {
-      std::cerr << "error: " << parsed.error << "\n";
-      return 2;
-    }
-    strategy = std::move(parsed.strategy);
-  } else if (inject == "dominated") {
+  if (inject == "dominated") {
     strategy = InjectDominated(job.model, job.cluster);
   } else {
     SelectorOptions options;

@@ -1,9 +1,5 @@
 #include "src/collectives/primitives.h"
 
-#include <algorithm>
-
-#include "src/util/logging.h"
-
 namespace espresso {
 
 std::vector<float> NaiveSum(const RankBuffers& buffers) {
@@ -15,175 +11,6 @@ std::vector<float> NaiveSum(const RankBuffers& buffers) {
     }
   }
   return sum;
-}
-
-CollectiveTraffic AllReduce(RankBuffers& buffers, mem::CollectiveWorkspace* workspace) {
-  const size_t n = CheckUniformSize(buffers);
-  const size_t p = buffers.size();
-  CollectiveTraffic traffic;
-  if (p == 1) {
-    return traffic;
-  }
-  // Ring allreduce: p-1 reduce-scatter rounds followed by p-1 allgather rounds.
-  // Each rank sends one partition per round.
-  const Partition part(n, p);
-
-  // Reduce-scatter phase: after round s, rank r has accumulated (s+1) contributions in
-  // the chunk it will own. We simulate the rounds explicitly for faithful traffic
-  // accounting, accumulating into working copies drawn from the workspace (persistent
-  // `ring_work` for the copies, arena spans for the in-flight chunks).
-  mem::CollectiveWorkspace& ws = mem::Resolve(workspace);
-  mem::ArenaScope scope(ws.arena);
-  RankBuffers& work = ws.ring_work;
-  // Grow-only: shrinking would destroy warm per-rank copies when calls with different
-  // rank counts share one workspace. Entries past p sit unused.
-  if (work.size() < p) {
-    work.resize(p);
-  }
-  for (size_t r = 0; r < p; ++r) {
-    work[r].assign(buffers[r].begin(), buffers[r].end());
-  }
-  const size_t max_len = part.Length(0);  // partition lengths are non-increasing
-  std::span<float> flight = ws.arena.Alloc<float>(p * max_len);
-  std::span<size_t> flight_len = ws.arena.Alloc<size_t>(p);
-  std::span<size_t> chunk_of = ws.arena.Alloc<size_t>(p);
-  for (size_t step = 0; step + 1 < p; ++step) {
-    // In round `step`, rank r sends chunk (r - step) mod p to rank (r + 1) mod p.
-    for (size_t r = 0; r < p; ++r) {
-      const size_t chunk = (r + p - step) % p;
-      const size_t off = part.Offset(chunk);
-      const size_t len = part.Length(chunk);
-      flight_len[r] = len;
-      std::copy(work[r].begin() + static_cast<ptrdiff_t>(off),
-                work[r].begin() + static_cast<ptrdiff_t>(off + len),
-                flight.begin() + static_cast<ptrdiff_t>(r * max_len));
-    }
-    for (size_t r = 0; r < p; ++r) {
-      const size_t dst = (r + 1) % p;
-      const size_t chunk = (r + p - step) % p;
-      const size_t off = part.Offset(chunk);
-      for (size_t i = 0; i < flight_len[r]; ++i) {
-        work[dst][off + i] += flight[r * max_len + i];
-      }
-    }
-  }
-  // After p-1 rounds, rank r owns the fully reduced chunk (r + 1) mod p.
-  // Allgather phase: circulate owned chunks for p-1 rounds.
-  for (size_t step = 0; step + 1 < p; ++step) {
-    for (size_t r = 0; r < p; ++r) {
-      const size_t chunk = (r + 1 + p - step) % p;
-      chunk_of[r] = chunk;
-      const size_t off = part.Offset(chunk);
-      const size_t len = part.Length(chunk);
-      flight_len[r] = len;
-      std::copy(work[r].begin() + static_cast<ptrdiff_t>(off),
-                work[r].begin() + static_cast<ptrdiff_t>(off + len),
-                flight.begin() + static_cast<ptrdiff_t>(r * max_len));
-    }
-    for (size_t r = 0; r < p; ++r) {
-      const size_t dst = (r + 1) % p;
-      const size_t off = part.Offset(chunk_of[r]);
-      std::copy(flight.begin() + static_cast<ptrdiff_t>(r * max_len),
-                flight.begin() + static_cast<ptrdiff_t>(r * max_len + flight_len[r]),
-                work[dst].begin() + static_cast<ptrdiff_t>(off));
-    }
-  }
-  for (size_t r = 0; r < p; ++r) {
-    std::copy(work[r].begin(), work[r].end(), buffers[r].begin());
-  }
-  // Per-rank traffic: 2(p-1)/p * n floats.
-  traffic.bytes_sent_per_rank = 2 * (p - 1) * (n / p + (n % p != 0 ? 1 : 0)) * sizeof(float);
-  traffic.communication_steps = 2 * (p - 1);
-  return traffic;
-}
-
-CollectiveTraffic ReduceScatter(const RankBuffers& buffers,
-                                std::vector<std::vector<float>>* out_shards) {
-  ESP_CHECK(out_shards != nullptr);
-  const size_t n = CheckUniformSize(buffers);
-  const size_t p = buffers.size();
-  const Partition part(n, p);
-  // resize + per-shard assign (not assign(p, {})) so shard capacities survive
-  // repeated calls on stable shapes.
-  out_shards->resize(p);
-  for (size_t r = 0; r < p; ++r) {
-    const size_t off = part.Offset(r);
-    const size_t len = part.Length(r);
-    auto& shard = (*out_shards)[r];
-    shard.assign(len, 0.0f);
-    for (const auto& b : buffers) {
-      for (size_t i = 0; i < len; ++i) {
-        shard[i] += b[off + i];
-      }
-    }
-  }
-  CollectiveTraffic traffic;
-  traffic.bytes_sent_per_rank =
-      (p - 1) * (n / p + (n % p != 0 ? 1 : 0)) * sizeof(float);
-  traffic.communication_steps = p - 1;
-  return traffic;
-}
-
-CollectiveTraffic AllGather(const std::vector<std::vector<float>>& shards,
-                            RankBuffers* buffers) {
-  ESP_CHECK(buffers != nullptr);
-  const size_t p = shards.size();
-  ESP_CHECK_GT(p, 0u);
-  size_t n = 0;
-  for (const auto& s : shards) {
-    n += s.size();
-  }
-  const Partition part(n, p);
-  for (size_t r = 0; r < p; ++r) {
-    ESP_CHECK_EQ(shards[r].size(), part.Length(r));
-  }
-  // resize (not assign of fresh vectors) keeps each destination buffer's capacity;
-  // the shard copies below tile [0, n) exactly, so no zero-fill is needed.
-  buffers->resize(p);
-  for (auto& b : *buffers) {
-    b.resize(n);
-  }
-  for (size_t dst = 0; dst < p; ++dst) {
-    for (size_t src = 0; src < p; ++src) {
-      std::copy(shards[src].begin(), shards[src].end(),
-                (*buffers)[dst].begin() + static_cast<ptrdiff_t>(part.Offset(src)));
-    }
-  }
-  CollectiveTraffic traffic;
-  traffic.bytes_sent_per_rank =
-      (p - 1) * (n / p + (n % p != 0 ? 1 : 0)) * sizeof(float);
-  traffic.communication_steps = p - 1;
-  return traffic;
-}
-
-CollectiveTraffic Reduce(const RankBuffers& buffers, size_t root, std::vector<float>* out) {
-  ESP_CHECK(out != nullptr);
-  const size_t n = CheckUniformSize(buffers);
-  const size_t p = buffers.size();
-  ESP_CHECK_LT(root, p);
-  // In-place NaiveSum (same accumulation order) so `out` keeps its capacity.
-  out->assign(n, 0.0f);
-  for (const auto& b : buffers) {
-    for (size_t i = 0; i < n; ++i) {
-      (*out)[i] += b[i];
-    }
-  }
-  CollectiveTraffic traffic;
-  traffic.bytes_sent_per_rank = (p - 1) * n * sizeof(float) / p;  // pipelined tree average
-  traffic.communication_steps = p - 1;
-  return traffic;
-}
-
-CollectiveTraffic Broadcast(const std::vector<float>& value, RankBuffers* buffers) {
-  ESP_CHECK(buffers != nullptr);
-  ESP_CHECK(!buffers->empty());
-  for (auto& b : *buffers) {
-    b = value;
-  }
-  CollectiveTraffic traffic;
-  traffic.bytes_sent_per_rank = value.size() * sizeof(float);
-  traffic.communication_steps = buffers->size() - 1;
-  return traffic;
 }
 
 }  // namespace espresso

@@ -1,39 +1,17 @@
-// Uncompressed collective primitives (Table 2, "Uncompressed tensors" column).
-//
-// Semantics follow MPI; traffic accounting follows the ring/recursive algorithms whose
-// costs the Thakur models in src/costmodel describe, so tests can check that the bytes a
-// functional call moves equal the bytes the cost model charges for.
+// Reference aggregation for the in-process rank model. The strategy executor
+// (src/ddl/strategy_executor.h) performs every uncompressed and hierarchical routine;
+// this is the ground truth its results, the compressed schemes, and the benches are
+// checked against.
 #ifndef SRC_COLLECTIVES_PRIMITIVES_H_
 #define SRC_COLLECTIVES_PRIMITIVES_H_
 
+#include <vector>
+
 #include "src/collectives/rank_group.h"
-#include "src/mem/workspace.h"
 
 namespace espresso {
 
-// Ring allreduce: every rank ends with the elementwise sum across ranks. Scratch
-// (working copies, in-flight ring chunks) comes from `workspace`; nullptr resolves to
-// the calling thread's default workspace, so steady-state calls are allocation-free.
-CollectiveTraffic AllReduce(RankBuffers& buffers,
-                            mem::CollectiveWorkspace* workspace = nullptr);
-
-// Reduce-scatter: rank r ends with the sum of partition range r (other ranges of its
-// buffer are left untouched); `out_shards[r]` receives rank r's reduced shard.
-CollectiveTraffic ReduceScatter(const RankBuffers& buffers,
-                                std::vector<std::vector<float>>* out_shards);
-
-// Allgather of per-rank shards (shard r from rank r) into every rank's full buffer.
-// Shard sizes must follow Partition(total, ranks).
-CollectiveTraffic AllGather(const std::vector<std::vector<float>>& shards,
-                            RankBuffers* buffers);
-
-// Reduce to `root`: out receives the elementwise sum.
-CollectiveTraffic Reduce(const RankBuffers& buffers, size_t root, std::vector<float>* out);
-
-// Broadcast `value` from root to all ranks.
-CollectiveTraffic Broadcast(const std::vector<float>& value, RankBuffers* buffers);
-
-// Reference implementation used by property tests: the sum of all rank buffers.
+// The elementwise sum of all rank buffers, accumulated 0 + b0 + b1 + ... in rank order.
 std::vector<float> NaiveSum(const RankBuffers& buffers);
 
 }  // namespace espresso

@@ -2,8 +2,9 @@
 //
 // Collectives in this library are *functional*: the N ranks live in one process as N
 // buffers, and each collective performs exactly the data movement its MPI/NCCL
-// counterpart would, returning byte counts so tests can cross-check the analytic cost
-// model's traffic arithmetic. Timing is supplied separately by src/costmodel.
+// counterpart would. The compressed schemes also return byte counts so tests can
+// cross-check the analytic cost model's traffic arithmetic. Timing is supplied
+// separately by src/costmodel.
 #ifndef SRC_COLLECTIVES_RANK_GROUP_H_
 #define SRC_COLLECTIVES_RANK_GROUP_H_
 

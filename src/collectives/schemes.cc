@@ -98,16 +98,12 @@ SchemeResult CompressedIndivisibleAllgather(const Compressor& compressor,
   return result;
 }
 
-namespace {
-
-// Shared implementation of the divisible scheme. `rooted` selects Gather/Broadcast
-// (single aggregator rank) instead of Alltoall/Allgather (every rank aggregates a part).
-SchemeResult DivisibleScheme(const Compressor& compressor, const SchemeContext& ctx,
-                             RankBuffers& buffers, bool rooted) {
+SchemeResult CompressedDivisibleAlltoall(const Compressor& compressor,
+                                         const SchemeContext& ctx, RankBuffers& buffers) {
   const size_t n = CheckUniformSize(buffers);
   const size_t p = buffers.size();
   SchemeResult result;
-  const size_t parts = rooted ? 1 : p;
+  const size_t parts = p;  // one index-range part per rank: rank j aggregates part j
   const Partition part(n, parts);
 
   // Step 0: every rank compresses each index-range part of its tensor.
@@ -117,9 +113,9 @@ SchemeResult DivisibleScheme(const Compressor& compressor, const SchemeContext& 
   // (row r starts at delivered[r * parts]).
   mem::CollectiveWorkspace& ws = mem::Resolve(ctx.workspace);
   mem::ArenaScope scope(ws.arena);
-  // Grow-only (see the indivisible scheme): the rooted and alltoall variants share
-  // this matrix with different `parts`, and shrinking a row would destroy its warm
-  // tensors. Rows and slots past the live [0, p) x [0, parts) range sit unused.
+  // Grow-only (see the indivisible scheme): calls with different rank counts share
+  // this matrix, and shrinking a row would destroy its warm tensors. Rows and slots
+  // past the live [0, p) x [0, parts) range sit unused.
   std::vector<std::vector<CompressedTensor>>& payloads = ws.div_payloads;
   if (payloads.size() < p) {
     payloads.resize(p);
@@ -141,8 +137,7 @@ SchemeResult DivisibleScheme(const Compressor& compressor, const SchemeContext& 
       SchemeContext part_ctx = ctx;
       part_ctx.tensor_id = ctx.tensor_id * 1315423911ULL + j;
       CompressRank(compressor, part_ctx, r, view, &payloads[r][j]);
-      const size_t aggregator = rooted ? 0 : j;
-      if (aggregator != r) {
+      if (j != r) {
         delivered[r * parts + j] =
             TransmitRank(compressor, part_ctx, r, part_ctx.tensor_id, &payloads[r][j],
                          &result)
@@ -153,14 +148,12 @@ SchemeResult DivisibleScheme(const Compressor& compressor, const SchemeContext& 
   }
   result.compress_calls = p * parts;
 
-  // First communication op: shuffle. Aggregator of part j receives part j from every
-  // other rank. (For the rooted variant there is a single part and rank 0 aggregates.)
+  // First communication op: shuffle. Rank j receives part j from every other rank.
   size_t first_op_bytes_per_rank = 0;
   for (size_t r = 0; r < p; ++r) {
     size_t sent = 0;
     for (size_t j = 0; j < parts; ++j) {
-      const size_t aggregator = rooted ? 0 : j;
-      if (aggregator != r) {
+      if (j != r) {
         sent += payloads[r][j].ByteSize();
       }
     }
@@ -211,16 +204,12 @@ SchemeResult DivisibleScheme(const Compressor& compressor, const SchemeContext& 
     }
   }
 
-  // Second communication op: allgather (or broadcast) of the aggregated payloads.
+  // Second communication op: allgather of the aggregated payloads.
   size_t aggregated_bytes = 0;
   for (const auto& payload : aggregated) {
     aggregated_bytes += payload.ByteSize();
   }
-  if (rooted) {
-    result.traffic.bytes_sent_per_rank += aggregated_bytes;  // root sends to everyone
-  } else {
-    result.traffic.bytes_sent_per_rank += aggregated_bytes * (p - 1) / p;
-  }
+  result.traffic.bytes_sent_per_rank += aggregated_bytes * (p - 1) / p;
   result.traffic.communication_steps += 1;
 
   // Final decompression on every rank.
@@ -233,18 +222,6 @@ SchemeResult DivisibleScheme(const Compressor& compressor, const SchemeContext& 
     result.decompress_calls += parts;
   }
   return result;
-}
-
-}  // namespace
-
-SchemeResult CompressedDivisibleAlltoall(const Compressor& compressor,
-                                         const SchemeContext& ctx, RankBuffers& buffers) {
-  return DivisibleScheme(compressor, ctx, buffers, /*rooted=*/false);
-}
-
-SchemeResult CompressedDivisibleGather(const Compressor& compressor, const SchemeContext& ctx,
-                                       RankBuffers& buffers) {
-  return DivisibleScheme(compressor, ctx, buffers, /*rooted=*/true);
 }
 
 }  // namespace espresso

@@ -60,10 +60,6 @@ SchemeResult CompressedIndivisibleAllgather(const Compressor& compressor,
 SchemeResult CompressedDivisibleAlltoall(const Compressor& compressor,
                                          const SchemeContext& ctx, RankBuffers& buffers);
 
-// Figure 4 variant rooted at rank 0: Gather as the first op, Broadcast as the second.
-SchemeResult CompressedDivisibleGather(const Compressor& compressor, const SchemeContext& ctx,
-                                       RankBuffers& buffers);
-
 }  // namespace espresso
 
 #endif  // SRC_COLLECTIVES_SCHEMES_H_

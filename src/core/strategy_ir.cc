@@ -5,10 +5,11 @@
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <map>
+#include <optional>
 #include <sstream>
 
 #include "src/core/eval_cache.h"
-#include "src/core/strategy_io.h"
 #include "src/util/atomic_file.h"
 #include "src/util/hash.h"
 #include "src/util/json_reader.h"
@@ -29,13 +30,79 @@ std::string DigestHex(uint64_t value) {
 
 namespace {
 
-// Hostile-input guards, mirroring src/core/strategy_io.cc: a tampered header must
-// produce a diagnostic, not a multi-gigabyte resize.
+// Hostile-input guards: a tampered document must produce a diagnostic, not a
+// multi-gigabyte resize.
 constexpr size_t kMaxIrTensors = 1'000'000;
 constexpr size_t kMaxIrOpsPerTensor = 1'000;
 constexpr uint64_t kMaxIrFanIn = 1'000'000;
 
 bool ValidIrFraction(double f) { return std::isfinite(f) && f > 0.0 && f <= 1.0; }
+
+// Op token vocabulary. Routines and phases are written with RoutineName/CommPhaseName
+// (option.h); the parsers below accept exactly the tokens those functions emit.
+const char* ActionTaskToken(ActionTask task) {
+  switch (task) {
+    case ActionTask::kCompress:
+      return "compress";
+    case ActionTask::kDecompress:
+      return "decompress";
+    case ActionTask::kComm:
+      return "comm";
+  }
+  return "?";
+}
+
+const char* DeviceToken(Device device) { return device == Device::kGpu ? "gpu" : "cpu"; }
+
+std::optional<ActionTask> ParseActionTaskToken(std::string_view token) {
+  if (token == "compress") {
+    return ActionTask::kCompress;
+  }
+  if (token == "decompress") {
+    return ActionTask::kDecompress;
+  }
+  if (token == "comm") {
+    return ActionTask::kComm;
+  }
+  return std::nullopt;
+}
+
+std::optional<Routine> ParseRoutineToken(std::string_view token) {
+  static const std::map<std::string_view, Routine> kRoutines = {
+      {"allreduce", Routine::kAllreduce},   {"reduce-scatter", Routine::kReduceScatter},
+      {"allgather", Routine::kAllgather},   {"reduce", Routine::kReduce},
+      {"broadcast", Routine::kBroadcast},   {"alltoall", Routine::kAlltoall},
+      {"gather", Routine::kGather},
+  };
+  const auto it = kRoutines.find(token);
+  return it == kRoutines.end() ? std::nullopt : std::optional<Routine>(it->second);
+}
+
+std::optional<CommPhase> ParseCommPhaseToken(std::string_view token) {
+  if (token == "flat") {
+    return CommPhase::kFlat;
+  }
+  if (token == "intra1") {
+    return CommPhase::kIntraFirst;
+  }
+  if (token == "inter") {
+    return CommPhase::kInter;
+  }
+  if (token == "intra2") {
+    return CommPhase::kIntraSecond;
+  }
+  return std::nullopt;
+}
+
+std::optional<Device> ParseDeviceToken(std::string_view token) {
+  if (token == "gpu") {
+    return Device::kGpu;
+  }
+  if (token == "cpu") {
+    return Device::kCpu;
+  }
+  return std::nullopt;
+}
 
 bool ParseDigestHex(std::string_view text, uint64_t* out) {
   if (text.size() != 16) {

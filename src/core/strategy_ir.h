@@ -2,8 +2,8 @@
 // selection and the training runtime (Figure 6), and the unit of deployment for
 // online re-selection (DriftMonitor -> publish IR -> executors swap atomically).
 //
-// Where the v1 `.esp` text format (strategy_io.h) is a bare option list, the IR is a
-// self-contained JSON document that says *what may run it*:
+// It is the only strategy format: a self-contained JSON document that carries the
+// per-tensor options together with *what may run them*:
 //   * `espresso_strategy_ir` — schema version; unknown versions are refused.
 //   * `digests` — splitmix64 content digests of the model profile, cluster spec, and
 //     compression configuration the strategy was selected for. A loader recomputes

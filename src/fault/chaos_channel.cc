@@ -52,12 +52,10 @@ PayloadFate ReliableChannel::Transmit(size_t rank, uint64_t tensor_id,
     }
     if (fate == PayloadFate::kCorrupted) {
       // Corrupt a scratch copy: verification failure discards the mangled bytes, and
-      // the retransmit below resends the sender's intact buffer. The copy is pooled —
-      // its vectors are recycled across attempts and steps.
-      mem::PooledTensor mangled = scratch_pool_.Acquire();
-      *mangled = *payload;
-      injector_->Corrupt(iteration_, rank, tensor_id, attempt, mangled.get());
-      if (PayloadChecksum(*mangled) == checksum) {
+      // the retransmit below resends the sender's intact buffer.
+      mangled_ = *payload;
+      injector_->Corrupt(iteration_, rank, tensor_id, attempt, &mangled_);
+      if (PayloadChecksum(mangled_) == checksum) {
         // Flip landed outside the covered fields (empty payload) — treat as delivered.
         ++stats_.delivered;
         return PayloadFate::kDelivered;

@@ -15,9 +15,9 @@
 #include <cstdint>
 
 #include "src/collectives/channel.h"
+#include "src/compress/compressed_tensor.h"
 #include "src/fault/injector.h"
 #include "src/fault/retry_policy.h"
-#include "src/mem/compressed_tensor_pool.h"
 #include "src/util/rng.h"
 
 namespace espresso {
@@ -64,8 +64,9 @@ class ReliableChannel : public PayloadChannel {
   RetryPolicy policy_;
   uint64_t iteration_ = 0;
   ChannelStats stats_;
-  // Recycles the corruption scratch copy so verification doesn't allocate per attempt.
-  mem::CompressedTensorPool scratch_pool_{"fault"};
+  // The corruption scratch copy. Each corrupted attempt copy-assigns the payload into
+  // it, which reuses its vectors' capacity, so warm retries allocate nothing.
+  CompressedTensor mangled_;
 };
 
 }  // namespace espresso

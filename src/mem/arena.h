@@ -1,14 +1,14 @@
 // Arena: a monotonic scratch allocator for call-scoped, trivially-destructible data.
 //
 // The execution dataplane needs many tiny ephemeral buffers per collective call —
-// in-flight ring chunks, delivery flags, group index lists. Individually pooling them
+// delivery flags, group index lists. Individually pooling them
 // would drown the pool in bucket churn; instead they come from an arena that is bumped
 // during the call and rewound afterwards. Blocks are never freed by a rewind, so after
 // one warm-up pass the arena serves every subsequent call without touching the heap.
 //
 // Ownership convention (docs/MEMORY.md): spans returned by Alloc are valid until the
 // enclosing ArenaScope (or ResetTo on an earlier mark) rewinds past them. Nested scopes
-// are the intended pattern for nested calls (hierarchical sync -> scheme -> primitive).
+// are the intended pattern for nested calls.
 #ifndef SRC_MEM_ARENA_H_
 #define SRC_MEM_ARENA_H_
 

@@ -1,19 +1,18 @@
 // CollectiveWorkspace: the per-thread bundle of pools and named scratch that the
-// collective call tree (primitives, schemes, hierarchical sync) draws from.
+// compressed communication schemes (src/collectives/schemes.h) draw from.
 //
 // Three tiers (docs/MEMORY.md):
-//   - `arena`:  ephemeral per-call spans (ring chunks, delivery flags), rewound by
-//               ArenaScope as each call unwinds;
+//   - `arena`:  ephemeral per-call spans (delivery flags), rewound by ArenaScope as
+//               each call unwinds;
 //   - `pool`:   variable-size float/byte buffers leased for the duration of a call;
 //   - named members: fixed-shape persistent scratch resized in place by the single
 //               call site that owns each member (resize keeps surviving elements'
 //               capacities, so steady-state reuse is allocation-free).
 //
-// Every public collective entry point takes an optional `CollectiveWorkspace*`;
-// passing nullptr resolves to this thread's ThreadDefault() instance, so existing
-// call sites get pooling without API churn. A workspace must only ever be used from
-// one thread at a time; ownership of each named member is strictly one call site,
-// and the call tree (hierarchical -> scheme -> primitive) never reenters an owner.
+// Every scheme takes an optional `CollectiveWorkspace*` through its SchemeContext;
+// passing nullptr resolves to this thread's ThreadDefault() instance. A workspace
+// must only ever be used from one thread at a time, and ownership of each named
+// member is strictly one call site.
 #ifndef SRC_MEM_WORKSPACE_H_
 #define SRC_MEM_WORKSPACE_H_
 
@@ -22,24 +21,18 @@
 #include "src/compress/compressed_tensor.h"
 #include "src/mem/arena.h"
 #include "src/mem/buffer_pool.h"
-#include "src/mem/compressed_tensor_pool.h"
 
 namespace espresso::mem {
 
 struct CollectiveWorkspace {
   BufferPool pool{"collective"};
   Arena arena;
-  CompressedTensorPool tensors{"collective"};
 
   // Named persistent scratch. Each member is owned by exactly one function (noted
   // below); owners resize in place and fully overwrite live elements each call.
-  std::vector<std::vector<float>> ring_work;                // AllReduce
   std::vector<CompressedTensor> indiv_payloads;             // CompressedIndivisibleAllgather
-  std::vector<std::vector<CompressedTensor>> div_payloads;  // DivisibleScheme stage 1
-  std::vector<CompressedTensor> div_aggregated;             // DivisibleScheme stage 2
-  std::vector<std::vector<float>> hier_local;               // HierarchicalSync phases 1+3
-  std::vector<std::vector<std::vector<float>>> hier_machine_shards;  // HierarchicalSync
-  std::vector<std::vector<float>> hier_across;              // HierarchicalSync phase 2
+  std::vector<std::vector<CompressedTensor>> div_payloads;  // divisible scheme, stage 1
+  std::vector<CompressedTensor> div_aggregated;             // divisible scheme, stage 2
 
   // The calling thread's shared workspace (created on first use, lives for the
   // thread). Pools converge after the first step at a given problem shape, so

@@ -2,8 +2,8 @@
 // then rename over the destination. On POSIX the rename is atomic within a filesystem,
 // so a reader (or a crashed writer) can never observe a torn file — it sees either the
 // complete old contents or the complete new contents. This is the publication
-// primitive under every strategy artifact (.esp files, strategy IR JSON): the
-// offline/online hand-off must survive a writer dying mid-write.
+// primitive under every strategy artifact (strategy IR JSON): the offline/online
+// hand-off must survive a writer dying mid-write.
 #ifndef SRC_UTIL_ATOMIC_FILE_H_
 #define SRC_UTIL_ATOMIC_FILE_H_
 

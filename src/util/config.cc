@@ -1,6 +1,5 @@
 #include "src/util/config.h"
 
-#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
@@ -56,7 +55,6 @@ ConfigFile ConfigFile::Parse(std::istream& in) {
         return config;
       }
       section = std::string(TrimView(trimmed.substr(1, trimmed.size() - 2)));
-      config.sections_.emplace_back(section, line_number);
       continue;
     }
     const size_t eq = trimmed.find('=');
@@ -112,11 +110,6 @@ void ConfigFile::Warn(const Entry& entry, const std::string& reason) const {
   warnings_.push_back(source_ + " line " + std::to_string(entry.line) + ": [" +
                       entry.section + "] " + entry.key + " = " + entry.value + " " +
                       reason);
-}
-
-bool ConfigFile::HasSection(std::string_view section) const {
-  return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const Entry& e) { return e.section == section; });
 }
 
 std::optional<std::string> ConfigFile::Get(std::string_view section,

@@ -29,7 +29,6 @@ class ConfigFile {
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
 
-  bool HasSection(std::string_view section) const;
   std::optional<std::string> Get(std::string_view section, std::string_view key) const;
   std::string GetOr(std::string_view section, std::string_view key,
                     std::string_view fallback) const;
@@ -53,13 +52,6 @@ class ConfigFile {
   // All (key, value) pairs of a section, in file order. Duplicate keys are preserved.
   std::vector<std::pair<std::string, std::string>> Entries(std::string_view section) const;
 
-  // Every `[section]` header in file order as (name, line), one element per header —
-  // a name repeats if its header does. Entries() silently merges duplicated sections,
-  // so strict readers (strategy files) use this to reject the duplication instead.
-  const std::vector<std::pair<std::string, int>>& SectionHeaders() const {
-    return sections_;
-  }
-
  private:
   struct Entry {
     std::string section;
@@ -71,7 +63,6 @@ class ConfigFile {
   void Warn(const Entry& entry, const std::string& reason) const;
 
   std::vector<Entry> entries_;
-  std::vector<std::pair<std::string, int>> sections_;  // headers in file order
   std::string error_;
   std::string source_ = "<string>";  // file path for Load(), "<string>" otherwise
   // Collected by const getters; mutable so lookups stay const like the rest of the API.

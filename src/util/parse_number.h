@@ -1,5 +1,5 @@
-// Locale-independent numeric parsing for untrusted text (config files, .esp
-// strategies, RPC payloads). std::stod/std::stoull have two failure modes that a
+// Locale-independent numeric parsing for untrusted text (config files, job
+// descriptions, RPC payloads). std::stod/std::stoull have two failure modes that a
 // long-lived, multi-tenant process cannot tolerate:
 //
 //   * their decimal handling follows the process locale — under de_DE,

@@ -140,7 +140,40 @@ TEST(SpaceChecker, EmitCorpusWritesManifestAndFiles) {
     EXPECT_TRUE(std::filesystem::exists(dir + "/" + file)) << file;
     ++rows;
   }
-  // corpus_files_written counts the manifest itself alongside the .esp documents.
+  // corpus_files_written counts the manifest itself alongside the IR documents.
+  EXPECT_EQ(rows + 1, result.stats.corpus_files_written);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SpaceChecker, EmitCorpusReportsFilesItCannotWrite) {
+  const SmallJob job;
+  const std::string dir = ::testing::TempDir() + "/space_checker_blocked_corpus";
+  std::filesystem::remove_all(dir);
+  // A directory where the first document should go: the write must fail loudly.
+  const std::string blocked = "uniform-default.ir.json";
+  std::filesystem::create_directories(dir + "/" + blocked);
+  SpaceCheckOptions options;
+  options.emit_corpus_dir = dir;
+  const SpaceCheckResult result = job.Run(options);
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.report.HasRule(rules::kEscValidatorSplit));
+  EXPECT_NE(result.report.ToString().find("cannot write corpus file"), std::string::npos)
+      << result.report.ToString();
+  EXPECT_NE(result.report.ToString().find(blocked), std::string::npos);
+
+  // Only the files that reached the disk are counted and listed.
+  std::ifstream manifest(dir + "/MANIFEST.tsv");
+  ASSERT_TRUE(manifest.good());
+  std::string line;
+  std::getline(manifest, line);  // header
+  size_t rows = 0;
+  while (std::getline(manifest, line)) {
+    EXPECT_EQ(line.find(blocked), std::string::npos) << line;
+    EXPECT_TRUE(std::filesystem::is_regular_file(dir + "/" + line.substr(0, line.find('\t'))))
+        << line;
+    ++rows;
+  }
+  EXPECT_GT(rows, 0u);
   EXPECT_EQ(rows + 1, result.stats.corpus_files_written);
   std::filesystem::remove_all(dir);
 }

@@ -184,14 +184,14 @@ TEST(StrategyLinter, SingleMachineTopologies) {
     EXPECT_FALSE(LintOption(single, option, 0).HasErrors()) << option.Describe();
   }
   const TreeConfig hier{8, 8, false};
-  const OptionSpace hier_space = EnumerateOptions(hier);
-  const auto hier_option =
-      std::find_if(hier_space.options.begin(), hier_space.options.end(),
+  const OptionSpace hierarchical_space = EnumerateOptions(hier);
+  const auto hierarchical_option =
+      std::find_if(hierarchical_space.options.begin(), hierarchical_space.options.end(),
                    [](const CompressionOption& o) { return !o.flat; });
-  ASSERT_NE(hier_option, hier_space.options.end());
-  EXPECT_TRUE(HasErrorRule(LintOption(single, *hier_option, 0),
+  ASSERT_NE(hierarchical_option, hierarchical_space.options.end());
+  EXPECT_TRUE(HasErrorRule(LintOption(single, *hierarchical_option, 0),
                            rules::kHierarchicalOnFlatCluster))
-      << hier_option->Describe();
+      << hierarchical_option->Describe();
 
   // One GPU per machine behaves the same way on the other axis.
   const TreeConfig tall{8, 1, false};

@@ -2,74 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "src/util/rng.h"
-
 namespace espresso {
 namespace {
-
-RankBuffers RandomBuffers(size_t ranks, size_t n, uint64_t seed) {
-  RankBuffers buffers(ranks, std::vector<float>(n));
-  for (size_t r = 0; r < ranks; ++r) {
-    Rng rng(DeriveSeed(seed, r));
-    rng.FillNormal(buffers[r], 0.0, 1.0);
-  }
-  return buffers;
-}
-
-class PrimitivesParam : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {
- protected:
-  size_t ranks() const { return std::get<0>(GetParam()); }
-  size_t n() const { return std::get<1>(GetParam()); }
-};
-
-TEST_P(PrimitivesParam, AllReduceMatchesNaiveSum) {
-  RankBuffers buffers = RandomBuffers(ranks(), n(), 1);
-  const std::vector<float> expected = NaiveSum(buffers);
-  AllReduce(buffers);
-  for (size_t r = 0; r < ranks(); ++r) {
-    for (size_t i = 0; i < n(); ++i) {
-      EXPECT_NEAR(buffers[r][i], expected[i], 1e-4f) << "rank " << r << " idx " << i;
-    }
-  }
-}
-
-TEST_P(PrimitivesParam, ReduceScatterThenAllGatherEqualsAllReduce) {
-  RankBuffers buffers = RandomBuffers(ranks(), n(), 2);
-  const std::vector<float> expected = NaiveSum(buffers);
-  std::vector<std::vector<float>> shards;
-  ReduceScatter(buffers, &shards);
-  RankBuffers gathered;
-  AllGather(shards, &gathered);
-  for (size_t r = 0; r < ranks(); ++r) {
-    for (size_t i = 0; i < n(); ++i) {
-      EXPECT_NEAR(gathered[r][i], expected[i], 1e-4f);
-    }
-  }
-}
-
-TEST_P(PrimitivesParam, ReduceThenBroadcastEqualsAllReduce) {
-  RankBuffers buffers = RandomBuffers(ranks(), n(), 3);
-  const std::vector<float> expected = NaiveSum(buffers);
-  std::vector<float> reduced;
-  Reduce(buffers, 0, &reduced);
-  RankBuffers out(ranks());
-  Broadcast(reduced, &out);
-  for (size_t r = 0; r < ranks(); ++r) {
-    for (size_t i = 0; i < n(); ++i) {
-      EXPECT_NEAR(out[r][i], expected[i], 1e-4f);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RanksAndSizes, PrimitivesParam,
-                         ::testing::Combine(::testing::Values(size_t{1}, size_t{2}, size_t{3},
-                                                              size_t{4}, size_t{8}, size_t{16}),
-                                            ::testing::Values(size_t{1}, size_t{5}, size_t{64},
-                                                              size_t{257})),
-                         [](const auto& info) {
-                           return "r" + std::to_string(std::get<0>(info.param)) + "_n" +
-                                  std::to_string(std::get<1>(info.param));
-                         });
 
 TEST(Partition, CoversRangeExactly) {
   for (size_t n : {0u, 1u, 7u, 64u, 65u}) {
@@ -92,14 +26,6 @@ TEST(Partition, NearEqualLengths) {
   EXPECT_EQ(part.Length(0), 4u);
   EXPECT_EQ(part.Length(1), 3u);
   EXPECT_EQ(part.Length(2), 3u);
-}
-
-TEST(AllReduceTraffic, RingVolume) {
-  RankBuffers buffers = RandomBuffers(4, 100, 4);
-  const CollectiveTraffic t = AllReduce(buffers);
-  // 2(p-1)/p of the tensor, with ceil-per-chunk slack.
-  EXPECT_GE(t.bytes_sent_per_rank, 2 * 3 * 25 * sizeof(float));
-  EXPECT_EQ(t.communication_steps, 6u);
 }
 
 TEST(CheckUniformSizeDeathTest, MismatchedSizesDie) {

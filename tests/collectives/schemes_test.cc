@@ -48,19 +48,6 @@ TEST(Schemes, DivisibleAlltoallMatchesAllreduceUnderFp16) {
   }
 }
 
-TEST(Schemes, DivisibleGatherMatchesAllreduceUnderFp16) {
-  Fp16Compressor c;
-  RankBuffers buffers = RandomBuffers(3, 64, 3);
-  const std::vector<float> expected = NaiveSum(buffers);
-  SchemeContext ctx;
-  CompressedDivisibleGather(c, ctx, buffers);
-  for (size_t r = 0; r < 3; ++r) {
-    for (size_t i = 0; i < 64; ++i) {
-      EXPECT_NEAR(buffers[r][i], expected[i], 0.02f);
-    }
-  }
-}
-
 TEST(Schemes, AllRanksEndIdentical) {
   TopKCompressor c(0.1);
   RankBuffers buffers = RandomBuffers(5, 200, 4);

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/core/baselines.h"
+#include "src/core/decision_tree.h"
 #include "src/core/espresso.h"
 #include "src/core/eval_cache.h"
 #include "src/models/model_zoo.h"
@@ -218,6 +219,100 @@ TEST(StrategyIr, MissingFileReportsPath) {
 TEST(StrategyIr, DigestHexFormatsSixteenLowercaseDigits) {
   EXPECT_EQ(DigestHex(0), "0000000000000000");
   EXPECT_EQ(DigestHex(0xdeadbeef01234567ull), "deadbeef01234567");
+}
+
+// Strategy I/O: every strategy the system produces comes back from the IR unchanged,
+// and a malformed strategy is refused with a diagnostic.
+Strategy RoundTripped(const Strategy& strategy) {
+  StrategyIR ir;
+  ir.strategy = strategy;
+  const StrategyIRParseResult parsed = ParseStrategyIR(StrategyIRToString(ir));
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  return parsed.ir.strategy;
+}
+
+void ExpectStrategiesEqual(const Strategy& a, const Strategy& b) {
+  ASSERT_EQ(a.options.size(), b.options.size());
+  for (size_t t = 0; t < a.options.size(); ++t) {
+    EXPECT_TRUE(a.options[t] == b.options[t]) << "tensor " << t;
+    EXPECT_EQ(a.options[t].flat, b.options[t].flat);
+    EXPECT_EQ(a.options[t].label, b.options[t].label);
+  }
+}
+
+TEST(StrategyIo, RoundTripsBaselineStrategies) {
+  const ModelProfile model = Lstm();
+  const ClusterSpec cluster = NvlinkCluster();
+  const auto compressor = CreateCompressor(CompressorConfig{.algorithm = "dgc"});
+  for (const Strategy& strategy :
+       {Fp32Strategy(model, cluster), HiPressStrategy(model, cluster, *compressor),
+        BytePSCompressStrategy(model, cluster, *compressor)}) {
+    ExpectStrategiesEqual(strategy, RoundTripped(strategy));
+  }
+}
+
+TEST(StrategyIo, RoundTripsSelectedStrategy) {
+  // The Figure-6 hand-off: select offline, serialize, load, and verify the timeline
+  // engine prices both identically.
+  const ModelProfile model = Vgg16();
+  const ClusterSpec cluster = PcieCluster();
+  const auto compressor =
+      CreateCompressor(CompressorConfig{.algorithm = "randomk", .ratio = 0.01});
+  EspressoSelector selector(model, cluster, *compressor);
+  const Strategy selected = selector.Select().strategy;
+  const Strategy loaded = RoundTripped(selected);
+  ExpectStrategiesEqual(selected, loaded);
+  EXPECT_EQ(selector.evaluator().IterationTime(selected),
+            selector.evaluator().IterationTime(loaded));
+}
+
+TEST(StrategyIo, RoundTripsEveryEnumeratedOption) {
+  const TreeConfig config{4, 4, true};
+  for (const CompressionOption& option : EnumerateOptions(config).options) {
+    Strategy strategy;
+    strategy.options = {option};
+    const Strategy loaded = RoundTripped(strategy);
+    ASSERT_EQ(loaded.options.size(), 1u) << option.Describe();
+    EXPECT_TRUE(loaded.options[0] == option) << option.Describe();
+  }
+}
+
+TEST(StrategyIo, RejectsMalformedInput) {
+  StrategyIR ir;
+  ir.strategy.options = {DefaultUncompressedOption(TreeConfig{2, 2, false})};
+  const std::string text = StrategyIRToString(ir);
+  StrategyIRParseOptions lax;  // these refusals must not depend on the digest
+  lax.verify_payload_digest = false;
+  auto damaged = [&](const std::string& needle, const std::string& replacement) {
+    std::string out = text;
+    const size_t at = out.find(needle);
+    EXPECT_NE(at, std::string::npos) << needle;
+    if (at != std::string::npos) {
+      out.replace(at, needle.size(), replacement);
+    }
+    return out;
+  };
+  const size_t ops_begin = text.find("\"ops\": [");
+  const size_t ops_end = text.find(']', ops_begin);
+  ASSERT_NE(ops_end, std::string::npos);
+  const std::string no_ops =
+      text.substr(0, ops_begin) + "\"ops\": []" + text.substr(ops_end + 1);
+  for (const std::string& document :
+       {std::string(), no_ops,
+        damaged("\"routine\": \"reduce-scatter\"", "\"routine\": \"warp\""),
+        damaged("\"domain\": 1,", "\"domain\": \"x\","),
+        damaged("\"fan_in\": 1,", "\"fan_in\": 1.5,")}) {
+    const StrategyIRParseResult parsed = ParseStrategyIR(document, lax);
+    EXPECT_FALSE(parsed.ok) << document;
+    EXPECT_FALSE(parsed.error.empty());
+  }
+  // Without its tensor the document is well-formed, but no longer the strategy the
+  // payload digest stamps.
+  const std::string no_tensors =
+      text.substr(0, text.find("\"tensors\": [")) + "\"tensors\": []\n}\n";
+  const StrategyIRParseResult dropped = ParseStrategyIR(no_tensors);
+  EXPECT_FALSE(dropped.ok);
+  EXPECT_FALSE(dropped.error.empty());
 }
 
 }  // namespace

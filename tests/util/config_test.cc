@@ -18,8 +18,8 @@ testbed = nvlink ; another comment style
   EXPECT_EQ(c.Get("model", "name"), "gpt2");
   EXPECT_EQ(c.GetInt("model", "batch_size"), 80);
   EXPECT_EQ(c.Get("cluster", "testbed"), "nvlink");
-  EXPECT_TRUE(c.HasSection("model"));
-  EXPECT_FALSE(c.HasSection("compression"));
+  EXPECT_EQ(c.Entries("model").size(), 2u);
+  EXPECT_TRUE(c.Entries("compression").empty());
 }
 
 TEST(ConfigFile, MissingKeysReturnNullopt) {

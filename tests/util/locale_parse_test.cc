@@ -2,11 +2,12 @@
 //
 // std::stod follows the process's LC_NUMERIC: under a comma-decimal locale,
 // strtod("0.25") stops at the '.' and returns 0.0 — so every fraction in every
-// config file, .esp strategy, and job description silently became 0 the moment a
+// config file, strategy, and job description silently became 0 the moment a
 // long-lived service process touched setlocale. The parsers now go through
-// std::from_chars (src/util/parse_number.h), which is locale-independent by
-// specification; these tests pin that by running the INI / .esp / job-config
-// round trips WITH a comma-decimal locale installed as the global locale.
+// std::from_chars (src/util/parse_number.h, the JSON reader), which is
+// locale-independent by specification; these tests pin that by running the INI /
+// strategy IR / job-config round trips WITH a comma-decimal locale installed as the
+// global locale.
 //
 // The fixture materializes de_DE.UTF-8 on the fly with localedef + LOCPATH, so the
 // test runs on minimal containers that ship no locales; when localedef is missing
@@ -19,7 +20,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "src/core/strategy_io.h"
+#include "src/core/strategy_ir.h"
 #include "src/ddl/job_config.h"
 #include "src/util/config.h"
 
@@ -101,9 +102,9 @@ TEST_F(CommaDecimalLocaleTest, IniDoubleParsesDotDecimal) {
   EXPECT_TRUE(config.warnings().empty());
 }
 
-TEST_F(CommaDecimalLocaleTest, StrategyRoundTripPreservesFractions) {
-  AssertCommaLocaleActive();
-  Strategy strategy;
+// One tensor whose compress and allreduce ops cover a quarter of it with payloads of an
+// eighth: fractions a comma-decimal parser would cut at the decimal point.
+StrategyIR FractionalIr() {
   CompressionOption option;
   option.label = "fractional";
   Op compress;
@@ -124,17 +125,27 @@ TEST_F(CommaDecimalLocaleTest, StrategyRoundTripPreservesFractions) {
   comm.fan_in = 1;
   comm.compressed = true;
   option.ops.push_back(comm);
-  strategy.options.push_back(option);
+  StrategyIR ir;
+  ir.strategy.options.push_back(option);
+  return ir;
+}
 
-  const std::string text = StrategyToString(strategy);
-  const StrategyParseResult parsed = StrategyFromString(text);
+TEST_F(CommaDecimalLocaleTest, StrategyRoundTripPreservesFractions) {
+  AssertCommaLocaleActive();
+  const StrategyIR ir = FractionalIr();
+  const std::string text = StrategyIRToString(ir);
+  EXPECT_NE(text.find("\"domain\": 0.25,"), std::string::npos) << text;
+  const StrategyIRParseResult parsed = ParseStrategyIR(text);
   ASSERT_TRUE(parsed.ok) << parsed.error;
-  ASSERT_EQ(parsed.strategy.options.size(), 1u);
-  ASSERT_EQ(parsed.strategy.options[0].ops.size(), 2u);
-  // Pre-fix: domain/payload came back 0.0 (then failed the (0,1] range check).
-  EXPECT_DOUBLE_EQ(parsed.strategy.options[0].ops[0].domain_fraction, 0.25);
-  EXPECT_DOUBLE_EQ(parsed.strategy.options[0].ops[0].payload_fraction, 0.125);
-  EXPECT_TRUE(parsed.strategy.options[0] == strategy.options[0]);
+  const Strategy& strategy = parsed.ir.strategy;
+  ASSERT_EQ(strategy.options.size(), 1u);
+  ASSERT_EQ(strategy.options[0].ops.size(), 2u);
+  // A comma-decimal parse would bring domain/payload back as 0.0 (then fail the (0,1]
+  // range check).
+  EXPECT_DOUBLE_EQ(strategy.options[0].ops[0].domain_fraction, 0.25);
+  EXPECT_DOUBLE_EQ(strategy.options[0].ops[0].payload_fraction, 0.125);
+  EXPECT_TRUE(strategy.options[0] == ir.strategy.options[0]);
+  EXPECT_EQ(StrategyIRToString(parsed.ir), text);
 }
 
 TEST_F(CommaDecimalLocaleTest, JobConfigRoundTripPreservesFractions) {
@@ -176,12 +187,14 @@ TEST_F(CommaDecimalLocaleTest, OutOfRangeTokensDiagnose) {
   EXPECT_NE(config.warnings()[0].find("out of range"), std::string::npos);
   EXPECT_NE(config.warnings()[0].find("line 2"), std::string::npos);
 
-  const StrategyParseResult parsed = StrategyFromString(
-      "tensors = 1\n"
-      "[tensor 0]\n"
-      "op = comm allreduce flat domain=1e999 payload=1 fan=1 raw\n");
+  std::string text = StrategyIRToString(FractionalIr());
+  const std::string domain = "\"domain\": 0.25,";
+  const size_t at = text.find(domain);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, domain.size(), "\"domain\": 1e999,");
+  const StrategyIRParseResult parsed = ParseStrategyIR(text);
   EXPECT_FALSE(parsed.ok);
-  EXPECT_NE(parsed.error.find("out of range"), std::string::npos);
+  EXPECT_NE(parsed.error.find("out of range"), std::string::npos) << parsed.error;
 
   const ConfigFile model = ConfigFile::ParseString(
       "[model]\n"
