@@ -1,5 +1,5 @@
 // Executor dataplane benchmark: steady-state step time and heap-allocation counts for
-// the pooled execution path, in two arms per scenario —
+// the workspace-reusing execution path, in two arms per scenario —
 //   cold: a fresh ExecutorWorkspace per step (every container re-grown from nothing);
 //   warm: ONE workspace reused across steps (the trainer/strategy configuration) —
 // asserts the two arms produce bit-identical aggregates (64-bit fingerprint equality),
@@ -385,7 +385,7 @@ int main(int argc, char** argv) {
 
     if (cold.fingerprint != warm.fingerprint) {
       std::cerr << "FATAL: " << scenario.name
-                << ": pooled (warm) arm diverged from per-step (cold) arm (cold "
+                << ": reused-workspace (warm) arm diverged from per-step (cold) arm (cold "
                 << HexFingerprint(cold.fingerprint) << ", warm "
                 << HexFingerprint(warm.fingerprint) << ")\n";
       failed = true;

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Source-convention lint for the zero-allocation execution path (docs/MEMORY.md).
 
-The pooled-memory layer promises a zero-allocation steady state, and the grow-only
-rule is what keeps warm capacities alive across calls. This script statically
+The execution path promises a zero-allocation steady state, and the grow-only rule
+is what keeps warm capacities alive across calls. This script statically
 enforces the conventions clang-tidy has no checks for, over the execution-path
 subsystems (src/mem, src/collectives, src/compress, src/ddl):
 
-  raw-new           `new` expressions — scratch comes from the arena or the pools,
-                    never the heap directly (smart-pointer factories are fine:
-                    std::make_unique allocates, but owns).
+  raw-new           `new` expressions — scratch comes from persistent workspace
+                    members, never the heap directly (smart-pointer factories are
+                    fine: std::make_unique allocates, but owns).
   raw-delete        `delete` expressions (deleted member functions, `= delete`,
                     are of course allowed).
   shrink-to-fit     `shrink_to_fit()` releases warm capacity.
@@ -25,7 +25,7 @@ A deliberate cold-path exception (e.g. an explicit Trim() release API) is annota
 in the source with a marker comment on the same line or the line above:
 
     // conventions:allow(shrink-to-fit) Trim() is the explicit release API
-    bucket.shrink_to_fit();
+    buffer.shrink_to_fit();
 
 Usage: check_conventions.py [repo_root]   (defaults to the script's parent repo)
 Exit status: 0 clean, 1 findings, 2 usage error.

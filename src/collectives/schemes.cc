@@ -56,18 +56,17 @@ SchemeResult CompressedIndivisibleAllgather(const Compressor& compressor,
   SchemeResult result;
 
   // Each rank compresses its full tensor; the allgathered payload set keeps only the
-  // payloads the channel delivered. Payload tensors persist in the workspace (Compress
-  // Clear()s them, keeping capacity); delivery flags live on the arena.
+  // payloads the channel delivered. Payload tensors and delivery flags persist in the
+  // workspace (Compress Clear()s a tensor, keeping capacity).
   mem::CollectiveWorkspace& ws = mem::Resolve(ctx.workspace);
-  mem::ArenaScope scope(ws.arena);
   std::vector<CompressedTensor>& payloads = ws.indiv_payloads;
   // Grow-only: shrinking would destroy warm tensors (and their capacities) when calls
   // with different rank counts alternate on one workspace. Slots past p sit unused.
   if (payloads.size() < p) {
     payloads.resize(p);
   }
-  std::span<uint8_t> delivered = ws.arena.Alloc<uint8_t>(p);
-  std::fill(delivered.begin(), delivered.end(), uint8_t{1});
+  std::vector<uint8_t>& delivered = ws.delivered;
+  delivered.assign(p, uint8_t{1});
   for (size_t r = 0; r < p; ++r) {
     CompressRank(compressor, ctx, r, buffers[r], &payloads[r]);
     delivered[r] = TransmitRank(compressor, ctx, r, ctx.tensor_id, &payloads[r], &result)
@@ -78,8 +77,8 @@ SchemeResult CompressedIndivisibleAllgather(const Compressor& compressor,
 
   // Allgather of payloads: every rank receives all p compressed tensors.
   size_t bytes = 0;
-  for (const auto& payload : payloads) {
-    bytes += payload.ByteSize();
+  for (size_t r = 0; r < p; ++r) {
+    bytes += payloads[r].ByteSize();
   }
   result.traffic.bytes_sent_per_rank = bytes * (p - 1) / p;  // ring allgather average
   result.traffic.communication_steps = p - 1;
@@ -109,10 +108,9 @@ SchemeResult CompressedDivisibleAlltoall(const Compressor& compressor,
   // Step 0: every rank compresses each index-range part of its tensor.
   // payloads[r][j] = rank r's compressed part j. Parts whose aggregator is another rank
   // cross the wire and may be dropped by the channel; a rank's own part stays local.
-  // The payload matrix persists in the workspace; delivery flags live on the arena
-  // (row r starts at delivered[r * parts]).
+  // The payload matrix and the delivery flags persist in the workspace (row r of the
+  // flags starts at delivered[r * parts]).
   mem::CollectiveWorkspace& ws = mem::Resolve(ctx.workspace);
-  mem::ArenaScope scope(ws.arena);
   // Grow-only (see the indivisible scheme): calls with different rank counts share
   // this matrix, and shrinking a row would destroy its warm tensors. Rows and slots
   // past the live [0, p) x [0, parts) range sit unused.
@@ -125,8 +123,8 @@ SchemeResult CompressedDivisibleAlltoall(const Compressor& compressor,
       payloads[r].resize(parts);
     }
   }
-  std::span<uint8_t> delivered = ws.arena.Alloc<uint8_t>(p * parts);
-  std::fill(delivered.begin(), delivered.end(), uint8_t{1});
+  std::vector<uint8_t>& delivered = ws.delivered;
+  delivered.assign(p * parts, uint8_t{1});
   for (size_t r = 0; r < p; ++r) {
     for (size_t j = 0; j < parts; ++j) {
       const std::span<const float> full(buffers[r]);
@@ -164,9 +162,9 @@ SchemeResult CompressedDivisibleAlltoall(const Compressor& compressor,
 
   // Middle stage: each aggregator decompresses its received parts, aggregates, and
   // re-compresses — unless the compressor supports compressed-domain aggregation.
-  // Aggregation tensors persist in the workspace; the zero/aggregation float scratch
-  // is a pool lease (capacity-reusing) instead of a fresh vector per part.
+  // Aggregation tensors and the per-part float scratch persist in the workspace.
   std::vector<CompressedTensor>& aggregated = ws.div_aggregated;
+  std::vector<float>& scratch = ws.part_scratch;
   if (aggregated.size() < parts) {
     aggregated.resize(parts);
   }
@@ -186,28 +184,28 @@ SchemeResult CompressedDivisibleAlltoall(const Compressor& compressor,
       }
       // Every payload of part j dropped: aggregate the part as all-zeros.
       if (!seeded) {
-        mem::PooledFloats zeros = ws.pool.AcquireZeroedFloats(part.Length(j));
-        compressor.Compress(*zeros, ctx.seed, &aggregated[j]);
+        scratch.assign(part.Length(j), 0.0f);
+        compressor.Compress(scratch, ctx.seed, &aggregated[j]);
       }
     }
   } else {
     for (size_t j = 0; j < parts; ++j) {
-      mem::PooledFloats scratch = ws.pool.AcquireZeroedFloats(part.Length(j));
+      scratch.assign(part.Length(j), 0.0f);
       for (size_t r = 0; r < p; ++r) {
         if (delivered[r * parts + j] != 0) {
-          compressor.DecompressAdd(payloads[r][j], *scratch);
+          compressor.DecompressAdd(payloads[r][j], scratch);
           ++result.decompress_calls;
         }
       }
-      compressor.Compress(*scratch, ctx.seed, &aggregated[j]);
+      compressor.Compress(scratch, ctx.seed, &aggregated[j]);
       ++result.compress_calls;
     }
   }
 
   // Second communication op: allgather of the aggregated payloads.
   size_t aggregated_bytes = 0;
-  for (const auto& payload : aggregated) {
-    aggregated_bytes += payload.ByteSize();
+  for (size_t j = 0; j < parts; ++j) {
+    aggregated_bytes += aggregated[j].ByteSize();
   }
   result.traffic.bytes_sent_per_rank += aggregated_bytes * (p - 1) / p;
   result.traffic.communication_steps += 1;

@@ -29,6 +29,16 @@ void Compressor::AggregateCompressed(const CompressedTensor& /*in*/,
   ESP_CHECK(false) << "compressed-domain aggregation is not supported by " << name();
 }
 
+bool IsCompressionAlgorithm(std::string_view algorithm) {
+  for (const char* known :
+       {"randomk", "topk", "dgc", "efsignsgd", "qsgd", "terngrad", "fp16", "threshold"}) {
+    if (algorithm == known) {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::unique_ptr<Compressor> CreateCompressor(const CompressorConfig& config) {
   const std::string& a = config.algorithm;
   if (a == "randomk") {

@@ -90,6 +90,10 @@ struct CompressorConfig {
   double threshold = 0.01; // magnitude cutoff for "threshold"
 };
 
+// True for exactly the algorithm names above, the ones CreateCompressor accepts.
+bool IsCompressionAlgorithm(std::string_view algorithm);
+
+// Aborts on an algorithm name IsCompressionAlgorithm rejects.
 std::unique_ptr<Compressor> CreateCompressor(const CompressorConfig& config);
 
 }  // namespace espresso

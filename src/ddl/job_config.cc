@@ -1,5 +1,9 @@
 #include "src/ddl/job_config.h"
 
+#include <cmath>
+#include <optional>
+#include <string_view>
+
 #include "src/models/model_zoo.h"
 #include "src/util/parse_number.h"
 
@@ -13,21 +17,61 @@ JobConfigResult Fail(const std::string& message) {
   return result;
 }
 
+// Reads an optional count that must be at least `min`. The bound is checked on the
+// signed value, before the cast, so "-1" cannot become 2^64 - 1.
+bool ReadCount(const ConfigFile& file, std::string_view section, std::string_view key,
+               int64_t min, size_t* out, std::string* error) {
+  const auto v = file.GetInt(section, key);
+  if (!v) {
+    return true;
+  }
+  if (*v < min) {
+    *error = std::string(key) + " must be at least " + std::to_string(min);
+    return false;
+  }
+  *out = static_cast<size_t>(*v);
+  return true;
+}
+
+enum class Sign { kPositive, kNonNegative };
+
+// Reads an optional floating-point field and stores it times `scale`. The stored value
+// must be finite and positive (or non-negative), so a huge rate cannot scale to
+// infinity either.
+bool ReadReal(const ConfigFile& file, std::string_view section, std::string_view key,
+              Sign sign, double scale, double* out, std::string* error) {
+  const auto v = file.GetDouble(section, key);
+  if (!v) {
+    return true;
+  }
+  const double value = *v * scale;
+  if (!std::isfinite(value) || value < 0.0 || (sign == Sign::kPositive && value == 0.0)) {
+    *error = std::string(key) + (sign == Sign::kPositive ? " must be finite and positive"
+                                                         : " must be finite and non-negative");
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseModel(const ConfigFile& file, ModelProfile* model, std::string* error) {
   if (const auto name = file.Get("model", "name")) {
-    *model = GetModel(*name);
+    std::optional<ModelProfile> zoo = FindModel(*name);
+    if (!zoo) {
+      *error = "unknown model '" + *name + "'";
+      return false;
+    }
+    *model = *std::move(zoo);
   } else {
     model->name = file.GetOr("model", "label", "custom");
     model->tensors.clear();
   }
-  if (const auto v = file.GetDouble("model", "forward_ms")) {
-    model->forward_time_s = *v * 1e-3;
-  }
-  if (const auto v = file.GetDouble("model", "optimizer_ms")) {
-    model->optimizer_time_s = *v * 1e-3;
-  }
-  if (const auto v = file.GetInt("model", "batch_size")) {
-    model->batch_size = static_cast<size_t>(*v);
+  if (!ReadReal(file, "model", "forward_ms", Sign::kNonNegative, 1e-3,
+                &model->forward_time_s, error) ||
+      !ReadReal(file, "model", "optimizer_ms", Sign::kNonNegative, 1e-3,
+                &model->optimizer_time_s, error) ||
+      !ReadCount(file, "model", "batch_size", 0, &model->batch_size, error)) {
+    return false;
   }
   if (const auto v = file.Get("model", "unit")) {
     model->throughput_unit = *v;
@@ -60,8 +104,8 @@ bool ParseModel(const ConfigFile& file, ModelProfile* model, std::string* error)
       }
       spec.elements = static_cast<size_t>(elements);
       spec.backward_time_s = backward_ms * 1e-3;
-      if (spec.elements == 0 || spec.backward_time_s <= 0.0) {
-        *error = "tensor '" + name + "': elements and backward_ms must be positive";
+      if (spec.elements == 0 || !std::isfinite(backward_ms) || backward_ms <= 0.0) {
+        *error = "tensor '" + name + "': elements and backward_ms must be positive and finite";
         return false;
       }
       model->tensors.push_back(std::move(spec));
@@ -77,25 +121,28 @@ bool ParseModel(const ConfigFile& file, ModelProfile* model, std::string* error)
 bool ParseCompression(const ConfigFile& file, CompressorConfig* config,
                       size_t* max_compress_ops, std::string* error) {
   config->algorithm = file.GetOr("compression", "algorithm", "randomk");
+  if (!IsCompressionAlgorithm(config->algorithm)) {
+    *error = "unknown compression algorithm '" + config->algorithm + "'";
+    return false;
+  }
   config->bits = 4;  // QSGD default when the file does not set one
   if (const auto v = file.GetDouble("compression", "ratio")) {
     config->ratio = *v;
   }
   if (const auto v = file.GetInt("compression", "bits")) {
+    if (*v < 1 || *v > 7) {
+      *error = "compression bits must be in [1, 7]";
+      return false;
+    }
     config->bits = static_cast<int>(*v);
   }
-  if (const auto v = file.GetDouble("compression", "threshold")) {
-    config->threshold = *v;
-  }
-  if (const auto v = file.GetInt("compression", "max_compress_ops")) {
-    *max_compress_ops = static_cast<size_t>(*v);
-  }
-  if (config->ratio <= 0.0 || config->ratio > 1.0) {
-    *error = "compression ratio must be in (0, 1]";
+  if (!ReadReal(file, "compression", "threshold", Sign::kPositive, 1.0,
+                &config->threshold, error) ||
+      !ReadCount(file, "compression", "max_compress_ops", 0, max_compress_ops, error)) {
     return false;
   }
-  if (config->bits < 1 || config->bits > 7) {
-    *error = "compression bits must be in [1, 7]";
+  if (!(config->ratio > 0.0 && config->ratio <= 1.0)) {
+    *error = "compression ratio must be in (0, 1]";
     return false;
   }
   return true;
@@ -111,33 +158,25 @@ bool ParseCluster(const ConfigFile& file, ClusterSpec* cluster, std::string* err
     *error = "unknown testbed '" + testbed + "' (expected nvlink or pcie)";
     return false;
   }
-  if (const auto v = file.GetInt("cluster", "machines")) {
-    cluster->machines = static_cast<size_t>(*v);
-  }
-  if (const auto v = file.GetInt("cluster", "gpus_per_machine")) {
-    cluster->gpus_per_machine = static_cast<size_t>(*v);
-  }
-  if (const auto v = file.GetDouble("cluster", "inter_gbps")) {
-    cluster->inter.bytes_per_second = *v * 1e9 / 8.0;  // Gb/s -> bytes/s
-  }
-  if (const auto v = file.GetDouble("cluster", "intra_gbps")) {
-    cluster->intra.bytes_per_second = *v * 1e9 / 8.0;
-  }
-  if (const auto v = file.GetDouble("cluster", "inter_latency_us")) {
-    cluster->inter.latency_s = *v * 1e-6;
-  }
-  if (const auto v = file.GetDouble("cluster", "intra_latency_us")) {
-    cluster->intra.latency_s = *v * 1e-6;
-  }
-  if (const auto v = file.GetInt("cluster", "cpu_workers_per_gpu")) {
-    cluster->cpu_workers_per_gpu = static_cast<size_t>(*v);
+  constexpr double kGbps = 1e9 / 8.0;  // Gb/s -> bytes/s
+  constexpr double kUs = 1e-6;
+  if (!ReadCount(file, "cluster", "machines", 1, &cluster->machines, error) ||
+      !ReadCount(file, "cluster", "gpus_per_machine", 1, &cluster->gpus_per_machine,
+                 error) ||
+      !ReadCount(file, "cluster", "cpu_workers_per_gpu", 1, &cluster->cpu_workers_per_gpu,
+                 error) ||
+      !ReadReal(file, "cluster", "inter_gbps", Sign::kPositive, kGbps,
+                &cluster->inter.bytes_per_second, error) ||
+      !ReadReal(file, "cluster", "intra_gbps", Sign::kPositive, kGbps,
+                &cluster->intra.bytes_per_second, error) ||
+      !ReadReal(file, "cluster", "inter_latency_us", Sign::kNonNegative, kUs,
+                &cluster->inter.latency_s, error) ||
+      !ReadReal(file, "cluster", "intra_latency_us", Sign::kNonNegative, kUs,
+                &cluster->intra.latency_s, error)) {
+    return false;
   }
   if (const auto v = file.GetBool("cluster", "host_copy_contends_intra")) {
     cluster->host_copy_contends_intra = *v;
-  }
-  if (cluster->machines == 0 || cluster->gpus_per_machine == 0) {
-    *error = "cluster must have at least one machine and one GPU";
-    return false;
   }
   return true;
 }

@@ -1,8 +1,8 @@
 #include "src/ddl/strategy_executor.h"
 
 #include <algorithm>
+#include <bit>
 
-#include "src/mem/arena.h"
 #include "src/mem/stable_vec.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
@@ -81,18 +81,15 @@ int PhaseLevel(CommPhase phase) {
 
 // The workspace body lives here so it can hold the interpreter-internal types.
 struct ExecutorWorkspace::Impl {
-  mem::BufferPool pool{"executor"};
-  mem::Arena arena;
   std::vector<RankState> states;
   mem::StableVec<std::vector<size_t>> groups;        // Groups() output
   mem::StableVec<RangedPayload> gather_scratch;      // allgather/gather/broadcast staging
   std::vector<mem::StableVec<RangedPayload>> inbox;  // alltoall per-member staging
+  std::vector<float> scratch;  // group sum, allgather merge, broadcast staging
 };
 
 ExecutorWorkspace::ExecutorWorkspace() : impl_(std::make_unique<Impl>()) {}
 ExecutorWorkspace::~ExecutorWorkspace() = default;
-
-mem::BufferPool& ExecutorWorkspace::pool() { return impl_->pool; }
 
 ExecutorWorkspace& ExecutorWorkspace::ThreadDefault() {
   thread_local ExecutorWorkspace workspace;
@@ -172,23 +169,20 @@ class OptionExecutor {
   }
 
  private:
-  // Stable partition of `group` by active state (actives first, relative order kept),
-  // staged through the arena instead of std::stable_partition's temporary buffer.
-  void StablePartitionActive(std::vector<size_t>& group) {
-    mem::ArenaScope scope(ws_.arena);
-    std::span<size_t> tmp = ws_.arena.Alloc<size_t>(group.size());
-    size_t k = 0;
-    for (size_t r : group) {
-      if (states_[r].active) {
-        tmp[k++] = r;
-      }
+  // The workspace's float scratch, emptied and able to hold `n` floats without
+  // reallocating. The group sum, the uncompressed allgather merge and the broadcast
+  // staging each hold it for one group and are never live at the same time.
+  std::vector<float>& Scratch(size_t n) {
+    std::vector<float>& scratch = ws_.scratch;
+    scratch.clear();
+    if (scratch.capacity() < n) {
+      // Growth rounds the capacity up to a power of two, which keeps the block's size
+      // and heap placement those of a size-bucketed allocator. SumGroup streams it
+      // against every rank's buffer, and an exact-size block once measured about 5%
+      // slower on exec-efsignsgd-pcie (docs/MEMORY.md §1).
+      scratch.reserve(std::bit_ceil(n));
     }
-    for (size_t r : group) {
-      if (!states_[r].active) {
-        tmp[k++] = r;
-      }
-    }
-    std::copy(tmp.begin(), tmp.end(), group.begin());
+    return scratch;
   }
 
   // Rank groups participating in a communication op of the given phase: machine groups
@@ -200,8 +194,24 @@ class OptionExecutor {
     // same communication level made dormant — they are recipients.
     const bool revive = op.routine == Routine::kBroadcast;
     const int level = PhaseLevel(op.phase);
-    auto participates = [&](size_t r) {
-      return states_[r].active || (revive && states_[r].dormant_level == level);
+    auto revived = [&](size_t r) {
+      return !states_[r].active && revive && states_[r].dormant_level == level;
+    };
+    // An inter or flat group takes ranks first, first + stride, ...: the active ones
+    // first and the revived ones second, each in rank order, so a Broadcast's root
+    // (the group's front) holds live data.
+    auto add_active_then_revived = [&](std::vector<size_t>& group, size_t first,
+                                       size_t stride) {
+      for (size_t r = first; r < states_.size(); r += stride) {
+        if (states_[r].active) {
+          group.push_back(r);
+        }
+      }
+      for (size_t r = first; r < states_.size(); r += stride) {
+        if (revived(r)) {
+          group.push_back(r);
+        }
+      }
     };
     mem::StableVec<std::vector<size_t>>& groups = ws_.groups;
     groups.clear();
@@ -215,7 +225,7 @@ class OptionExecutor {
         std::vector<size_t>& group = begin_group();
         for (size_t l = 0; l < config_.gpus_per_machine; ++l) {
           const size_t r = m * config_.gpus_per_machine + l;
-          if (participates(r)) {
+          if (states_[r].active || revived(r)) {
             group.push_back(r);
           }
         }
@@ -230,32 +240,18 @@ class OptionExecutor {
       // whose ranks all went dormant at the machine level (rooted intra) sit out.
       for (size_t l = 0; l < config_.gpus_per_machine; ++l) {
         std::vector<size_t>& group = begin_group();
-        for (size_t m = 0; m < config_.machines; ++m) {
-          const size_t r = m * config_.gpus_per_machine + l;
-          if (participates(r)) {
-            group.push_back(r);
-          }
-        }
+        add_active_then_revived(group, l, config_.gpus_per_machine);
         if (group.empty()) {
           groups.truncate(groups.size() - 1);
-        } else {
-          // The (active) root must lead so Broadcast reads live data.
-          StablePartitionActive(group);
         }
       }
       return groups;
     }
     // Flat: one group over every participating rank.
     std::vector<size_t>& group = begin_group();
-    for (size_t r = 0; r < states_.size(); ++r) {
-      if (participates(r)) {
-        group.push_back(r);
-      }
-    }
+    add_active_then_revived(group, 0, 1);
     if (group.empty()) {
       groups.truncate(groups.size() - 1);
-    } else {
-      StablePartitionActive(group);
     }
     return groups;
   }
@@ -350,10 +346,11 @@ class OptionExecutor {
   void GroupAllreduce(const std::vector<size_t>& group) {
     RankState& first = states_[group.front()];
     ESP_CHECK(!first.pending_compress && !first.HasPayloads());
-    mem::PooledFloats sum = ws_.pool.AcquireZeroedFloats(first.length);
-    SumGroup(group, sum.span());
+    std::vector<float>& sum = Scratch(first.length);
+    sum.assign(first.length, 0.0f);
+    SumGroup(group, sum);
     for (size_t r : group) {
-      states_[r].raw.assign(sum->begin(), sum->end());
+      states_[r].raw.assign(sum.begin(), sum.end());
     }
   }
 
@@ -363,15 +360,16 @@ class OptionExecutor {
     const Partition part(first.length, group.size());
     // Shard j is range j of the group sum; the whole sum is staged before any state
     // is overwritten (rank j's raw feeds every shard).
-    mem::PooledFloats sum = ws_.pool.AcquireZeroedFloats(first.length);
-    SumGroup(group, sum.span());
+    std::vector<float>& sum = Scratch(first.length);
+    sum.assign(first.length, 0.0f);
+    SumGroup(group, sum);
     for (size_t j = 0; j < group.size(); ++j) {
       RankState& s = states_[group[j]];
       const size_t offset = part.Offset(j);
       const size_t length = part.Length(j);
       s.offset += offset;
       s.length = length;
-      s.raw.assign(sum->begin() + offset, sum->begin() + offset + length);
+      s.raw.assign(sum.begin() + offset, sum.begin() + offset + length);
     }
   }
 
@@ -416,15 +414,16 @@ class OptionExecutor {
       lo = std::min(lo, states_[r].offset);
       hi = std::max(hi, states_[r].offset + states_[r].length);
     }
-    mem::PooledFloats merged = ws_.pool.AcquireZeroedFloats(hi - lo);
+    std::vector<float>& merged = Scratch(hi - lo);
+    merged.assign(hi - lo, 0.0f);
     for (size_t r : group) {
       const RankState& s = states_[r];
-      std::copy(s.raw.begin(), s.raw.end(), merged->begin() + (s.offset - lo));
+      std::copy(s.raw.begin(), s.raw.end(), merged.begin() + (s.offset - lo));
     }
     for (size_t r : group) {
       states_[r].offset = lo;
       states_[r].length = hi - lo;
-      states_[r].raw.assign(merged->begin(), merged->end());
+      states_[r].raw.assign(merged.begin(), merged.end());
     }
   }
 
@@ -464,8 +463,8 @@ class OptionExecutor {
     }
     ESP_CHECK(!root.HasPayloads());
     // Stage the root's value: the loop overwrites the root's own raw vector.
-    mem::PooledFloats value = ws_.pool.AcquireFloats(root.raw.size());
-    std::copy(root.raw.begin(), root.raw.end(), value->begin());
+    std::vector<float>& value = Scratch(root.raw.size());
+    value.assign(root.raw.begin(), root.raw.end());
     const size_t offset = root.offset;
     const size_t length = root.length;
     for (size_t r : group) {
@@ -474,7 +473,7 @@ class OptionExecutor {
       s.dormant_level = -1;
       s.offset = offset;
       s.length = length;
-      s.raw.assign(value->begin(), value->end());
+      s.raw.assign(value.begin(), value.end());
       s.payloads.clear();
       s.payload_set = 0;
     }

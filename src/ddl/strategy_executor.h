@@ -21,7 +21,6 @@
 #include "src/compress/compressor.h"
 #include "src/compress/error_feedback.h"
 #include "src/core/strategy.h"
-#include "src/mem/buffer_pool.h"
 
 namespace espresso {
 
@@ -37,8 +36,8 @@ struct ExecutorConfig {
 
 // Persistent scratch for the option interpreter: per-rank states (compressed payload
 // sets, recycled via capacity-keeping containers), group index lists, payload
-// gather/shuffle staging, and a BufferPool/Arena pair for transient float scratch
-// (group sums, allgather merges). The ranks' raw ranges are not stored here: each
+// gather/shuffle staging, and one float scratch buffer (group sums, uncompressed
+// allgather merges, broadcast staging). The ranks' raw ranges are not stored here: each
 // execution swaps the caller's buffers in and hands the same allocations back, so the
 // workspace keeps no per-rank tensor copy. One workspace serves every tensor of a
 // strategy and every step of a run — after the first execution at a given topology and
@@ -51,9 +50,6 @@ class ExecutorWorkspace {
   ~ExecutorWorkspace();
   ExecutorWorkspace(const ExecutorWorkspace&) = delete;
   ExecutorWorkspace& operator=(const ExecutorWorkspace&) = delete;
-
-  // Pool feeding the interpreter's transient float buffers ("executor" metrics).
-  mem::BufferPool& pool();
 
   // The calling thread's shared workspace (what the nullptr default resolves to).
   static ExecutorWorkspace& ThreadDefault();

@@ -1,5 +1,6 @@
 #include "src/fault/resilient_executor.h"
 
+#include "src/core/decision_tree.h"
 #include "src/obs/metrics.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
@@ -37,20 +38,14 @@ const FaultMetrics& Metrics() {
   return metrics;
 }
 
-// The FP32 degradation path: exact allreduce of the raw per-rank gradients. The sum
-// buffer is leased from the executor workspace's pool, so fallback steps stay
-// allocation-free once warm.
-void ExactAllreduce(RankBuffers& buffers, ExecutorWorkspace& workspace) {
-  const size_t elements = CheckUniformSize(buffers);
-  mem::PooledFloats sum = workspace.pool().AcquireZeroedFloats(elements);
-  for (const auto& buffer : buffers) {
-    for (size_t i = 0; i < elements; ++i) {
-      (*sum)[i] += buffer[i];
-    }
-  }
-  for (auto& buffer : buffers) {
-    buffer.assign(sum->begin(), sum->end());
-  }
+// The FP32 degradation path: an exact flat allreduce of the raw per-rank gradients.
+// The executor sums each element 0 + g0 + g1 + ... in rank order, in the workspace's
+// scratch, so fallback steps stay allocation-free once warm.
+const CompressionOption& Fp32FallbackOption() {
+  // A one-machine tree's uncompressed option is the flat allreduce.
+  static const CompressionOption option =
+      DefaultUncompressedOption(TreeConfig{.machines = 1, .gpus_per_machine = 1});
+  return option;
 }
 
 }  // namespace
@@ -87,7 +82,7 @@ void ResilientExecuteOption(const CompressionOption& option, const ExecutorConfi
                            attempt});
       ++report->fallbacks;
       obs::GlobalMetrics().Add(Metrics().fp32_fallbacks);
-      ExactAllreduce(buffers, ws);
+      ExecuteOption(Fp32FallbackOption(), config, tensor_id, buffers, &ws);
       return;
     }
     report->events.push_back(FaultEventRecord{iteration, static_cast<size_t>(tensor_id),

@@ -262,7 +262,7 @@ std::vector<ModelProfile> AllModels() {
   return {Vgg16(), ResNet101(), Ugatit(), BertBase(), Gpt2(), Lstm()};
 }
 
-ModelProfile GetModel(std::string_view name) {
+std::optional<ModelProfile> FindModel(std::string_view name) {
   if (name == "vgg16") {
     return Vgg16();
   }
@@ -281,8 +281,13 @@ ModelProfile GetModel(std::string_view name) {
   if (name == "lstm") {
     return Lstm();
   }
-  ESP_CHECK(false) << "unknown model: " << name;
-  return {};
+  return std::nullopt;
+}
+
+ModelProfile GetModel(std::string_view name) {
+  std::optional<ModelProfile> model = FindModel(name);
+  ESP_CHECK(model.has_value()) << "unknown model: " << name;
+  return *std::move(model);
 }
 
 }  // namespace espresso

@@ -6,6 +6,7 @@
 #ifndef SRC_MODELS_MODEL_ZOO_H_
 #define SRC_MODELS_MODEL_ZOO_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,7 +25,11 @@ ModelProfile Lstm();
 // All six models, in the paper's Table 4 order.
 std::vector<ModelProfile> AllModels();
 
-// Lookup by name ("vgg16", "resnet101", "ugatit", "bert-base", "gpt2", "lstm").
+// Lookup by name ("vgg16", "resnet101", "ugatit", "bert-base", "gpt2", "lstm");
+// nullopt for any other name.
+std::optional<ModelProfile> FindModel(std::string_view name);
+
+// FindModel for a name that must be in the zoo (aborts otherwise).
 ModelProfile GetModel(std::string_view name);
 
 }  // namespace espresso

@@ -110,6 +110,31 @@ TEST(Schemes, TrafficDivisibleBelowIndivisibleForManyRanks) {
   EXPECT_LT(divisible.traffic.bytes_sent_per_rank, indivisible.traffic.bytes_sent_per_rank);
 }
 
+// A workspace's payload vectors only grow, so a call with fewer ranks than an earlier
+// one leaves stale slots behind; they are not part of its traffic.
+TEST(Schemes, TrafficOnAReusedWorkspaceCountsOnlyLiveRanks) {
+  TopKCompressor c(0.25);
+  const size_t n = 256;
+  auto bytes_per_rank = [&](mem::CollectiveWorkspace& ws, size_t ranks, bool divisible) {
+    SchemeContext ctx;
+    ctx.workspace = &ws;
+    RankBuffers buffers = RandomBuffers(ranks, n, 9);
+    const SchemeResult result = divisible ? CompressedDivisibleAlltoall(c, ctx, buffers)
+                                          : CompressedIndivisibleAllgather(c, ctx, buffers);
+    return result.traffic.bytes_sent_per_rank;
+  };
+  for (const bool divisible : {false, true}) {
+    mem::CollectiveWorkspace fresh;
+    mem::CollectiveWorkspace reused;
+    bytes_per_rank(reused, 8, divisible);
+    // 4 ranks of 64 (index, value) pairs: a 512-byte payload per rank, or 16 pairs
+    // (128 bytes) per part.
+    const size_t expected = divisible ? 3 * 128 + 4 * 128 * 3 / 4 : 4 * 512 * 3 / 4;
+    EXPECT_EQ(bytes_per_rank(fresh, 4, divisible), expected) << divisible;
+    EXPECT_EQ(bytes_per_rank(reused, 4, divisible), expected) << divisible;
+  }
+}
+
 TEST(Schemes, ErrorFeedbackReducesLongRunError) {
   // Synchronizing the same gradient repeatedly with EF must converge to transmitting
   // it fully; without EF the bias persists.

@@ -105,6 +105,47 @@ TEST(JobConfig, RejectsBadInputs) {
       LoadJobConfig(ConfigFile::ParseString("broken"), GcFile(), SystemFile());
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("model config"), std::string::npos);
+
+  // Values that would otherwise abort a later stage (the model zoo, the compressor
+  // factory, the simulator) or wrap around in a size_t cast.
+  for (const char* model :
+       {"[model]\nname = gpt3\n", "[model]\nname = gpt2\nbatch_size = -1\n",
+        "[model]\nname = gpt2\nforward_ms = nan\n",
+        "[model]\nname = gpt2\noptimizer_ms = -5\n", "[tensors]\nw = 100, nan\n",
+        "[tensors]\nw = 100, inf\n"}) {
+    const JobConfigResult bad =
+        LoadJobConfig(ConfigFile::ParseString(model), GcFile(), SystemFile());
+    EXPECT_FALSE(bad.ok) << model;
+    EXPECT_NE(bad.error.find("model config"), std::string::npos) << bad.error;
+  }
+  for (const char* gc : {"[compression]\nalgorithm = bogus\n",
+                         "[compression]\nalgorithm = randomk\nratio = nan\n",
+                         "[compression]\nalgorithm = threshold\nthreshold = -1\n",
+                         "[compression]\nalgorithm = qsgd\nbits = 4294967297\n",
+                         "[compression]\nalgorithm = dgc\nmax_compress_ops = -1\n"}) {
+    const JobConfigResult bad =
+        LoadJobConfig(ModelZooFile(), ConfigFile::ParseString(gc), SystemFile());
+    EXPECT_FALSE(bad.ok) << gc;
+    EXPECT_NE(bad.error.find("gc config"), std::string::npos) << bad.error;
+  }
+  for (const char* cluster :
+       {"machines = -1", "machines = 0", "gpus_per_machine = -2", "cpu_workers_per_gpu = 0",
+        "cpu_workers_per_gpu = -1", "intra_gbps = -1", "inter_gbps = -10", "inter_gbps = 0",
+        "intra_gbps = nan", "inter_gbps = inf", "inter_gbps = 1e308", "intra_latency_us = -5",
+        "inter_latency_us = inf"}) {
+    const JobConfigResult bad = LoadJobConfig(
+        ModelZooFile(), GcFile(),
+        ConfigFile::ParseString(std::string("[cluster]\ntestbed = nvlink\n") + cluster));
+    EXPECT_FALSE(bad.ok) << cluster;
+    EXPECT_NE(bad.error.find("system config"), std::string::npos) << bad.error;
+  }
+  // The bounds are inclusive where they should be.
+  EXPECT_TRUE(LoadJobConfig(ModelZooFile(), GcFile(),
+                            ConfigFile::ParseString("[cluster]\nmachines = 1\n"
+                                                    "gpus_per_machine = 1\n"
+                                                    "cpu_workers_per_gpu = 1\n"
+                                                    "intra_latency_us = 0\n"))
+                  .ok);
 }
 
 TEST(JobConfig, ShippedConfigFilesLoad) {

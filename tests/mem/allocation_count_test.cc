@@ -1,6 +1,6 @@
 // Steady-state allocation counting for the execution dataplane. This binary overrides
 // the global allocating operators with counting forwarders; each test warms the path
-// under test (workspaces, pools, error-feedback residuals, thread-local scratch), then
+// under test (workspaces, error-feedback residuals, thread-local scratch), then
 // replays it with the counter snapshotted before and after. The zero-allocation claim
 // of docs/MEMORY.md is asserted literally: the delta must be 0.
 //
@@ -103,7 +103,6 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 #include "src/core/timeline.h"
 #include "src/ddl/strategy_executor.h"
 #include "src/fault/chaos_channel.h"
-#include "src/mem/buffer_pool.h"
 #include "src/mem/workspace.h"
 #include "src/models/model_zoo.h"
 #include "src/util/rng.h"
@@ -125,21 +124,6 @@ void Refill(RankBuffers& buffers, const RankBuffers& initial) {
   for (size_t r = 0; r < buffers.size(); ++r) {
     buffers[r].assign(initial[r].begin(), initial[r].end());
   }
-}
-
-TEST(AllocationCount, PoolHitPathIsAllocationFree) {
-  mem::BufferPool pool;
-  { mem::PooledFloats warm = pool.AcquireFloats(256); }
-  { mem::PooledBytes warm = pool.AcquireBytes(64); }
-  const std::uint64_t before = AllocationCount();
-  for (int i = 0; i < 100; ++i) {
-    mem::PooledFloats f = pool.AcquireFloats(200);
-    mem::PooledBytes b = pool.AcquireBytes(50);
-    (*f)[0] = 1.0f;
-    (*b)[0] = 1;
-  }
-  const std::uint64_t delta = AllocationCount() - before;
-  EXPECT_EQ(delta, 0u);
 }
 
 // The reliable channel's corrupt-and-retry path: once its scratch tensor has held a
@@ -231,35 +215,39 @@ TEST(AllocationCount, PrimitivesSteadyStateIsAllocationFree) {
   EXPECT_EQ(delta, 0u);
 }
 
+// Random-k aggregates the divisible scheme's parts as compressed payloads; top-k
+// decodes each part into the workspace's part scratch and compresses it again.
 TEST(AllocationCount, SchemesSteadyStateIsAllocationFree) {
   const size_t ranks = 4, n = 128;
-  const auto randomk =
-      CreateCompressor(CompressorConfig{.algorithm = "randomk", .ratio = 0.25});
-  const RankBuffers initial = MakeGradients(ranks, n, 7);
-  RankBuffers buffers = initial;
-  mem::CollectiveWorkspace workspace;
-  std::vector<ErrorFeedback> feedback(ranks);
-  SchemeContext ctx;
-  ctx.feedback = &feedback;
-  ctx.workspace = &workspace;
+  for (const char* algorithm : {"randomk", "topk"}) {
+    const auto compressor =
+        CreateCompressor(CompressorConfig{.algorithm = algorithm, .ratio = 0.25});
+    const RankBuffers initial = MakeGradients(ranks, n, 7);
+    RankBuffers buffers = initial;
+    mem::CollectiveWorkspace workspace;
+    std::vector<ErrorFeedback> feedback(ranks);
+    SchemeContext ctx;
+    ctx.feedback = &feedback;
+    ctx.workspace = &workspace;
 
-  for (int i = 0; i < 3; ++i) {  // warm-up
-    ctx.seed = static_cast<uint64_t>(i);
-    Refill(buffers, initial);
-    CompressedIndivisibleAllgather(*randomk, ctx, buffers);
-    Refill(buffers, initial);
-    CompressedDivisibleAlltoall(*randomk, ctx, buffers);
+    for (int i = 0; i < 3; ++i) {  // warm-up
+      ctx.seed = static_cast<uint64_t>(i);
+      Refill(buffers, initial);
+      CompressedIndivisibleAllgather(*compressor, ctx, buffers);
+      Refill(buffers, initial);
+      CompressedDivisibleAlltoall(*compressor, ctx, buffers);
+    }
+    const std::uint64_t before = AllocationCount();
+    for (int i = 3; i < 13; ++i) {
+      ctx.seed = static_cast<uint64_t>(i);
+      Refill(buffers, initial);
+      CompressedIndivisibleAllgather(*compressor, ctx, buffers);
+      Refill(buffers, initial);
+      CompressedDivisibleAlltoall(*compressor, ctx, buffers);
+    }
+    const std::uint64_t delta = AllocationCount() - before;
+    EXPECT_EQ(delta, 0u) << algorithm;
   }
-  const std::uint64_t before = AllocationCount();
-  for (int i = 3; i < 13; ++i) {
-    ctx.seed = static_cast<uint64_t>(i);
-    Refill(buffers, initial);
-    CompressedIndivisibleAllgather(*randomk, ctx, buffers);
-    Refill(buffers, initial);
-    CompressedDivisibleAlltoall(*randomk, ctx, buffers);
-  }
-  const std::uint64_t delta = AllocationCount() - before;
-  EXPECT_EQ(delta, 0u);
 }
 
 // The headline guarantee: a warmed ExecutorWorkspace executes EVERY candidate and

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/obs/audit_log.h"
 #include "src/server/client.h"
@@ -120,6 +122,29 @@ TEST(SelectionService, BadConfigIsATypedError) {
   const std::string request = BuildSelectRequest(
       "r", "t", kModelIni, "[compression]\nratio = 99\n", kSystemIni);
   EXPECT_EQ(ErrorCode(service.HandleRequest(request)), "bad-config");
+
+  // Each of these once aborted the process further down the pipeline (unknown zoo
+  // model or algorithm, a zero-lane CPU pool, a negative duration the simulator
+  // reports as a dependency cycle) or was served as 2^64 - 1 machines.
+  const std::string cluster = "[cluster]\ntestbed = nvlink\nmachines = 2\n";
+  const std::vector<std::array<std::string, 3>> hostile = {
+      {"[model]\nname = gpt3\n", kGcIni, kSystemIni},
+      {kModelIni, "[compression]\nalgorithm = bogus\n", kSystemIni},
+      {kModelIni, kGcIni, cluster + "cpu_workers_per_gpu = 0\n"},
+      {kModelIni, kGcIni, cluster + "cpu_workers_per_gpu = -1\n"},
+      {kModelIni, kGcIni, cluster + "intra_gbps = -1\n"},
+      {kModelIni, kGcIni, cluster + "inter_gbps = -10\n"},
+      {kModelIni, kGcIni, cluster + "intra_latency_us = -5\n"},
+      {kModelIni, kGcIni, "[cluster]\ntestbed = nvlink\nmachines = -1\n"}};
+  for (size_t i = 0; i < hostile.size(); ++i) {
+    const auto& [model, gc, system] = hostile[i];
+    EXPECT_EQ(ErrorCode(service.HandleRequest(
+                  BuildSelectRequest("bad-" + std::to_string(i), "t", model, gc, system))),
+              "bad-config")
+        << model << gc << system;
+  }
+  // The process survived every one; the next request is served normally.
+  EXPECT_EQ(ErrorCode(service.HandleRequest(Select("ok", "t"))), "");
 }
 
 // Regression: the selector CHECK-aborts on compressors with content-dependent
