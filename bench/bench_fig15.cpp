@@ -20,7 +20,8 @@ double ScalingOf(const ModelProfile& model, const ClusterSpec& cluster,
   return MeasureThroughput(model, cluster, compressor, strategy).scaling_factor;
 }
 
-void Panel(const char* title, const ModelProfile& model, const ClusterSpec& cluster,
+// Prints one panel and returns whether the full search space won it.
+bool Panel(const char* title, const ModelProfile& model, const ClusterSpec& cluster,
            const Compressor& compressor,
            const std::vector<std::pair<const char*, CrippledDimension>>& mechanisms) {
   EspressoSelector selector(model, cluster, compressor);
@@ -44,6 +45,7 @@ void Panel(const char* title, const ModelProfile& model, const ClusterSpec& clus
   table.Print(std::cout);
   std::cout << (espresso_wins ? "Shape check PASSED: full search space wins\n\n"
                               : "Shape check FAILED: a crippled mechanism won\n\n");
+  return espresso_wins;
 }
 
 }  // namespace
@@ -60,21 +62,22 @@ int main() {
   // use the PCIe testbed where the restricted spaces visibly separate — the claim under
   // test (full space >= every crippled space) is testbed-independent.
   std::cout << "Figure 15: crippling any dimension is never better (VGG16, 64 GPUs)\n\n";
-  Panel("(a) Restrict Dimension 1 (which tensors to compress) — PCIe + Randomk", model,
-        PcieCluster(), *randomk,
-        {{"All compression", CrippledDimension::kAllCompression},
-         {"Myopic compression", CrippledDimension::kMyopicCompression}});
-  Panel("(b) Restrict Dimension 2 (compute resource) — PCIe + Randomk", model,
-        PcieCluster(), *randomk,
-        {{"GPU compression only", CrippledDimension::kGpuCompression},
-         {"CPU compression only", CrippledDimension::kCpuCompression}});
-  Panel("(c) Restrict Dimension 3 (communication scheme) — PCIe + Randomk", model,
-        PcieCluster(), *randomk,
-        {{"Inter Allgather", CrippledDimension::kInterAllgather},
-         {"Inter Alltoall", CrippledDimension::kInterAlltoall}});
-  Panel("(d) Restrict Dimension 4 (compression choice) — PCIe + EFSignSGD", model,
-        PcieCluster(), *efsignsgd,
-        {{"Inter Alltoall", CrippledDimension::kInterAlltoall},
-         {"Alltoall+Alltoall", CrippledDimension::kAlltoallAlltoall}});
-  return 0;
+  bool passed = true;
+  passed &= Panel("(a) Restrict Dimension 1 (which tensors to compress) — PCIe + Randomk",
+                  model, PcieCluster(), *randomk,
+                  {{"All compression", CrippledDimension::kAllCompression},
+                   {"Myopic compression", CrippledDimension::kMyopicCompression}});
+  passed &= Panel("(b) Restrict Dimension 2 (compute resource) — PCIe + Randomk", model,
+                  PcieCluster(), *randomk,
+                  {{"GPU compression only", CrippledDimension::kGpuCompression},
+                   {"CPU compression only", CrippledDimension::kCpuCompression}});
+  passed &= Panel("(c) Restrict Dimension 3 (communication scheme) — PCIe + Randomk", model,
+                  PcieCluster(), *randomk,
+                  {{"Inter Allgather", CrippledDimension::kInterAllgather},
+                   {"Inter Alltoall", CrippledDimension::kInterAlltoall}});
+  passed &= Panel("(d) Restrict Dimension 4 (compression choice) — PCIe + EFSignSGD", model,
+                  PcieCluster(), *efsignsgd,
+                  {{"Inter Alltoall", CrippledDimension::kInterAlltoall},
+                   {"Alltoall+Alltoall", CrippledDimension::kAlltoallAlltoall}});
+  return passed ? 0 : 1;
 }

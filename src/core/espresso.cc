@@ -11,6 +11,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/util/logging.h"
+#include "src/util/thread_pool.h"
 
 namespace espresso {
 
@@ -58,7 +59,7 @@ const SelectorMetrics& Metrics() {
                                           "F(S) and bubble-set memoization cache evictions");
     m.fanouts = r.RegisterCounter("espresso_selector_fanouts_total",
                                   "Scoring batches whose cache misses were submitted "
-                                  "to the selector's thread pool");
+                                  "to the process thread pool");
     m.select_seconds = r.RegisterHistogram("espresso_selector_select_seconds",
                                            "End-to-end Select() wall time",
                                            obs::DefaultTimeBuckets());
@@ -154,7 +155,7 @@ void EspressoSelector::Init() {
   if (options_.cache_capacity > 0 && cache_ == nullptr) {
     cache_ = std::make_shared<EvaluationCache>(options_.cache_capacity);
   }
-  contexts_.emplace_back();  // the caller's; ParallelFor adds the workers' on demand
+  contexts_.emplace_back();  // the caller's; ParallelFor adds the chunks' on demand
 }
 
 template <typename Fn>
@@ -166,15 +167,14 @@ void EspressoSelector::ParallelFor(size_t count, const Fn& fn) const {
     }
     return;
   }
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.threads);
-    while (contexts_.size() < options_.threads) {
-      contexts_.emplace_back();
-    }
+  while (contexts_.size() < chunks) {
+    contexts_.emplace_back();
   }
   ++fanouts_;
+  TaskGroup group;
+  ThreadPool& pool = GlobalThreadPool();
   for (size_t c = 0; c < chunks; ++c) {
-    pool_->Submit([this, &fn, c, chunks, count] {
+    pool.Submit(group, [this, &fn, c, chunks, count] {
       const size_t begin = c * count / chunks;
       const size_t end = (c + 1) * count / chunks;
       for (size_t i = begin; i < end; ++i) {
@@ -182,7 +182,7 @@ void EspressoSelector::ParallelFor(size_t count, const Fn& fn) const {
       }
     });
   }
-  pool_->Wait();
+  group.Wait();
 }
 
 template <typename KeyFn, typename PrepareFn, typename SimulateFn, typename StoreFn>

@@ -17,10 +17,10 @@
 // Search acceleration: every F(S) query and every Property-1 bubble set is memoized
 // in a fingerprint-keyed LRU (SelectorOptions::cache_capacity). A batch of queries is
 // first probed against that cache on the caller's thread; only the misses are
-// simulated, fanned out across a ThreadPool (SelectorOptions::threads) through
-// TimelineEvaluator's thread-safe non-mutating scoring entry points. The pool is built
-// on the first fan-out, so a selection whose queries all hit starts no thread and runs
-// no simulation. A tensor's candidates resume from one TimelineEvaluator::Checkpoint
+// simulated, split into SelectorOptions::threads chunks on the process-wide
+// GlobalThreadPool() through TimelineEvaluator's thread-safe non-mutating scoring entry
+// points. A selection whose queries all hit submits no task and runs no simulation.
+// A tensor's candidates resume from one TimelineEvaluator::Checkpoint
 // of the timeline prefix they share; refinement sweeps visit tensors in ascending
 // order, so the checkpoint mostly advances in place. Both knobs are bit-exact: the
 // accelerated selector returns the same strategy as the serial, uncached one — ties
@@ -38,7 +38,6 @@
 #include "src/core/eval_cache.h"
 #include "src/core/strategy.h"
 #include "src/core/timeline.h"
-#include "src/util/thread_pool.h"
 
 namespace espresso::obs {
 struct MetricsSnapshot;
@@ -61,10 +60,10 @@ struct SelectorOptions {
   // Algorithm 2 exhaustive-search budget; beyond it coordinate descent over the group
   // counts takes over (Lemma 1 still fixes the within-group order either way).
   size_t offload_search_budget = 3000;
-  // Worker threads that simulate a batch's cache misses when it has at least two
-  // (0 or 1 = simulate on the caller's thread). The pool starts on the first such
-  // batch, so a fully cached selection starts no thread. The selected strategy is
-  // identical for any thread count.
+  // Fan-out width: a batch with at least two cache misses is split into this many
+  // chunks, simulated on the process-wide GlobalThreadPool() (0 or 1 = simulate on
+  // the caller's thread). A fully cached selection submits nothing. The selected
+  // strategy is identical for any width.
   size_t threads = 0;
   // Capacity of the memoized F(S) cache (0 disables memoization). The cache is keyed
   // by 64-bit strategy fingerprints and scoped to this selector's evaluator
@@ -87,7 +86,7 @@ struct SelectorTelemetry {
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
   uint64_t fanouts = 0;              // batches whose misses were submitted to the pool
-  size_t threads = 0;                // scoring workers used
+  size_t threads = 0;                // fan-out width (SelectorOptions::threads)
 
   double CacheHitRate() const {
     const uint64_t total = cache_hits + cache_misses;
@@ -169,10 +168,10 @@ class EspressoSelector {
   // Memoized full-strategy F(S) (fingerprint computed from scratch).
   double CachedIterationTime(const Strategy& strategy) const;
 
-  // Runs fn(i, chunk, context) for i in [0, count), chunked across the pool with one
-  // EvalContext per chunk. Runs inline on the caller's thread, in index order, unless
-  // both `count` and threads are at least two; the first call that does fan out builds
-  // the pool.
+  // Runs fn(i, chunk, context) for i in [0, count), split into min(threads, count)
+  // chunks on GlobalThreadPool() under a per-call TaskGroup, with one EvalContext per
+  // chunk. Runs inline on the caller's thread, in index order, unless both `count` and
+  // threads are at least two.
   template <typename Fn>
   void ParallelFor(size_t count, const Fn& fn) const;
 
@@ -198,7 +197,6 @@ class EspressoSelector {
   std::vector<uint64_t> candidate_fingerprints_;  // OptionFingerprint(candidates_[j])
   CompressionOption default_option_;
   std::shared_ptr<EvaluationCache> cache_;        // null = memoization disabled
-  mutable std::unique_ptr<ThreadPool> pool_;      // built on the first fan-out
   mutable std::deque<TimelineEvaluator::EvalContext> contexts_;  // one per chunk
   // The shared prefix for candidate scoring: advanced on the caller's thread, resumed
   // read-only by every chunk.

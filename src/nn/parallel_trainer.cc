@@ -8,7 +8,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/util/logging.h"
-#include "src/util/thread_pool.h"
 
 namespace espresso {
 
@@ -80,17 +79,10 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
   const size_t steps_per_epoch = train.size() / global_batch;
   ESP_CHECK_GT(steps_per_epoch, 0u);
 
-  // The per-worker backward passes are independent reads of the shared model, so they
-  // fan out over the pool; each worker writes only its own grads/loss slot, and the
-  // loss reduction happens in worker order after Wait() to keep results deterministic.
-  ThreadPool pool(config.threads);
-
-  // Step-loop containers are hoisted so their storage persists across steps: each
-  // worker writes only its own slot (TSan-clean), and capacity-reusing assignment
-  // keeps the steady-state sync path off the heap. The sync loop runs on this thread
-  // and owns a dedicated collective workspace.
+  // Step-loop containers are hoisted so their storage persists across steps:
+  // capacity-reusing assignment keeps the steady-state sync path off the heap. The
+  // sync loop owns a dedicated collective workspace.
   std::vector<std::vector<std::vector<float>>> worker_grads(config.workers);
-  std::vector<double> worker_loss(config.workers, 0.0);
   std::vector<Dataset> worker_shards(config.workers);
   std::vector<std::vector<float>> aggregated(tensor_count);
   RankBuffers buffers(config.workers);
@@ -111,18 +103,14 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
       if (config.channel != nullptr) {
         config.channel->BeginIteration(step_counter);
       }
-      // Each worker's gradient on its disjoint shard of the global batch.
+      // Each worker's gradient on its disjoint shard of the global batch, in worker
+      // order.
       for (size_t w = 0; w < config.workers; ++w) {
-        pool.Submit([&, w] {
-          const size_t begin = (step * global_batch + w * config.batch_per_worker);
-          SliceInto(train, begin, config.batch_per_worker, &worker_shards[w]);
-          worker_loss[w] = model.ComputeGradients(worker_shards[w].x,
-                                                  worker_shards[w].labels, &worker_grads[w]);
-        });
-      }
-      pool.Wait();
-      for (size_t w = 0; w < config.workers; ++w) {
-        loss_sum += worker_loss[w] / static_cast<double>(config.workers);
+        const size_t begin = (step * global_batch + w * config.batch_per_worker);
+        SliceInto(train, begin, config.batch_per_worker, &worker_shards[w]);
+        const double loss = model.ComputeGradients(worker_shards[w].x,
+                                                   worker_shards[w].labels, &worker_grads[w]);
+        loss_sum += loss / static_cast<double>(config.workers);
       }
       const double compute_s = SecondsSince(step_start);
       const auto sync_start = std::chrono::steady_clock::now();

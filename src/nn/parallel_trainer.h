@@ -2,7 +2,9 @@
 // gradients flow through error feedback, the compressor, and a functional communication
 // scheme (Figures 3-4) before the update. Because synchronous data-parallel replicas
 // stay identical, one model instance plus per-worker gradient computation is an exact
-// simulation of K workers. This is the engine behind the Figure-16 convergence bench.
+// simulation of K workers. The workers' backward passes run one after another on the
+// calling thread, in worker order, so every run is deterministic. This is the engine
+// behind the Figure-16 convergence bench.
 #ifndef SRC_NN_PARALLEL_TRAINER_H_
 #define SRC_NN_PARALLEL_TRAINER_H_
 
@@ -38,10 +40,6 @@ struct TrainConfig {
   // DGC momentum correction factor for the error-feedback store (0 = plain EF).
   double momentum_correction = 0.0;
   uint64_t seed = 1;
-  // Worker-gradient threads. 0 runs the per-worker backward passes inline on the
-  // calling thread; >= 1 fans them out over a ThreadPool. The schedule is
-  // deterministic either way: losses are reduced in worker order after the barrier.
-  size_t threads = 0;
 };
 
 struct EpochStats {
@@ -53,7 +51,7 @@ struct EpochStats {
   size_t payloads_dropped = 0;
   size_t payloads_corrupted = 0;
   // Wall-clock decomposition of the epoch's steps: gradient computation (the
-  // pooled backward passes) vs gradient synchronization (compress + collective +
+  // workers' backward passes) vs gradient synchronization (compress + collective +
   // update). Also published to the metrics registry as espresso_trainer_*.
   double compute_seconds = 0.0;
   double sync_seconds = 0.0;

@@ -57,7 +57,8 @@ std::vector<double> DefaultTimeBuckets() {
 }
 
 MetricsRegistry::MetricsRegistry()
-    : gauges_(std::make_unique<Cell[]>(kMaxGauges)),
+    : store_(std::make_shared<ShardStore>()),
+      gauges_(std::make_unique<Cell[]>(kMaxGauges)),
       generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed)) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
@@ -95,13 +96,13 @@ size_t MetricsRegistry::RegisterCommon(std::string_view name, std::string_view h
 }
 
 Counter MetricsRegistry::RegisterCounter(std::string_view name, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(store_->mu);
   const size_t index = RegisterCommon(name, help, MetricKind::kCounter, 1, nullptr);
   return Counter{defs_[index].cell};
 }
 
 Gauge MetricsRegistry::RegisterGauge(std::string_view name, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(store_->mu);
   const size_t index = RegisterCommon(name, help, MetricKind::kGauge, 0, nullptr);
   return Gauge{defs_[index].cell};
 }
@@ -111,7 +112,7 @@ Histogram MetricsRegistry::RegisterHistogram(std::string_view name, std::string_
   ESP_CHECK(!bounds.empty()) << "histogram needs at least one bucket bound";
   ESP_CHECK(std::is_sorted(bounds.begin(), bounds.end()))
       << "histogram bounds must be ascending";
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(store_->mu);
   bounds_store_.push_back(std::move(bounds));
   const std::vector<double>* stable = &bounds_store_.back();
   // bounds.size() bucket cells + one +Inf overflow cell + one sum cell.
@@ -129,21 +130,40 @@ MetricsRegistry::Cell* MetricsRegistry::LocalCells() {
     const MetricsRegistry* registry;
     uint64_t generation;
     Cell* cells;
+    std::weak_ptr<ShardStore> store;
   };
-  thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& entry : cache) {
+  // Hands each shard back to its registry, if that still exists, when the thread
+  // exits. The mutex orders the exited thread's records before the next owner's.
+  struct ThreadShards {
+    std::vector<CacheEntry> entries;
+    ~ThreadShards() {
+      for (const CacheEntry& entry : entries) {
+        if (const std::shared_ptr<ShardStore> store = entry.store.lock()) {
+          std::lock_guard<std::mutex> lock(store->mu);
+          store->idle.push_back(entry.cells);
+        }
+      }
+    }
+  };
+  thread_local ThreadShards cache;
+  for (const CacheEntry& entry : cache.entries) {
     if (entry.registry == this && entry.generation == generation_) {
       return entry.cells;
     }
   }
   Cell* cells = nullptr;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    // make_unique value-initializes: every atomic cell starts at zero.
-    shards_.push_back(std::make_unique<Cell[]>(kShardCells));
-    cells = shards_.back().get();
+    std::lock_guard<std::mutex> lock(store_->mu);
+    if (store_->idle.empty()) {
+      // make_unique value-initializes: every atomic cell starts at zero.
+      store_->shards.push_back(std::make_unique<Cell[]>(kShardCells));
+      cells = store_->shards.back().get();
+    } else {
+      cells = store_->idle.back();
+      store_->idle.pop_back();
+    }
   }
-  cache.push_back(CacheEntry{this, generation_, cells});
+  cache.entries.push_back(CacheEntry{this, generation_, cells, store_});
   return cells;
 }
 
@@ -180,7 +200,7 @@ void MetricsRegistry::Observe(Histogram histogram, double value) {
 }
 
 MetricsSnapshot MetricsRegistry::Scrape() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(store_->mu);
   MetricsSnapshot snapshot;
   snapshot.metrics.reserve(defs_.size());
   for (const MetricDef& def : defs_) {
@@ -191,7 +211,7 @@ MetricsSnapshot MetricsRegistry::Scrape() const {
     switch (def.kind) {
       case MetricKind::kCounter: {
         uint64_t total = 0;
-        for (const auto& shard : shards_) {
+        for (const auto& shard : store_->shards) {
           total += shard[def.cell].load(std::memory_order_relaxed);
         }
         value.count = total;
@@ -204,7 +224,7 @@ MetricsSnapshot MetricsRegistry::Scrape() const {
       case MetricKind::kHistogram: {
         value.bounds = *def.bounds;
         value.bucket_counts.assign(def.bounds->size() + 1, 0);
-        for (const auto& shard : shards_) {
+        for (const auto& shard : store_->shards) {
           for (size_t b = 0; b < value.bucket_counts.size(); ++b) {
             value.bucket_counts[b] +=
                 shard[def.cell + b].load(std::memory_order_relaxed);
@@ -226,8 +246,8 @@ MetricsSnapshot MetricsRegistry::Scrape() const {
 }
 
 void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) {
+  std::lock_guard<std::mutex> lock(store_->mu);
+  for (const auto& shard : store_->shards) {
     for (uint32_t i = 0; i < kShardCells; ++i) {
       shard[i].store(0, std::memory_order_relaxed);
     }
@@ -238,13 +258,13 @@ void MetricsRegistry::Reset() {
 }
 
 size_t MetricsRegistry::metric_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(store_->mu);
   return defs_.size();
 }
 
 size_t MetricsRegistry::shard_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shards_.size();
+  std::lock_guard<std::mutex> lock(store_->mu);
+  return store_->shards.size();
 }
 
 MetricsRegistry& GlobalMetrics() {

@@ -2,10 +2,13 @@
 // fixed-bucket histograms) behind `--metrics-out` and the Prometheus/JSON exporters.
 //
 // The record path is built for the selector's parallel hot loop: each recording
-// thread owns a private shard of atomic cells (allocated on the thread's first
-// record against a registry), so counter increments and histogram observations
-// never contend — no locks, no shared cache lines. Scrape() takes the registry
-// mutex, sums the shards in creation order, and returns a name-sorted snapshot.
+// thread owns a private shard of atomic cells (taken on the thread's first record
+// against a registry), so counter increments and histogram observations never
+// contend — no locks, no shared cache lines. A thread that exits hands its shard
+// back, counts and all, for the next new thread to take, so a daemon whose
+// connection threads come and go holds as many shards as it ever had threads
+// recording at once. Scrape() takes the registry mutex, sums the shards in
+// creation order, and returns a name-sorted snapshot.
 // Registration is mutex-guarded and idempotent: re-registering an existing name
 // with a matching kind returns the original handle, so translation units can each
 // lazily register the metrics they record.
@@ -102,7 +105,8 @@ class MetricsRegistry {
   void Reset();
 
   size_t metric_count() const;
-  size_t shard_count() const;  // threads that have recorded so far
+  // Shards allocated so far: the peak number of threads recording at once.
+  size_t shard_count() const;
 
  private:
   using Cell = std::atomic<uint64_t>;
@@ -115,19 +119,27 @@ class MetricsRegistry {
     const std::vector<double>* bounds = nullptr;
   };
 
-  // Returns this thread's shard for this registry, creating it on first use.
+  // Every shard, plus the ones whose thread has exited. Shared with each recording
+  // thread's exit hook through a weak reference, so a thread that outlives the
+  // registry never touches it. `mu` also guards the registry's definitions.
+  struct ShardStore {
+    std::mutex mu;
+    std::vector<std::unique_ptr<Cell[]>> shards;  // creation order
+    std::vector<Cell*> idle;                      // handed back by exited threads
+  };
+
+  // Returns this thread's shard for this registry, taking one on first use.
   Cell* LocalCells();
   size_t RegisterCommon(std::string_view name, std::string_view help, MetricKind kind,
                         uint32_t width, const std::vector<double>* bounds);
 
-  mutable std::mutex mu_;
+  const std::shared_ptr<ShardStore> store_;
   std::vector<MetricDef> defs_;
   std::unordered_map<std::string, size_t> by_name_;
   std::deque<std::vector<double>> bounds_store_;  // stable storage for histogram bounds
   uint32_t cells_used_ = 0;
   uint32_t gauges_used_ = 0;
   std::unique_ptr<Cell[]> gauges_;
-  mutable std::vector<std::unique_ptr<Cell[]>> shards_;
   uint64_t generation_ = 0;  // distinguishes registries that reuse an address
 };
 

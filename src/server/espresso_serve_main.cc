@@ -1,7 +1,7 @@
 // espresso_serve: the strategy-selection service daemon (docs/SERVICE.md).
 //
 // Usage:
-//   espresso_serve [--port=N] [--port-file=<path>] [--threads=N]
+//   espresso_serve [--port=N] [--port-file=<path>]
 //                  [--max-inflight=N] [--cache-capacity=N] [--max-cached-configs=N]
 //                  [--default-quota=N] [--tenant-quota=<name>=<N>]...
 //                  [--audit-log=<path>] [--audit-retention=N]
@@ -9,8 +9,11 @@
 //
 // Binds 127.0.0.1 only. --port=0 (the default) picks an ephemeral port;
 // --port-file writes the bound port as a decimal line so harnesses can discover
-// it without racing the log output. Runs until SIGINT/SIGTERM, then drains and
-// exits 0. Exits 2 on flag errors, 1 when the listener cannot start.
+// it without racing the log output. Each connection's requests run on that
+// connection's thread; at most --max-inflight selections run at once, and a
+// request's `budget.threads` sets its fan-out width on the process-wide scoring
+// pool. Runs until SIGINT/SIGTERM, then drains and exits 0. Exits 2 on flag
+// errors, 1 when the listener cannot start.
 #include <signal.h>
 
 #include <csignal>
@@ -80,11 +83,6 @@ int main(int argc, char** argv) {
       port_file = arg.substr(12);
       continue;
     }
-    if (!ParseFlagUint(arg, "--threads", &value, &matched)) return 2;
-    if (matched) {
-      server_options.worker_threads = static_cast<size_t>(value);
-      continue;
-    }
     if (!ParseFlagUint(arg, "--max-inflight", &value, &matched)) return 2;
     if (matched) {
       if (value == 0) {
@@ -139,7 +137,7 @@ int main(int argc, char** argv) {
     }
     std::cerr << "error: unknown flag " << arg << "\n"
               << "usage: " << argv[0]
-              << " [--port=N] [--port-file=<path>] [--threads=N] [--max-inflight=N]"
+              << " [--port=N] [--port-file=<path>] [--max-inflight=N]"
               << " [--cache-capacity=N] [--max-cached-configs=N] [--default-quota=N]"
               << " [--tenant-quota=<name>=<N>]... [--audit-log=<path>]"
               << " [--audit-retention=N] [--max-frame-bytes=N]\n";
@@ -170,8 +168,7 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "espresso_serve listening on 127.0.0.1:" << server.port()
-            << " (threads=" << server_options.worker_threads
-            << ", max-inflight=" << service_config.max_inflight
+            << " (max-inflight=" << service_config.max_inflight
             << ", cache-capacity=" << service_config.cache_capacity
             << (audit_path.empty() ? "" : ", audit=" + audit_path) << ")\n"
             << std::flush;

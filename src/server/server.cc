@@ -82,7 +82,6 @@ bool ServeServer::Start(std::string* error) {
     port_ = ntohs(bound.sin_port);
   }
 
-  pool_ = std::make_unique<ThreadPool>(options_.worker_threads);
   running_.store(true);
   accept_thread_ = std::thread([this, listen_fd = listen_fd_] { AcceptLoop(listen_fd); });
   return true;
@@ -113,7 +112,6 @@ void ServeServer::Stop() {
     }
     conn_cv_.wait(lock, [this] { return active_connections_ == 0; });
   }
-  pool_.reset();
 }
 
 void ServeServer::AcceptLoop(int listen_fd) {
@@ -145,9 +143,6 @@ void ServeServer::AcceptLoop(int listen_fd) {
 }
 
 void ServeServer::ServeConnection(int fd) {
-  // One TaskGroup per connection: the frame loop waits for ITS request only, so a
-  // long selection on another connection never gates this one's reply.
-  TaskGroup group;
   while (running_.load()) {
     FrameResult request = ReadFrame(fd, options_.max_frame_bytes);
     if (request.status == FrameStatus::kTooLarge) {
@@ -159,12 +154,7 @@ void ServeServer::ServeConnection(int fd) {
     if (!request.ok()) {
       break;  // clean close, torn frame, or I/O error — nothing to reply to
     }
-    std::string response;
-    pool_->Submit(group, [this, &request, &response] {
-      response = service_->HandleRequest(request.payload);
-    });
-    group.Wait();
-    if (!WriteFrame(fd, response)) {
+    if (!WriteFrame(fd, service_->HandleRequest(request.payload))) {
       break;
     }
   }

@@ -2,11 +2,11 @@
 //
 // Loopback-only by design (the service has no authentication; tenancy is a quota
 // boundary, not a security boundary — front it with a real proxy for anything
-// else). One OS thread per connection does the blocking frame I/O; the CPU-bound
-// request handling itself runs on a SHARED ThreadPool, with each connection
-// waiting only on its own TaskGroup — two tenants' selections proceed through the
-// same pool without either's completion gating the other's (the reason
-// ThreadPool::Wait()'s global-idle semantics were not enough).
+// else). One OS thread per connection does the blocking frame I/O and handles each
+// request itself, so SelectionService's `max_inflight` is the only bound on
+// concurrent selections (excess is refused, never queued) and a `health` or
+// `metrics` request never waits behind a selection. A selection's scoring fans out
+// on the process-wide GlobalThreadPool() (src/util/thread_pool.h).
 //
 // Port 0 binds an ephemeral port (the bound port is readable via port(), and
 // espresso_serve can write it to a file for harnesses to discover).
@@ -16,7 +16,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -24,13 +23,11 @@
 
 #include "src/server/frame.h"
 #include "src/server/service.h"
-#include "src/util/thread_pool.h"
 
 namespace espresso::server {
 
 struct ServerOptions {
-  uint16_t port = 0;            // 0 = ephemeral
-  size_t worker_threads = 2;    // shared pool executing request handling
+  uint16_t port = 0;  // 0 = ephemeral
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
@@ -64,7 +61,6 @@ class ServeServer {
   SelectionService* const service_;
   const ServerOptions options_;
 
-  std::unique_ptr<ThreadPool> pool_;
   std::atomic<bool> running_{false};
   int listen_fd_ = -1;
   uint16_t port_ = 0;

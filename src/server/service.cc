@@ -313,8 +313,9 @@ std::string SelectionService::HandleSelect(const SelectRequest& request) {
                     compressor->SupportsCompressedAggregation(), job.max_compress_ops};
     options.candidates = CandidateOptions(tree);
   }
-  // Clamped to the host's cores: the selector sizes per-worker tables and its pool by
-  // this count, and bit-exactness means the clamp cannot change the strategy.
+  // Clamped to the host's cores (the size of the process pool): the selector sizes
+  // per-chunk tables by this width, and bit-exactness means the clamp cannot change
+  // the strategy.
   options.threads = std::min<size_t>(
       request.threads, std::max(1u, std::thread::hardware_concurrency()));
   if (request.offload_search_budget > 0) {

@@ -1,6 +1,9 @@
 #include "src/util/thread_pool.h"
 
+#include <algorithm>
 #include <utility>
+
+#include "src/util/logging.h"
 
 namespace espresso {
 
@@ -24,13 +27,14 @@ void TaskGroup::TaskFinished() {
   --pending_;
   if (pending_ == 0) {
     // Notify while still holding mu_: the moment a waiter can observe
-    // pending_ == 0 it may destroy this group (ServeConnection keeps it on the
+    // pending_ == 0 it may destroy this group (ParallelFor keeps it on the
     // stack), so the notifier must be done with cv_ before releasing the lock.
     cv_.notify_all();
   }
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
+  ESP_CHECK_GT(num_threads, 0u) << "a ThreadPool needs at least one worker";
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -48,37 +52,19 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  if (threads_.empty()) {
-    task();
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_cv_.notify_one();
-}
-
 void ThreadPool::Submit(TaskGroup& group, std::function<void()> task) {
   // The group count is raised BEFORE the task is queued: a Wait() racing with this
   // Submit either sees the pending task or runs before the submission — it can never
   // miss a task that was already handed to the pool.
   group.TaskAdded();
-  TaskGroup* tracked = &group;
-  Submit([tracked, task = std::move(task)] {
-    task();
-    tracked->TaskFinished();
-  });
-}
-
-void ThreadPool::Wait() {
-  if (threads_.empty()) {
-    return;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    queue_.push_back([&group, task = std::move(task)] {
+      task();
+      group.TaskFinished();
+    });
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  work_cv_.notify_one();
 }
 
 void ThreadPool::WorkerLoop() {
@@ -94,14 +80,13 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) {
-        idle_cv_.notify_all();
-      }
-    }
   }
+}
+
+ThreadPool& GlobalThreadPool() {
+  static ThreadPool* pool =
+      new ThreadPool(std::max(1u, std::thread::hardware_concurrency()));  // never destroyed
+  return *pool;
 }
 
 }  // namespace espresso

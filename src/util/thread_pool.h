@@ -1,15 +1,14 @@
-// Fixed-size worker pool. The functional collectives and the data-parallel mini-trainer
-// can run each rank's local work on a pool; on single-core hosts callers may pass
-// num_threads == 0 to run inline, keeping results byte-identical either way.
+// The process's one worker pool. GlobalThreadPool() is built on first use with
+// max(1, hardware_concurrency()) workers and is never destroyed (like
+// obs::GlobalMetrics()); every selector, including the nested forced-compression
+// one, scores its cache misses on it.
 //
-// Waiting comes in two scopes:
-//   * Wait() blocks until the pool is GLOBALLY idle — correct for a pool with a single
-//     logical client (the selector's ParallelFor), but two concurrent clients each end
-//     up waiting for the *other's* tasks too, serializing independent requests.
-//   * TaskGroup scopes the wait to one client's own submissions: tasks submitted via
-//     Submit(group, task) are counted per group, and group.Wait() returns as soon as
-//     THAT group drains, regardless of what else is in flight. This is what the
-//     strategy-selection service uses so concurrent requests complete independently.
+// A client submits against its own TaskGroup and waits on that group only, so
+// concurrent clients complete independently of each other's tasks. Clients run on
+// request connection threads or a program's main thread, never on a pool worker,
+// so no pool task ever waits on another and TaskGroup::Wait simply blocks. A task
+// that fanned out again and waited would need Wait to run its group's queued tasks
+// on the calling thread ("caller-runs") to avoid deadlock.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
 
@@ -33,8 +32,8 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  // Blocks until every task submitted against this group has completed. Unlike
-  // ThreadPool::Wait(), tasks other clients submitted to the same pool are ignored.
+  // Blocks until every task submitted against this group has completed. Tasks other
+  // clients submitted to the same pool are ignored.
   void Wait();
 
   // Tasks submitted against this group that have not finished yet.
@@ -53,23 +52,17 @@ class TaskGroup {
 
 class ThreadPool {
  public:
-  // num_threads == 0 creates an inline pool: Submit runs the task immediately on the
-  // caller's thread. This is deterministic and is the default in tests.
+  // Starts `num_threads` (at least one) workers.
   explicit ThreadPool(size_t num_threads);
+  // Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  void Submit(std::function<void()> task);
-
-  // Submits a task accounted against `group`, so group.Wait() covers it. The group
+  // Queues a task accounted against `group`, so group.Wait() covers it. The group
   // must outlive the task's execution.
   void Submit(TaskGroup& group, std::function<void()> task);
-
-  // Blocks until every submitted task has completed — the whole pool, every client.
-  // Prefer TaskGroup::Wait() when the pool is shared across concurrent callers.
-  void Wait();
 
   size_t num_threads() const { return threads_.size(); }
 
@@ -80,10 +73,11 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
-  size_t in_flight_ = 0;
   bool shutdown_ = false;
 };
+
+// The process-wide pool; the only ThreadPool the program builds.
+ThreadPool& GlobalThreadPool();
 
 }  // namespace espresso
 

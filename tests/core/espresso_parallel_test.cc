@@ -3,6 +3,7 @@
 // strategy bit-identical to the serial, uncached one (ISSUE 3 acceptance criterion).
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,35 @@ TEST(EspressoParallel, FanoutsAreMirroredInTheRegistry) {
   const SelectionResult result = selector.Select();
   EXPECT_GT(result.telemetry.fanouts, 0u);
   EXPECT_EQ(fanouts_total() - before, result.telemetry.fanouts);
+}
+
+// The process's OS thread count from /proc/self/status, or -1 when unreadable.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoi(line.substr(8));
+    }
+  }
+  return -1;
+}
+
+// Every selector scores on the one process pool: a second cold selection that fans
+// out, while the first selector is still alive, starts no thread of its own.
+TEST(EspressoParallel, SelectorsShareTheProcessPool) {
+  const auto compressor = Make("dgc");
+  SelectorOptions options;
+  options.threads = 4;
+  EspressoSelector first(Vgg16(), NvlinkCluster(), *compressor, options);
+  ASSERT_GT(first.Select().telemetry.fanouts, 0u);
+  const int before = ProcessThreads();
+  if (before < 0) {
+    GTEST_SKIP() << "/proc/self/status is unreadable";
+  }
+  EspressoSelector second(Vgg16(), PcieCluster(), *compressor, options);
+  EXPECT_GT(second.Select().telemetry.fanouts, 0u);
+  EXPECT_EQ(ProcessThreads(), before);
 }
 
 // Telemetry invariants: stage walls partition the total, the atomic evaluation counter

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -101,15 +103,16 @@ TEST(MetricsRegistry, MergesThreadShardsExactly) {
   constexpr int kPerThread = 10000;
   {
     ThreadPool pool(kThreads);
+    TaskGroup group;
     for (int t = 0; t < kThreads; ++t) {
-      pool.Submit([&registry, c, h, t] {
+      pool.Submit(group, [&registry, c, h, t] {
         for (int i = 0; i < kPerThread; ++i) {
           registry.Add(c);
           registry.Observe(h, static_cast<double>(t % 3));
         }
       });
     }
-    pool.Wait();
+    group.Wait();
   }
   const MetricsSnapshot snapshot = registry.Scrape();
   const MetricValue* counter = snapshot.Find("work_total");
@@ -171,6 +174,39 @@ TEST(MetricsRegistry, ThreadLocalCacheSurvivesRegistryTeardown) {
   b.Add(cb, 3);
   const MetricsSnapshot snapshot = b.Scrape();
   EXPECT_EQ(snapshot.Find("x_total")->count, 3u);
+}
+
+// Threads that come and go, like a daemon's connection threads, reuse the shards of
+// threads that exited: the shard count stays at the peak of concurrently recording
+// threads, and the exited threads' counts stay in the scrape.
+TEST(MetricsRegistry, ExitedThreadsHandTheirShardsBack) {
+  MetricsRegistry registry;
+  const Counter c = registry.RegisterCounter("connections_total", "");
+  for (int t = 0; t < 64; ++t) {
+    std::thread([&registry, c] { registry.Add(c); }).join();
+  }
+  EXPECT_LE(registry.shard_count(), 2u);
+  EXPECT_EQ(registry.Scrape().Find("connections_total")->count, 64u);
+}
+
+// A thread that exits after the registry it recorded into was destroyed must not
+// touch the freed registry (the ASan leg turns a touch into a failure).
+TEST(MetricsRegistry, ThreadExitingAfterItsRegistryIsDestroyedTouchesNothing) {
+  auto registry = std::make_unique<MetricsRegistry>();
+  const Counter c = registry->RegisterCounter("short_lived_total", "");
+  std::promise<void> recorded;
+  std::promise<void> destroyed;
+  std::shared_future<void> destroyed_future(destroyed.get_future());
+  std::thread worker([&registry, c, &recorded, destroyed_future] {
+    registry->Add(c);
+    recorded.set_value();
+    destroyed_future.wait();
+  });
+  recorded.get_future().wait();
+  EXPECT_EQ(registry->Scrape().Find("short_lived_total")->count, 1u);
+  registry.reset();
+  destroyed.set_value();
+  worker.join();
 }
 
 TEST(GlobalMetrics, IsASingleton) {

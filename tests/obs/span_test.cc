@@ -84,8 +84,9 @@ TEST(ScopedSpan, NestsUnderThreadPool) {
   constexpr int kPerThread = 50;
   {
     ThreadPool pool(kThreads);
+    TaskGroup group;
     for (int t = 0; t < kThreads; ++t) {
-      pool.Submit([&registry, &collector, h] {
+      pool.Submit(group, [&registry, &collector, h] {
         for (int i = 0; i < kPerThread; ++i) {
           ScopedSpan outer("outer", "pool", h, &registry, &collector);
           ScopedSpan inner("inner", "pool", h, &registry, &collector);
@@ -93,7 +94,7 @@ TEST(ScopedSpan, NestsUnderThreadPool) {
         }
       });
     }
-    pool.Wait();
+    group.Wait();
   }
   const auto spans = collector.spans();
   EXPECT_EQ(spans.size(), 2u * kThreads * kPerThread);

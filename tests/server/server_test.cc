@@ -8,7 +8,10 @@
 //     spent quotas — yields typed errors, never a crash or a dropped connection
 //     without a reply (except the oversized case, where the stream is
 //     desynchronised by construction and must close after the error);
-//   * the cross-request warm cache is observable in response telemetry.
+//   * the cross-request warm cache is observable in response telemetry;
+//   * requests run on their connection threads: admitted selections all run at
+//     once, `health` answers while they do, and a select past `max_inflight` is
+//     refused with `over-capacity` instead of queueing.
 #include "src/server/server.h"
 
 #include <arpa/inet.h>
@@ -17,6 +20,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -122,7 +127,6 @@ class ServeServerTest : public ::testing::Test {
  protected:
   void StartServer(ServiceConfig service_config = {}, ServerOptions options = {}) {
     service_ = std::make_unique<SelectionService>(service_config, nullptr);
-    options.worker_threads = 4;
     server_ = std::make_unique<ServeServer>(service_.get(), options);
     std::string error;
     ASSERT_TRUE(server_->Start(&error)) << error;
@@ -176,6 +180,114 @@ TEST_F(ServeServerTest, ConcurrentMixedTenantRequestsMatchCliBitForBit) {
   EXPECT_EQ(service_->stats().served, static_cast<uint64_t>(kClients));
   EXPECT_GT(service_->TenantUsed("tenant-a"), 0u);
   EXPECT_GT(service_->TenantUsed("tenant-b"), 0u);
+}
+
+// The `inflight` count a health request on `client` reports.
+uint64_t HealthInflight(ServeClient& client) {
+  std::string response;
+  std::string error;
+  EXPECT_TRUE(client.Call(BuildHealthRequest("probe"), &response, &error)) << error;
+  const JsonParseResult parsed = ParseJson(response);
+  uint64_t inflight = 0;
+  if (parsed.ok) {
+    if (const JsonValue* value = parsed.value.Find("inflight"); value != nullptr) {
+      value->AsUint64(&inflight);
+    }
+  }
+  return inflight;
+}
+
+// Sends each request on its own connection from its own thread; `finished` counts
+// the calls that have returned.
+std::vector<std::thread> StartCalls(uint16_t port, const std::vector<std::string>& requests,
+                                    std::vector<std::string>* responses,
+                                    std::atomic<size_t>* finished) {
+  responses->assign(requests.size(), "");
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    threads.emplace_back([port, &requests, responses, finished, i] {
+      ServeClient client;
+      std::string error;
+      EXPECT_TRUE(client.Connect(port, &error)) << error;
+      EXPECT_TRUE(client.Call(requests[i], &(*responses)[i], &error)) << error;
+      finished->fetch_add(1);
+    });
+  }
+  return threads;
+}
+
+// Polls `health` on a connection of its own until it reports `want` selections in
+// flight or every one of `calls` has returned; returns the largest count seen.
+uint64_t PeakInflight(uint16_t port, uint64_t want, const std::atomic<size_t>& finished,
+                      size_t calls) {
+  ServeClient probe;
+  std::string error;
+  EXPECT_TRUE(probe.Connect(port, &error)) << error;
+  uint64_t peak = 0;
+  while (peak < want && finished.load() < calls) {
+    peak = std::max(peak, HealthInflight(probe));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return peak;
+}
+
+// Each connection's request runs on that connection's thread, so every admitted
+// selection runs at once and `health` is answered while they do.
+TEST_F(ServeServerTest, FiveConcurrentColdSelectsAreAllInFlight) {
+  StartServer();
+  std::vector<std::string> requests;
+  for (const char* gc : {"gc_dgc.ini", "gc_randomk.ini", "gc_topk.ini", "gc_qsgd.ini",
+                         "gc_fp16.ini"}) {
+    requests.push_back(SelectRequestFor({"model_gpt2.ini", gc, "system_pcie.ini"},
+                                        std::string("cold-") + gc, "alice"));
+  }
+  std::vector<std::string> responses;
+  std::atomic<size_t> finished{0};
+  std::vector<std::thread> calls =
+      StartCalls(server_->port(), requests, &responses, &finished);
+  EXPECT_EQ(PeakInflight(server_->port(), 5, finished, requests.size()), 5u);
+  for (std::thread& t : calls) {
+    t.join();
+  }
+  for (const std::string& response : responses) {
+    EXPECT_TRUE(Parse(response).ok) << response;
+  }
+}
+
+// With every slot busy, one more select is refused at once over the wire instead of
+// waiting for a slot.
+TEST_F(ServeServerTest, SelectBeyondMaxInflightIsRefusedOverCapacity) {
+  ServiceConfig config;
+  config.max_inflight = 2;
+  StartServer(config);
+  const std::vector<std::string> requests = {
+      SelectRequestFor({"model_resnet101.ini", "gc_dgc.ini", "system_pcie.ini"}, "slot-1",
+                       "alice"),
+      SelectRequestFor({"model_resnet101.ini", "gc_topk.ini", "system_pcie.ini"}, "slot-2",
+                       "alice")};
+  std::vector<std::string> responses;
+  std::atomic<size_t> finished{0};
+  std::vector<std::thread> calls =
+      StartCalls(server_->port(), requests, &responses, &finished);
+  EXPECT_EQ(PeakInflight(server_->port(), 2, finished, requests.size()), 2u);
+
+  ServeClient client;
+  std::string error;
+  EXPECT_TRUE(client.Connect(server_->port(), &error)) << error;
+  std::string response;
+  EXPECT_TRUE(client.Call(SelectRequestFor({"model_gpt2.ini", "gc_fp16.ini",
+                                            "system_pcie.ini"},
+                                           "third", "alice"),
+                          &response, &error))
+      << error;
+  EXPECT_EQ(Parse(response).code, "over-capacity") << response;
+
+  for (std::thread& t : calls) {
+    t.join();
+  }
+  for (const std::string& served : responses) {
+    EXPECT_TRUE(Parse(served).ok) << served;
+  }
 }
 
 TEST_F(ServeServerTest, WarmCrossRequestCacheIsObservableOverTheWire) {
