@@ -1,10 +1,13 @@
 // Transport abstraction for compressed payloads crossing the (functional) network.
 //
-// The collectives normally move payloads between in-process rank buffers perfectly;
-// a PayloadChannel models an imperfect transport: a transmission can be delivered,
-// dropped outright, or delivered with corrupted contents. The fault subsystem
-// (src/fault) provides implementations — a raw chaos transport and a reliable wrapper
-// that adds checksums plus retry/backoff — while the schemes stay transport-agnostic.
+// The strategy executor normally moves payloads between in-process rank buffers
+// perfectly; a PayloadChannel set in ExecutorConfig::channel models an imperfect
+// transport: a transmission can be delivered, dropped outright, or delivered with
+// corrupted contents. The executor sends each payload compressed at an option's first
+// compression site through it, except a part a rank keeps for itself
+// (src/ddl/strategy_executor.h). The fault subsystem (src/fault) provides
+// implementations — a raw chaos transport and a reliable wrapper that adds checksums
+// plus retry/backoff — while the executor stays transport-agnostic.
 #ifndef SRC_COLLECTIVES_CHANNEL_H_
 #define SRC_COLLECTIVES_CHANNEL_H_
 
@@ -35,6 +38,8 @@ class PayloadChannel {
 
   // Transmits `payload` from `rank`. May mutate the payload in place (corruption).
   // Returns the final fate; kDropped payloads must be excluded from aggregation.
+  // `tensor_id` is the executor's tensor id for a payload of a rank's whole range, and
+  // tensor_id * 1315423911 + j for part j of an alltoall.
   virtual PayloadFate Transmit(size_t rank, uint64_t tensor_id,
                                CompressedTensor* payload) = 0;
 };

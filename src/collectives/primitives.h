@@ -1,7 +1,6 @@
 // Reference aggregation for the in-process rank model. The strategy executor
-// (src/ddl/strategy_executor.h) performs every uncompressed and hierarchical routine;
-// this is the ground truth its results, the compressed schemes, and the benches are
-// checked against.
+// (src/ddl/strategy_executor.h) performs every routine, compressed or not; this is the
+// ground truth its results and the benches are checked against.
 #ifndef SRC_COLLECTIVES_PRIMITIVES_H_
 #define SRC_COLLECTIVES_PRIMITIVES_H_
 

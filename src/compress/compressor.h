@@ -33,9 +33,9 @@ class Compressor {
 
   virtual std::string_view name() const = 0;
 
-  // Analytic wire size for a tensor of `elements` float32 values. Used by the cost model
-  // and by the communication schemes to size buffers; tests assert it matches
-  // CompressedTensor::ByteSize() of an actual Compress call.
+  // Analytic wire size for a tensor of `elements` float32 values. Used by the cost
+  // model; tests assert it matches CompressedTensor::ByteSize() of an actual Compress
+  // call.
   virtual size_t CompressedBytes(size_t elements) const = 0;
 
   // Compresses `input`. `seed` drives any randomness (index sampling, stochastic

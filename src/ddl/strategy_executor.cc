@@ -11,10 +11,16 @@ namespace espresso {
 
 namespace {
 
+// Error-feedback residuals are keyed tensor * kIdStride + offset, one per compression
+// site; part j of an alltoall crosses the channel as tensor * kIdStride + j.
+constexpr uint64_t kIdStride = 1315423911ULL;
+
 // One compressed payload together with the tensor range it decompresses into.
 struct RangedPayload {
   size_t offset = 0;
   size_t length = 0;
+  // Dropped by the channel: it travels on for its range but no receiver aggregates it.
+  bool lost = false;
   CompressedTensor payload;
 };
 
@@ -140,7 +146,7 @@ class OptionExecutor {
     }
   }
 
-  void Run() {
+  ChannelTally Run() {
     for (const Op& op : option_.ops) {
       switch (op.task) {
         case ActionTask::kCompress:
@@ -166,6 +172,7 @@ class OptionExecutor {
           << "option did not terminate replicated: " << option_.Describe();
       buffers_[r].swap(s.raw);
     }
+    return tally_;
   }
 
  private:
@@ -256,20 +263,45 @@ class OptionExecutor {
     return groups;
   }
 
-  // Compresses `view` for rank `rank` into `out`. Error feedback applies at the
-  // pipeline's FIRST compression site — whether that is the rank's raw gradient or its
-  // post-reduce-scatter shard — with the residual keyed by (tensor, range) so each
-  // rank's compression site keeps its own memory; re-compressions at later stages
-  // (divisible middle stages, second steps) are transient and carry no residual.
-  void Compress(size_t rank, size_t range_key, std::span<const float> view,
-                CompressedTensor* out) {
-    if (first_compression_ && config_.feedback != nullptr) {
-      ESP_CHECK_LT(rank, config_.feedback->size());
-      (*config_.feedback)[rank].CompressWithFeedback(
-          *config_.compressor, tensor_id_ * 1315423911ULL + range_key, view, config_.seed,
-          out);
+  // Fills `p` with rank `rank`'s compression of the tensor range [offset, offset +
+  // view.size()). Error feedback applies at the pipeline's FIRST compression site —
+  // whether that is the rank's raw gradient or its post-reduce-scatter shard — with the
+  // residual keyed by (tensor, offset) so each rank's compression site keeps its own
+  // memory; re-compressions at later stages (divisible middle stages, second steps) are
+  // transient and carry no residual. A first-site payload that leaves its rank (`sent`)
+  // crosses the channel as (rank, wire_id); a dropped one is marked lost and folded back
+  // into the residual it was cut from.
+  void CompressInto(size_t rank, std::span<const float> view, size_t offset,
+                    uint64_t wire_id, bool sent, RangedPayload* p) {
+    p->offset = offset;
+    p->length = view.size();
+    p->lost = false;
+    const uint64_t key = tensor_id_ * kIdStride + offset;
+    ErrorFeedback* feedback = first_compression_ && config_.feedback != nullptr
+                                  ? &(*config_.feedback)[rank]
+                                  : nullptr;
+    if (feedback != nullptr) {
+      feedback->CompressWithFeedback(*config_.compressor, key, view, config_.seed,
+                                     &p->payload);
     } else {
-      config_.compressor->Compress(view, config_.seed, out);
+      config_.compressor->Compress(view, config_.seed, &p->payload);
+    }
+    if (!first_compression_ || !sent || config_.channel == nullptr) {
+      return;
+    }
+    switch (config_.channel->Transmit(rank, wire_id, &p->payload)) {
+      case PayloadFate::kDelivered:
+        break;
+      case PayloadFate::kCorrupted:
+        ++tally_.payloads_corrupted;
+        break;
+      case PayloadFate::kDropped:
+        ++tally_.payloads_dropped;
+        p->lost = true;
+        if (feedback != nullptr) {
+          feedback->AbsorbLostPayload(*config_.compressor, key, p->payload);
+        }
+        break;
     }
   }
 
@@ -391,10 +423,7 @@ class OptionExecutor {
         RankState& s = states_[r];
         if (s.pending_compress) {
           ESP_CHECK(!s.HasPayloads());
-          RangedPayload& p = gathered.push();
-          p.offset = s.offset;
-          p.length = s.length;
-          Compress(r, s.offset, s.raw, &p.payload);
+          CompressInto(r, s.raw, s.offset, tensor_id_, /*sent=*/true, &gathered.push());
         } else {
           ESP_CHECK(s.HasPayloads());
           gathered.AppendFrom(s.payloads);
@@ -434,10 +463,8 @@ class OptionExecutor {
       payloads.clear();
       if (root.pending_compress) {
         ESP_CHECK(!root.HasPayloads());
-        RangedPayload& p = payloads.push();
-        p.offset = root.offset;
-        p.length = root.length;
-        Compress(group.front(), root.offset, root.raw, &p.payload);
+        CompressInto(group.front(), root.raw, root.offset, tensor_id_, /*sent=*/true,
+                     &payloads.push());
       } else {
         ESP_CHECK(root.HasPayloads());
         payloads.CopyFrom(root.payloads);
@@ -493,22 +520,25 @@ class OptionExecutor {
     for (size_t j = 0; j < G; ++j) {
       inbox[j].clear();
     }
-    for (size_t r : group) {
-      RankState& s = states_[r];
+    for (size_t i = 0; i < G; ++i) {
+      RankState& s = states_[group[i]];
       ESP_CHECK_EQ(s.length, first.length);
       for (size_t j = 0; j < G; ++j) {
         RangedPayload& p = inbox[j].push();
-        p.offset = s.offset + part.Offset(j);
-        p.length = part.Length(j);
         if (s.pending_compress) {
           ESP_CHECK(!s.HasPayloads()) << option_.Describe();
           const std::span<const float> view(s.raw);
-          Compress(r, s.offset + part.Offset(j),
-                   view.subspan(part.Offset(j), part.Length(j)), &p.payload);
+          // Part i is member i's own: it stays local.
+          CompressInto(group[i], view.subspan(part.Offset(j), part.Length(j)),
+                       s.offset + part.Offset(j), tensor_id_ * kIdStride + j,
+                       /*sent=*/j != i, &p);
         } else {
           ESP_CHECK_EQ(s.payloads.size(), 1u);
-          SplitSparsePayload(s.payloads.front().payload, part.Offset(j), part.Length(j),
-                             &p.payload);
+          const RangedPayload& carried = s.payloads.front();
+          p.offset = s.offset + part.Offset(j);
+          p.length = part.Length(j);
+          p.lost = carried.lost;
+          SplitSparsePayload(carried.payload, part.Offset(j), part.Length(j), &p.payload);
         }
       }
     }
@@ -529,10 +559,9 @@ class OptionExecutor {
       RankState& s = states_[r];
       if (s.pending_compress) {
         ESP_CHECK(!s.HasPayloads()) << option_.Describe();
-        RangedPayload& p = gathered.push();
-        p.offset = s.offset;
-        p.length = s.length;
-        Compress(r, s.offset, s.raw, &p.payload);
+        // The root's own payload stays local.
+        CompressInto(r, s.raw, s.offset, tensor_id_, /*sent=*/r != group.front(),
+                     &gathered.push());
       } else {
         ESP_CHECK(s.HasPayloads()) << option_.Describe();
         gathered.AppendFrom(s.payloads);
@@ -574,7 +603,11 @@ class OptionExecutor {
             << "option skips decompress-aggregate but " << config_.compressor->name()
             << " cannot aggregate compressed payloads: " << option_.Describe();
         ESP_CHECK_EQ(ps[found].length, ps[i].length);
-        config_.compressor->AggregateCompressed(ps[i].payload, &ps[found].payload);
+        if (ps[found].lost) {
+          std::swap(ps[found], ps[i]);  // the range's first live payload seeds the sum
+        } else if (!ps[i].lost) {
+          config_.compressor->AggregateCompressed(ps[i].payload, &ps[found].payload);
+        }
         aggregated = true;
       } else {
         if (i != unique) {
@@ -636,8 +669,10 @@ class OptionExecutor {
       s.raw.assign(hi - lo, 0.0f);
       for (size_t i = 0; i < s.payloads.size(); ++i) {
         const RangedPayload& p = s.payloads[i];
-        auto view = std::span<float>(s.raw).subspan(p.offset - lo, p.length);
-        config_.compressor->DecompressAdd(p.payload, view);
+        if (!p.lost) {
+          auto view = std::span<float>(s.raw).subspan(p.offset - lo, p.length);
+          config_.compressor->DecompressAdd(p.payload, view);
+        }
       }
       s.offset = lo;
       s.length = hi - lo;
@@ -658,16 +693,17 @@ class OptionExecutor {
   std::vector<RankState>& states_;
   bool first_compression_ = true;  // EF applies until the first compression completes
   uint64_t payload_sets_ = 0;      // ids handed out to replicated payload sets
+  ChannelTally tally_;
 };
 
 }  // namespace
 
-void ExecuteOption(const CompressionOption& option, const ExecutorConfig& config,
-                   uint64_t tensor_id, RankBuffers& buffers,
-                   ExecutorWorkspace* workspace) {
+ChannelTally ExecuteOption(const CompressionOption& option, const ExecutorConfig& config,
+                           uint64_t tensor_id, RankBuffers& buffers,
+                           ExecutorWorkspace* workspace) {
   ExecutorWorkspace& ws =
       workspace != nullptr ? *workspace : ExecutorWorkspace::ThreadDefault();
-  OptionExecutor(option, config, tensor_id, buffers, ws.impl()).Run();
+  return OptionExecutor(option, config, tensor_id, buffers, ws.impl()).Run();
 }
 
 void ExecuteStrategy(const Strategy& strategy, const ExecutorConfig& config,

@@ -7,8 +7,9 @@
 // ReliableChannel layers the resilience policy on top: it stamps a CRC-32 checksum
 // before each attempt, verifies after, and retransmits dropped or corrupted payloads
 // with capped exponential backoff (RetryPolicy, deterministic jitter). Only when
-// retries are exhausted does it report kDropped — at which point the schemes fold the
-// payload back into the sender's error-feedback residual (graceful degradation).
+// retries are exhausted does it report kDropped — at which point the strategy executor
+// folds the payload back into the sender's error-feedback residual (graceful
+// degradation).
 #ifndef SRC_FAULT_CHAOS_CHANNEL_H_
 #define SRC_FAULT_CHAOS_CHANNEL_H_
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/collectives/schemes.h"
-#include "src/mem/workspace.h"
+#include "src/core/decision_tree.h"
+#include "src/ddl/strategy_executor.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/util/logging.h"
@@ -33,7 +33,8 @@ const TrainerMetrics& Metrics() {
                                            "Compressed payloads lost in transit");
     m.payloads_corrupted = r.RegisterCounter(
         "espresso_trainer_payloads_corrupted_total",
-        "Compressed payloads rejected by checksum and treated as lost");
+        "Compressed payloads the channel delivered corrupted and that were aggregated as "
+        "received (a checksumming channel retransmits them instead)");
     m.step_seconds = r.RegisterHistogram("espresso_trainer_step_seconds",
                                          "Per-iteration wall time (compute + sync)",
                                          obs::DefaultTimeBuckets());
@@ -58,6 +59,26 @@ double SecondsSince(std::chrono::steady_clock::time_point from) {
 
 }  // namespace
 
+CompressionOption SyncOption(SyncScheme scheme, size_t workers,
+                             const Compressor* compressor) {
+  const bool aggregation =
+      compressor != nullptr && compressor->SupportsCompressedAggregation();
+  const char* label = "flat[ar]";
+  if (scheme == SyncScheme::kCompressedIndivisible) {
+    label = "flat[comp+agc+dec]";
+  } else if (scheme == SyncScheme::kCompressedDivisible) {
+    label = aggregation ? "flat[comp+a2ac|skip+agc+dec]" : "flat[comp+a2ac|dec+comp+agc+dec]";
+  }
+  for (const CompressionOption& option :
+       EnumerateOptions(TreeConfig{1, workers, aggregation}).options) {
+    if (option.label == label) {
+      return option;
+    }
+  }
+  ESP_CHECK(false) << "the one-machine decision tree has no " << label;
+  return {};
+}
+
 std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& test,
                                           const TrainConfig& config) {
   ESP_CHECK_GT(config.workers, 0u);
@@ -68,12 +89,17 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
             1 + static_cast<size_t>(*std::max_element(train.labels.begin(),
                                                       train.labels.end())),
             config.seed);
-  const std::vector<size_t> tensor_sizes = model.ParameterSizes();
-  const size_t tensor_count = tensor_sizes.size();
+  const size_t tensor_count = model.ParameterSizes().size();
 
   // One error-feedback store per (worker); tensor ids distinguish the four tensors.
   std::vector<ErrorFeedback> feedback(config.workers,
                                       ErrorFeedback(config.momentum_correction));
+  const CompressionOption option = SyncOption(config.scheme, config.workers, config.compressor);
+  ExecutorConfig exec{.machines = 1,
+                      .gpus_per_machine = config.workers,
+                      .compressor = config.compressor,
+                      .feedback = config.error_feedback ? &feedback : nullptr,
+                      .channel = config.channel};
 
   const size_t global_batch = config.workers * config.batch_per_worker;
   const size_t steps_per_epoch = train.size() / global_batch;
@@ -81,12 +107,12 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
 
   // Step-loop containers are hoisted so their storage persists across steps:
   // capacity-reusing assignment keeps the steady-state sync path off the heap. The
-  // sync loop owns a dedicated collective workspace.
+  // sync loop owns a dedicated executor workspace.
   std::vector<std::vector<std::vector<float>>> worker_grads(config.workers);
   std::vector<Dataset> worker_shards(config.workers);
   std::vector<std::vector<float>> aggregated(tensor_count);
   RankBuffers buffers(config.workers);
-  mem::CollectiveWorkspace sync_workspace;
+  ExecutorWorkspace sync_workspace;
 
   std::vector<EpochStats> history;
   uint64_t step_counter = 0;
@@ -115,45 +141,18 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
       const double compute_s = SecondsSince(step_start);
       const auto sync_start = std::chrono::steady_clock::now();
 
-      // Synchronize tensor by tensor through the configured scheme.
+      // Synchronize tensor by tensor through the scheme's option.
       for (size_t t = 0; t < tensor_count; ++t) {
         for (size_t w = 0; w < config.workers; ++w) {
           buffers[w] = worker_grads[w][t];
         }
-        switch (config.scheme) {
-          case SyncScheme::kExactAllreduce: {
-            // Accumulate straight into the persistent aggregate slot (same order as
-            // the previous explicit sum).
-            aggregated[t].assign(tensor_sizes[t], 0.0f);
-            for (const auto& b : buffers) {
-              for (size_t i = 0; i < aggregated[t].size(); ++i) {
-                aggregated[t][i] += b[i];
-              }
-            }
-            break;
-          }
-          case SyncScheme::kCompressedIndivisible:
-          case SyncScheme::kCompressedDivisible: {
-            SchemeContext ctx;
-            ctx.feedback = config.error_feedback ? &feedback : nullptr;
-            ctx.channel = config.channel;
-            ctx.tensor_id = t;
-            ctx.seed = DeriveSeed(config.seed, step_counter * tensor_count + t);
-            ctx.workspace = &sync_workspace;
-            SchemeResult scheme_result;
-            if (config.scheme == SyncScheme::kCompressedIndivisible) {
-              scheme_result = CompressedIndivisibleAllgather(*config.compressor, ctx, buffers);
-            } else {
-              scheme_result = CompressedDivisibleAlltoall(*config.compressor, ctx, buffers);
-            }
-            dropped += scheme_result.payloads_dropped;
-            corrupted += scheme_result.payloads_corrupted;
-            // All ranks hold the same aggregate; take rank 0's (copy-assign keeps
-            // both the rank buffer's and the aggregate slot's capacity warm).
-            aggregated[t] = buffers[0];
-            break;
-          }
-        }
+        exec.seed = DeriveSeed(config.seed, step_counter * tensor_count + t);
+        const ChannelTally tally = ExecuteOption(option, exec, t, buffers, &sync_workspace);
+        dropped += tally.payloads_dropped;
+        corrupted += tally.payloads_corrupted;
+        // All ranks hold the same aggregate; take rank 0's (copy-assign keeps both the
+        // rank buffer's and the aggregate slot's capacity warm).
+        aggregated[t] = buffers[0];
         // Average over workers.
         for (float& v : aggregated[t]) {
           v /= static_cast<float>(config.workers);

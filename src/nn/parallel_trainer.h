@@ -1,10 +1,13 @@
 // Data-parallel trainer wiring the MLP to the *real* compression pipeline: per-worker
 // gradients flow through error feedback, the compressor, and a functional communication
-// scheme (Figures 3-4) before the update. Because synchronous data-parallel replicas
-// stay identical, one model instance plus per-worker gradient computation is an exact
-// simulation of K workers. The workers' backward passes run one after another on the
-// calling thread, in worker order, so every run is deterministic. This is the engine
-// behind the Figure-16 convergence bench.
+// scheme (Figures 3-4) before the update. Each scheme is a flat option of the
+// one-machine decision tree over the workers, run by the strategy executor
+// (src/ddl/strategy_executor.h) — the same code that runs a selected strategy — with one
+// persistent ExecutorWorkspace for the whole run. Because synchronous data-parallel
+// replicas stay identical, one model instance plus per-worker gradient computation is
+// an exact simulation of K workers. The workers' backward passes run one after another
+// on the calling thread, in worker order, so every run is deterministic. This is the
+// engine behind the Figure-16 convergence bench.
 #ifndef SRC_NN_PARALLEL_TRAINER_H_
 #define SRC_NN_PARALLEL_TRAINER_H_
 
@@ -13,15 +16,18 @@
 
 #include "src/collectives/channel.h"
 #include "src/compress/compressor.h"
+#include "src/core/option.h"
 #include "src/nn/dataset.h"
 #include "src/nn/mlp.h"
 
 namespace espresso {
 
 enum class SyncScheme {
-  kExactAllreduce,          // FP32 baseline
-  kCompressedIndivisible,   // Figure 3
-  kCompressedDivisible,     // Figure 4 (alltoall | allgather)
+  kExactAllreduce,          // FP32 baseline: flat[ar]
+  kCompressedIndivisible,   // Figure 3: flat[comp+agc+dec]
+  // Figure 4 (alltoall | allgather): flat[comp+a2ac|dec+comp+agc+dec], or
+  // flat[comp+a2ac|skip+agc+dec] when the compressor aggregates compressed payloads.
+  kCompressedDivisible,
 };
 
 struct TrainConfig {
@@ -32,9 +38,9 @@ struct TrainConfig {
   size_t epochs = 10;
   SyncScheme scheme = SyncScheme::kExactAllreduce;
   const Compressor* compressor = nullptr;  // required for compressed schemes
-  // Optional imperfect transport for compressed payloads (fault injection); the
-  // trainer announces each global step via BeginIteration so schedules stay
-  // deterministic. nullptr = perfect network.
+  // Optional imperfect transport for compressed payloads (fault injection), passed to
+  // the executor as ExecutorConfig::channel; the trainer announces each global step via
+  // BeginIteration so schedules stay deterministic. nullptr = perfect network.
   PayloadChannel* channel = nullptr;
   bool error_feedback = true;
   // DGC momentum correction factor for the error-feedback store (0 = plain EF).
@@ -59,6 +65,11 @@ struct EpochStats {
 
 std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& test,
                                           const TrainConfig& config);
+
+// The option TrainDataParallel runs for `scheme`: the flat path of the one-machine
+// decision tree over `workers` ranks named beside each SyncScheme. `compressor` (null
+// for the exact scheme) decides whether the divisible scheme skips its middle stage.
+CompressionOption SyncOption(SyncScheme scheme, size_t workers, const Compressor* compressor);
 
 }  // namespace espresso
 

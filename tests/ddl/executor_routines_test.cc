@@ -1,5 +1,5 @@
 // Routine-level properties of the strategy executor, the one implementation of every
-// uncompressed and hierarchical collective: each flat routine pair aggregates exactly
+// collective: each flat routine pair aggregates exactly
 // like NaiveSum over a sweep of rank counts and sizes (sizes below the rank count leave
 // some ranks an empty shard), the hierarchical pipeline equals a global allreduce on
 // every topology, the compressed rooted and inter-machine divisible schemes aggregate

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "src/collectives/primitives.h"
-#include "src/collectives/schemes.h"
 #include "src/core/baselines.h"
 #include "src/core/decision_tree.h"
 #include "src/fault/chaos_channel.h"
@@ -140,9 +139,13 @@ TEST(Schemes, DroppedPayloadIsExcludedFromAllReplicasConsistently) {
 
   RankBuffers buffers = RandomBuffers(ranks, n, 5);
   std::vector<ErrorFeedback> feedback(ranks);
-  SchemeContext ctx{&feedback, &channel, 0, 11};
-  const SchemeResult result = CompressedIndivisibleAllgather(*compressor, ctx, buffers);
-  EXPECT_GT(result.payloads_dropped, 0u);
+  const ExecutorConfig config{.machines = 1, .gpus_per_machine = ranks,
+                              .compressor = compressor.get(), .feedback = &feedback,
+                              .seed = 11, .channel = &channel};
+  const ChannelTally tally = ExecuteOption(
+      SyncOption(SyncScheme::kCompressedIndivisible, ranks, compressor.get()), config, 0,
+      buffers);
+  EXPECT_GT(tally.payloads_dropped, 0u);
   // Synchronous replicas stay bit-identical even when payloads vanish.
   for (size_t r = 1; r < ranks; ++r) {
     EXPECT_EQ(buffers[r], buffers[0]) << "rank " << r;
@@ -163,15 +166,77 @@ TEST(Schemes, ErrorFeedbackAbsorbsDroppedPayload) {
   RankBuffers buffers = RandomBuffers(ranks, n, 6);
   const RankBuffers original = buffers;
   std::vector<ErrorFeedback> feedback(ranks);
-  SchemeContext ctx{&feedback, &channel, 0, 3};
-  const SchemeResult result = CompressedIndivisibleAllgather(*compressor, ctx, buffers);
-  EXPECT_EQ(result.payloads_dropped, ranks);
+  const ExecutorConfig config{.machines = 1, .gpus_per_machine = ranks,
+                              .compressor = compressor.get(), .feedback = &feedback,
+                              .seed = 3, .channel = &channel};
+  const ChannelTally tally = ExecuteOption(
+      SyncOption(SyncScheme::kCompressedIndivisible, ranks, compressor.get()), config, 0,
+      buffers);
+  EXPECT_EQ(tally.payloads_dropped, ranks);
   for (size_t r = 0; r < ranks; ++r) {
+    // Every payload was dropped, so every rank aggregates nothing.
+    EXPECT_EQ(buffers[r], std::vector<float>(n, 0.0f)) << "rank " << r;
+    // Tensor 0's whole-range residual (key 0 * 1315423911 + offset 0).
     const auto residual = feedback[r].residual(0);
     ASSERT_EQ(residual.size(), n);
     // residual = (g + 0) - decompressed + decompressed = g: nothing was lost.
     for (size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(residual[i], original[r][i], 1e-5) << "rank " << r << " idx " << i;
+    }
+  }
+}
+
+// The divisible scheme sends each rank's parts to their aggregators through the
+// channel, except the part a rank aggregates itself. Dropped parts are excluded on
+// every rank, in both the decompress-aggregate path (fp16) and the compressed-domain
+// path (shared-seed Random-k).
+TEST(Schemes, DivisibleDropsKeepReplicasIdenticalAndOwnPartsLocal) {
+  const size_t ranks = 4, n = 64;
+  const uint64_t seed = 5;
+  for (const char* algorithm : {"fp16", "randomk"}) {
+    const auto compressor =
+        CreateCompressor(CompressorConfig{.algorithm = algorithm, .ratio = 0.25});
+    const CompressionOption option =
+        SyncOption(SyncScheme::kCompressedDivisible, ranks, compressor.get());
+    auto run = [&](ChaosChannel* channel, RankBuffers& buffers) {
+      channel->BeginIteration(0);
+      std::vector<ErrorFeedback> feedback(ranks);
+      const ExecutorConfig config{.machines = 1, .gpus_per_machine = ranks,
+                                  .compressor = compressor.get(), .feedback = &feedback,
+                                  .seed = seed, .channel = channel};
+      return ExecuteOption(option, config, 0, buffers);
+    };
+
+    const FaultInjector lossy(DataPathPlan(0.3, 0.1));
+    ChaosChannel channel(&lossy);
+    RankBuffers buffers = RandomBuffers(ranks, n, 7);
+    const ChannelTally tally = run(&channel, buffers);
+    EXPECT_EQ(channel.stats().transmissions, ranks * (ranks - 1)) << algorithm;
+    EXPECT_GT(tally.payloads_dropped, 0u) << algorithm;
+    EXPECT_EQ(tally.payloads_dropped, channel.stats().dropped) << algorithm;
+    EXPECT_EQ(tally.payloads_corrupted, channel.stats().corrupted) << algorithm;
+    for (size_t r = 1; r < ranks; ++r) {
+      EXPECT_EQ(buffers[r], buffers[0]) << algorithm << " rank " << r;
+    }
+
+    // Every transmission dropped: part j holds only its aggregator's own part,
+    // compressed once and decoded.
+    const FaultInjector down(DataPathPlan(1.0, 0.0));
+    ChaosChannel dead(&down);
+    buffers = RandomBuffers(ranks, n, 8);
+    const RankBuffers original = buffers;
+    EXPECT_EQ(run(&dead, buffers).payloads_dropped, ranks * (ranks - 1)) << algorithm;
+    const Partition part(n, ranks);
+    std::vector<float> expected(n, 0.0f);
+    for (size_t j = 0; j < ranks; ++j) {
+      CompressedTensor payload;
+      const std::span<const float> own(original[j]);
+      compressor->Compress(own.subspan(part.Offset(j), part.Length(j)), seed, &payload);
+      compressor->DecompressAdd(
+          payload, std::span<float>(expected).subspan(part.Offset(j), part.Length(j)));
+    }
+    for (size_t r = 0; r < ranks; ++r) {
+      EXPECT_EQ(buffers[r], expected) << algorithm << " rank " << r;
     }
   }
 }

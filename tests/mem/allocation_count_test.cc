@@ -97,14 +97,13 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 
 #include <vector>
 
-#include "src/collectives/schemes.h"
 #include "src/core/baselines.h"
 #include "src/core/decision_tree.h"
 #include "src/core/timeline.h"
 #include "src/ddl/strategy_executor.h"
 #include "src/fault/chaos_channel.h"
-#include "src/mem/workspace.h"
 #include "src/models/model_zoo.h"
+#include "src/nn/parallel_trainer.h"
 #include "src/util/rng.h"
 
 namespace espresso {
@@ -215,38 +214,60 @@ TEST(AllocationCount, PrimitivesSteadyStateIsAllocationFree) {
   EXPECT_EQ(delta, 0u);
 }
 
-// Random-k aggregates the divisible scheme's parts as compressed payloads; top-k
-// decodes each part into the workspace's part scratch and compresses it again.
+// The trainer's three options (SyncOption) on a warmed 1 x 4 workspace, with top-k and
+// error feedback: top-k's sparse parts take the divisible scheme's decode-and-recompress
+// path, which the fp16 and randomk executor cases below never reach. The second pass
+// sends the payloads through a dropping and corrupting ChaosChannel, so drops,
+// corruptions and their error-feedback refunds are held to zero allocations too.
 TEST(AllocationCount, SchemesSteadyStateIsAllocationFree) {
   const size_t ranks = 4, n = 128;
-  for (const char* algorithm : {"randomk", "topk"}) {
-    const auto compressor =
-        CreateCompressor(CompressorConfig{.algorithm = algorithm, .ratio = 0.25});
-    const RankBuffers initial = MakeGradients(ranks, n, 7);
-    RankBuffers buffers = initial;
-    mem::CollectiveWorkspace workspace;
-    std::vector<ErrorFeedback> feedback(ranks);
-    SchemeContext ctx;
-    ctx.feedback = &feedback;
-    ctx.workspace = &workspace;
+  const auto topk = CreateCompressor(CompressorConfig{.algorithm = "topk", .ratio = 0.25});
+  std::vector<CompressionOption> options;
+  for (const SyncScheme scheme : {SyncScheme::kExactAllreduce,
+                                  SyncScheme::kCompressedIndivisible,
+                                  SyncScheme::kCompressedDivisible}) {
+    options.push_back(SyncOption(scheme, ranks, topk.get()));
+  }
+  FaultSpec spec;
+  spec.drop_probability = 0.2;
+  spec.corrupt_probability = 0.2;
+  const FaultInjector injector{FaultPlan(spec)};
+  ChaosChannel chaos(&injector);
+  const RankBuffers initial = MakeGradients(ranks, n, 7);
 
-    for (int i = 0; i < 3; ++i) {  // warm-up
-      ctx.seed = static_cast<uint64_t>(i);
-      Refill(buffers, initial);
-      CompressedIndivisibleAllgather(*compressor, ctx, buffers);
-      Refill(buffers, initial);
-      CompressedDivisibleAlltoall(*compressor, ctx, buffers);
+  for (PayloadChannel* channel : {static_cast<PayloadChannel*>(nullptr),
+                                  static_cast<PayloadChannel*>(&chaos)}) {
+    RankBuffers buffers = initial;
+    std::vector<ErrorFeedback> feedback(ranks);
+    ExecutorWorkspace workspace;
+    ExecutorConfig config{.machines = 1, .gpus_per_machine = ranks,
+                          .compressor = topk.get(), .feedback = &feedback,
+                          .channel = channel};
+    ChannelTally seen;
+    auto step = [&](uint64_t iteration) {
+      config.seed = iteration;
+      chaos.BeginIteration(iteration);
+      for (size_t t = 0; t < options.size(); ++t) {
+        Refill(buffers, initial);
+        const ChannelTally tally = ExecuteOption(options[t], config, t, buffers, &workspace);
+        seen.payloads_dropped += tally.payloads_dropped;
+        seen.payloads_corrupted += tally.payloads_corrupted;
+      }
+    };
+    for (uint64_t iteration = 0; iteration < 3; ++iteration) {  // warm-up
+      step(iteration);
     }
+    seen = ChannelTally{};
     const std::uint64_t before = AllocationCount();
-    for (int i = 3; i < 13; ++i) {
-      ctx.seed = static_cast<uint64_t>(i);
-      Refill(buffers, initial);
-      CompressedIndivisibleAllgather(*compressor, ctx, buffers);
-      Refill(buffers, initial);
-      CompressedDivisibleAlltoall(*compressor, ctx, buffers);
+    for (uint64_t iteration = 3; iteration < 13; ++iteration) {
+      step(iteration);
     }
     const std::uint64_t delta = AllocationCount() - before;
-    EXPECT_EQ(delta, 0u) << algorithm;
+    EXPECT_EQ(delta, 0u) << (channel != nullptr ? "chaos channel" : "perfect network");
+    if (channel != nullptr) {
+      EXPECT_GT(seen.payloads_dropped, 0u);
+      EXPECT_GT(seen.payloads_corrupted, 0u);
+    }
   }
 }
 
