@@ -12,7 +12,9 @@
 // --quick   fewer measured steps (CI perf-smoke mode)
 // --out     write the JSON report to FILE instead of stdout
 // --check   compare this run's result fingerprints against a committed report; exit 1
-//           on any divergence (the committed timings are informational only)
+//           on any divergence (the committed timings are informational only), and
+//           before running anything when the report cannot be read or parsed, or
+//           lacks a scenario or kernel entry
 //
 // The global allocating operators are replaced with counting forwarders, which is why
 // this lives in its own binary: the zero-allocation claim is measured, not inferred.
@@ -297,29 +299,6 @@ KernelArmResult RunKernelPerTensorArm(const Compressor& compressor,
   return arm;
 }
 
-// Positional scan of a committed report for "name" -> "result_fingerprint" (the report
-// is machine-written by this binary; the repo deliberately ships only a JSON writer).
-bool BaselineFingerprint(const std::string& text, const std::string& name,
-                         std::string* fingerprint) {
-  const std::string name_marker = "\"name\":\"" + name + "\"";
-  const size_t at = text.find(name_marker);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const std::string fp_marker = "\"result_fingerprint\":\"";
-  const size_t fp_at = text.find(fp_marker, at);
-  if (fp_at == std::string::npos) {
-    return false;
-  }
-  const size_t begin = fp_at + fp_marker.size();
-  const size_t end = text.find('"', begin);
-  if (end == std::string::npos) {
-    return false;
-  }
-  *fingerprint = text.substr(begin, end - begin);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -353,17 +332,40 @@ int main(int argc, char** argv) {
   const int warmup = 4;
   const int steps = quick ? 3 : 10;
 
-  std::string baseline;
+  JsonValue baseline;
   if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::cerr << "cannot read baseline " << check_path << "\n";
+    std::string error;
+    if (!LoadBaseline(check_path, &baseline, &error)) {
+      std::cerr << error << "\n";
       return 1;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    baseline = buf.str();
+    std::vector<std::pair<const char*, std::string>> entries;
+    for (const Scenario& scenario : kScenarios) {
+      entries.emplace_back("scenarios", scenario.name);
+    }
+    for (const KernelScenario& scenario : kKernelScenarios) {
+      entries.emplace_back("kernels", scenario.name);
+    }
+    for (const auto& [list, name] : entries) {
+      if (BaselineEntry(baseline, list, name) == nullptr) {
+        std::cerr << "baseline " << check_path << " has no " << list << " entry " << name
+                  << "\n";
+        return 1;
+      }
+    }
   }
+  // True when this run's fingerprint for `list` entry `name` equals the committed one.
+  auto matches_baseline = [&](const char* list, const std::string& name,
+                              const std::string& fingerprint) {
+    const std::string expected =
+        BaselineText(*BaselineEntry(baseline, list, name), "result_fingerprint");
+    if (expected == fingerprint) {
+      return true;
+    }
+    std::fprintf(stderr, "FAIL: %s fingerprint %s != committed %s\n", name.c_str(),
+                 fingerprint.c_str(), expected.c_str());
+    return false;
+  };
 
   std::ostringstream report;
   JsonWriter json(report);
@@ -422,16 +424,8 @@ int main(int argc, char** argv) {
                  warm.step_seconds * 1e3, warm.allocations, speedup,
                  fingerprint.c_str());
 
-    if (!check_path.empty()) {
-      std::string expected;
-      if (!BaselineFingerprint(baseline, scenario.name, &expected)) {
-        std::fprintf(stderr, "%-22s not in baseline, skipping check\n",
-                     scenario.name.c_str());
-      } else if (expected != fingerprint) {
-        std::fprintf(stderr, "FAIL: %s fingerprint %s != committed %s\n",
-                     scenario.name.c_str(), fingerprint.c_str(), expected.c_str());
-        check_failed = true;
-      }
+    if (!check_path.empty() && !matches_baseline("scenarios", scenario.name, fingerprint)) {
+      check_failed = true;
     }
   }
 
@@ -484,16 +478,8 @@ int main(int argc, char** argv) {
                  scenario.name.c_str(), scalar.elements_per_second * 1e-6, best->isa,
                  simd.elements_per_second * 1e-6, simd_speedup, fingerprint.c_str());
 
-    if (!check_path.empty()) {
-      std::string expected;
-      if (!BaselineFingerprint(baseline, scenario.name, &expected)) {
-        std::fprintf(stderr, "%-22s not in baseline, skipping check\n",
-                     scenario.name.c_str());
-      } else if (expected != fingerprint) {
-        std::fprintf(stderr, "FAIL: %s fingerprint %s != committed %s\n",
-                     scenario.name.c_str(), fingerprint.c_str(), expected.c_str());
-        check_failed = true;
-      }
+    if (!check_path.empty() && !matches_baseline("kernels", scenario.name, fingerprint)) {
+      check_failed = true;
     }
   }
   json.EndArray();

@@ -18,7 +18,8 @@
 //               (the counts are the same for every thread count, so they pin the
 //               search's work and accounting exactly — the committed timings are
 //               informational and are not compared), or when a warm re-selection
-//               simulates any timeline (every query should hit)
+//               simulates any timeline (every query should hit); exits 1 before
+//               selecting anything when FILE cannot be read or parsed, or lacks a combo
 // --metrics-out write the run's metrics registry (Prometheus text; JSON for .json)
 // --trace-out   write the run's wall-clock spans as a chrome trace
 #include <algorithm>
@@ -28,7 +29,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -41,7 +41,6 @@
 #include "src/obs/span.h"
 #include "src/obs/trace_writer.h"
 #include "src/util/json_writer.h"
-#include "src/util/parse_number.h"
 
 namespace {
 
@@ -140,54 +139,6 @@ void WriteArm(JsonWriter& json, const char* key, const ArmResult& arm) {
   json.EndObject();
 }
 
-// Committed reports are machine-written by this binary, so positional scans are
-// sufficient — no JSON parser needed (the repo deliberately ships only a writer).
-
-// The text of `combo`'s object in a committed report, from its name up to the next
-// combo's; empty when the combo is absent.
-std::string_view BaselineCombo(const std::string& text, const std::string& combo) {
-  const std::string name_marker = "\"name\":\"" + combo + "\"";
-  const size_t at = text.find(name_marker);
-  if (at == std::string::npos) {
-    return {};
-  }
-  const size_t next = text.find("\"name\":\"", at + name_marker.size());
-  return std::string_view(text).substr(at, next == std::string::npos ? next : next - at);
-}
-
-bool BaselineFingerprint(std::string_view scope, std::string* fingerprint) {
-  const std::string_view fp_marker = "\"strategy_fingerprint\":\"";
-  const size_t fp_at = scope.find(fp_marker);
-  if (fp_at == std::string_view::npos) {
-    return false;
-  }
-  const size_t begin = fp_at + fp_marker.size();
-  const size_t end = scope.find('"', begin);
-  if (end == std::string_view::npos) {
-    return false;
-  }
-  *fingerprint = std::string(scope.substr(begin, end - begin));
-  return true;
-}
-
-// The count `field` of arm `arm` ("serial" or "accelerated") within a combo's scope.
-bool BaselineCount(std::string_view scope, const std::string& arm, const std::string& field,
-                   uint64_t* value) {
-  const size_t arm_at = scope.find("\"" + arm + "\":{");
-  if (arm_at == std::string_view::npos) {
-    return false;
-  }
-  const std::string marker = "\"" + field + "\":";
-  const size_t at = scope.find(marker, arm_at);
-  if (at == std::string_view::npos) {
-    return false;
-  }
-  const size_t begin = at + marker.size();
-  const size_t end = scope.find_first_not_of("0123456789", begin);
-  return end != begin &&
-         ParseUint64(scope.substr(begin, end - begin), value) == NumberParse::kOk;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -234,16 +185,19 @@ int main(int argc, char** argv) {
   const int repetitions = quick ? 1 : 3;
   obs_options.ApplyTraceEnable();
 
-  std::string baseline;
+  JsonValue baseline;
   if (!check_path.empty()) {
-    std::ifstream in(check_path);
-    if (!in) {
-      std::cerr << "cannot read baseline " << check_path << "\n";
+    std::string error;
+    if (!LoadBaseline(check_path, &baseline, &error)) {
+      std::cerr << error << "\n";
       return 1;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    baseline = buf.str();
+    for (const Combo& combo : kCombos) {
+      if (BaselineEntry(baseline, "combos", combo.name) == nullptr) {
+        std::cerr << "baseline " << check_path << " has no combo " << combo.name << "\n";
+        return 1;
+      }
+    }
   }
 
   std::ostringstream report;
@@ -305,12 +259,9 @@ int main(int argc, char** argv) {
                  accel.telemetry.CacheHitRate() * 100.0, fingerprint.c_str());
 
     if (!check_path.empty()) {
-      const std::string_view scope = BaselineCombo(baseline, combo.name);
-      std::string expected;
-      if (scope.empty()) {
-        std::fprintf(stderr, "%-24s not in baseline, skipping check\n",
-                     combo.name.c_str());
-      } else if (!BaselineFingerprint(scope, &expected) || expected != fingerprint) {
+      const JsonValue& committed_combo = *BaselineEntry(baseline, "combos", combo.name);
+      const std::string expected = BaselineText(committed_combo, "strategy_fingerprint");
+      if (expected != fingerprint) {
         std::fprintf(stderr, "FAIL: %s fingerprint %s != committed %s\n",
                      combo.name.c_str(), fingerprint.c_str(), expected.c_str());
         check_failed = true;
@@ -318,12 +269,14 @@ int main(int argc, char** argv) {
       for (const auto& [arm_name, arm] :
            {std::pair<std::string, const ArmResult*>{"serial", &serial},
             {"accelerated", &accel}}) {
+        const JsonValue* committed_arm = committed_combo.Find(arm_name);
         for (const auto& [field, actual] :
              {std::pair<std::string, uint64_t>{"evaluations", arm->telemetry.evaluations},
               {"simulations", arm->telemetry.simulations}}) {
+          const JsonValue* count =
+              committed_arm != nullptr ? committed_arm->Find(field) : nullptr;
           uint64_t committed = 0;
-          if (!scope.empty() &&
-              (!BaselineCount(scope, arm_name, field, &committed) || committed != actual)) {
+          if (count == nullptr || !count->AsUint64(&committed) || committed != actual) {
             std::fprintf(stderr, "FAIL: %s %s %s %" PRIu64 " != committed %" PRIu64 "\n",
                          combo.name.c_str(), arm_name.c_str(), field.c_str(), actual,
                          committed);

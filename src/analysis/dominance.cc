@@ -12,6 +12,9 @@ namespace espresso {
 
 namespace {
 
+// Relative slack for the F(S) comparisons in CheckDominance.
+constexpr double kTolerance = 0.005;
+
 void CheckLink(const LinkSpec& link, const std::string& which, DiagnosticReport* report) {
   if (!(link.latency_s >= 0.0) || !std::isfinite(link.latency_s)) {
     report->AddError(rules::kAlphaRange, Diagnostic::kStrategyScope,
@@ -76,8 +79,7 @@ DiagnosticReport CheckCostModelSanity(const ModelProfile& model, const ClusterSp
 }
 
 DominanceResult CheckDominance(const ModelProfile& model, const ClusterSpec& cluster,
-                               const Compressor& compressor, const Strategy& strategy,
-                               const DominanceOptions& options) {
+                               const Compressor& compressor, const Strategy& strategy) {
   DominanceResult result;
   result.report = CheckCostModelSanity(model, cluster, compressor);
 
@@ -94,7 +96,7 @@ DominanceResult CheckDominance(const ModelProfile& model, const ClusterSpec& clu
       evaluator.IterationTime(BytePSCompressStrategy(model, cluster, compressor)));
 
   for (const auto& [name, baseline_time] : result.baselines) {
-    if (result.checked_iteration_time > baseline_time * (1.0 + options.tolerance)) {
+    if (result.checked_iteration_time > baseline_time * (1.0 + kTolerance)) {
       result.report.AddError(
           rules::kWorseThanBaseline, Diagnostic::kStrategyScope,
           "strategy F(S) = " + std::to_string(result.checked_iteration_time) +
@@ -112,7 +114,7 @@ DominanceResult CheckDominance(const ModelProfile& model, const ClusterSpec& clu
 
   const UpperBoundResult bound = ComputeUpperBound(model, cluster, compressor);
   result.upper_bound_iteration_time = bound.iteration_time;
-  if (result.checked_iteration_time < bound.iteration_time * (1.0 - options.tolerance)) {
+  if (result.checked_iteration_time < bound.iteration_time * (1.0 - kTolerance)) {
     result.report.AddError(
         rules::kBeatsUpperBound, Diagnostic::kStrategyScope,
         "strategy F(S) = " + std::to_string(result.checked_iteration_time) +

@@ -29,13 +29,6 @@ inline constexpr const char* kBetaRange = "costmodel.beta-range";
 inline constexpr const char* kNegativeDurationModel = "costmodel.negative-duration";
 }  // namespace rules
 
-struct DominanceOptions {
-  // Relative slack for the F(S) comparisons. Baselines within (1 + tolerance) of the
-  // checked strategy produce notes, beyond it errors; beating the Upper Bound by more
-  // than the tolerance is always an error.
-  double tolerance = 0.005;
-};
-
 struct DominanceResult {
   DiagnosticReport report;
   double checked_iteration_time = 0.0;
@@ -45,10 +38,11 @@ struct DominanceResult {
 };
 
 // Compares `strategy` (normally the selector's output) against the four baselines and
-// the Upper Bound on (model, cluster, compressor).
+// the Upper Bound on (model, cluster, compressor), with a relative slack of 0.5%:
+// baselines within it of the checked strategy produce notes, beyond it errors; beating
+// the Upper Bound by more than it is always an error.
 DominanceResult CheckDominance(const ModelProfile& model, const ClusterSpec& cluster,
-                               const Compressor& compressor, const Strategy& strategy,
-                               const DominanceOptions& options = {});
+                               const Compressor& compressor, const Strategy& strategy);
 
 // Cost-model sanity only (also run by CheckDominance first).
 DiagnosticReport CheckCostModelSanity(const ModelProfile& model, const ClusterSpec& cluster,

@@ -42,8 +42,8 @@ struct IRValidationOptions {
   bool verify_schedule = true;
   // User constraint forwarded to the decision-tree config (JobConfig::max_compress_ops).
   size_t max_compress_ops = 0;
-  // Verifier tuning. `cpu_workers` is overridden from the cluster spec; epsilon and
-  // check_priority are honored as given.
+  // Verifier tuning. `cpu_workers` is overridden from the cluster spec; check_priority
+  // is honored as given.
   VerifierConfig verifier;
 };
 

@@ -11,6 +11,9 @@ namespace espresso {
 
 namespace {
 
+// Absolute slack (seconds) for float comparisons between interval endpoints.
+constexpr double kEpsilon = 1e-9;
+
 WitnessInterval Witness(const TimelineEntry& e) {
   return WitnessInterval{e.tensor, e.kind, e.resource, e.start, e.end};
 }
@@ -95,12 +98,12 @@ class ScheduleChecker {
                      "cost models must return finite durations", e);
         continue;
       }
-      if (e.end < e.start - config_.epsilon) {
+      if (e.end < e.start - kEpsilon) {
         AddWitnessed(report_, rules::kNegativeDuration, e.tensor,
                      "interval ends before it starts: " + Describe(e),
                      "durations must be non-negative", e);
       }
-      if (e.start < -config_.epsilon) {
+      if (e.start < -kEpsilon) {
         AddWitnessed(report_, rules::kNegativeDuration, e.tensor,
                      "interval starts before t=0: " + Describe(e),
                      "the iteration clock starts at backward-compute time zero", e);
@@ -143,7 +146,7 @@ class ScheduleChecker {
       if (pred == SIZE_MAX) {
         continue;
       }
-      if (entries_[i].start < entries_[pred].end - config_.epsilon) {
+      if (entries_[i].start < entries_[pred].end - kEpsilon) {
         AddWitnessed(report_, rules::kCausality, entries_[i].tensor,
                      Describe(entries_[i]) + " starts before its chain predecessor " +
                          Describe(entries_[pred]) + " ends",
@@ -170,7 +173,7 @@ class ScheduleChecker {
       std::vector<size_t> timed;
       timed.reserve(indices.size());
       for (size_t idx : indices) {
-        if (entries_[idx].end > entries_[idx].start + config_.epsilon) {
+        if (entries_[idx].end > entries_[idx].start + kEpsilon) {
           timed.push_back(idx);
         }
       }
@@ -179,7 +182,7 @@ class ScheduleChecker {
       for (size_t k = 1, latest = 0; k < timed.size(); ++k) {
         const TimelineEntry& prev = entries_[timed[latest]];
         const TimelineEntry& cur = entries_[timed[k]];
-        if (cur.start < prev.end - config_.epsilon) {
+        if (cur.start < prev.end - kEpsilon) {
           AddWitnessed(report_, rules::kSerialOverlap, cur.tensor,
                        "double-booked serial resource '" + resource + "': " +
                            Describe(prev) + " overlaps " + Describe(cur),
@@ -229,7 +232,7 @@ class ScheduleChecker {
     size_t inserted = ops.size();
     for (size_t k = ops.size(); k-- > 0;) {
       const ScheduledOp& a = ops[k];
-      while (inserted > 0 && ops[inserted - 1].start > a.start + config_.epsilon) {
+      while (inserted > 0 && ops[inserted - 1].start > a.start + kEpsilon) {
         --inserted;
         const ScheduledOp& b = ops[inserted];
         tree.Update(ready_rank(b.ready), b.tensor);
@@ -239,7 +242,7 @@ class ScheduleChecker {
         }
       }
       // Smallest tensor among later-starting ops ready strictly before a started.
-      const double cutoff = a.start - config_.epsilon;
+      const double cutoff = a.start - kEpsilon;
       const auto upper = std::upper_bound(ready_times.begin(), ready_times.end(), cutoff);
       if (upper != ready_times.begin()) {
         const size_t best = tree.Query(static_cast<size_t>(upper - ready_times.begin()) - 1);

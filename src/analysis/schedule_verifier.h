@@ -43,8 +43,6 @@ inline constexpr const char* kBytesNotConserved = "schedule.bytes-not-conserved"
 struct VerifierConfig {
   // Capacity of the "cpu" pool resource (ClusterSpec::cpu_workers_per_gpu).
   size_t cpu_workers = 1;
-  // Absolute slack (seconds) for float comparisons between interval endpoints.
-  double epsilon = 1e-9;
   // WFBP priority auditing can be disabled for hand-built entry streams that carry no
   // meaningful tensor ordering.
   bool check_priority = true;

@@ -80,22 +80,6 @@ struct SpaceCheckOptions {
   bool check_cost = true;
   bool check_differential = true;
 
-  // Parameter spans for the symbolic audit: bandwidth in [nominal/span, nominal*span],
-  // latency likewise (src/costmodel/interval.h).
-  double bandwidth_span = 4.0;
-  double latency_span = 4.0;
-
-  // Relative tolerance for the whole-strategy F(S) properties (monotonicity,
-  // ub-dominance). The timeline engine is a greedy list scheduler, so Graham-style
-  // anomalies are expected: removing cost (or raising bandwidth) can reorder the
-  // schedule and lengthen the makespan slightly. Observed anomalies reach ~0.7%
-  // across the config sweep; violations beyond this slack are real.
-  double fs_tolerance = 0.02;
-
-  // Differential pass: number of seeded random mixed strategies, and the seed stream.
-  size_t corpus_strategies = 4;
-  uint64_t corpus_seed = 0x5ca1ab1eULL;
-
   // When non-empty, the differential pass writes the corpus (MANIFEST.tsv + .ir.json
   // files) into this directory (created if missing). A file that cannot be written is
   // an error diagnostic; corpus_files_written counts only the files written.

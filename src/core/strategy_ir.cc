@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <initializer_list>
 #include <map>
@@ -137,52 +136,14 @@ uint64_t HashDeviceCost(uint64_t h, const DeviceCostSpec& spec) {
 
 // --- canonical writer -----------------------------------------------------------
 
-void AppendEscaped(std::string& out, std::string_view s) {
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += raw;
-        }
-    }
-  }
-}
-
-std::string Quoted(std::string_view s) {
-  std::string out = "\"";
-  AppendEscaped(out, s);
-  out += '"';
-  return out;
-}
-
 void WriteOpJson(std::ostream& os, const Op& op) {
-  os << "{\"task\": " << Quoted(ActionTaskToken(op.task));
+  os << "{\"task\": " << JsonQuoted(ActionTaskToken(op.task));
   if (op.task == ActionTask::kComm) {
-    os << ", \"routine\": " << Quoted(RoutineName(op.routine));
+    os << ", \"routine\": " << JsonQuoted(RoutineName(op.routine));
   } else {
-    os << ", \"device\": " << Quoted(DeviceToken(op.device));
+    os << ", \"device\": " << JsonQuoted(DeviceToken(op.device));
   }
-  os << ", \"phase\": " << Quoted(CommPhaseName(op.phase))
+  os << ", \"phase\": " << JsonQuoted(CommPhaseName(op.phase))
      << ", \"domain\": " << FormatDouble(op.domain_fraction)
      << ", \"payload\": " << FormatDouble(op.payload_fraction)
      << ", \"fan_in\": " << op.fan_in
@@ -511,20 +472,20 @@ StrategyIR CompileStrategyIR(const Strategy& strategy, double fs_score,
 void WriteStrategyIR(std::ostream& os, const StrategyIR& ir) {
   os << "{\n";
   os << "  \"espresso_strategy_ir\": " << ir.schema_version << ",\n";
-  os << "  \"payload_digest\": " << Quoted(DigestHex(ir.ContentDigest())) << ",\n";
+  os << "  \"payload_digest\": " << JsonQuoted(DigestHex(ir.ContentDigest())) << ",\n";
   os << "  \"digests\": {\n";
-  os << "    \"model\": " << Quoted(DigestHex(ir.model_digest)) << ",\n";
-  os << "    \"cluster\": " << Quoted(DigestHex(ir.cluster_digest)) << ",\n";
-  os << "    \"compression\": " << Quoted(DigestHex(ir.compression_digest)) << "\n";
+  os << "    \"model\": " << JsonQuoted(DigestHex(ir.model_digest)) << ",\n";
+  os << "    \"cluster\": " << JsonQuoted(DigestHex(ir.cluster_digest)) << ",\n";
+  os << "    \"compression\": " << JsonQuoted(DigestHex(ir.compression_digest)) << "\n";
   os << "  },\n";
   os << "  \"provenance\": {\n";
-  os << "    \"origin\": " << Quoted(ir.provenance.origin) << ",\n";
-  os << "    \"selector\": " << Quoted(ir.provenance.selector) << ",\n";
+  os << "    \"origin\": " << JsonQuoted(ir.provenance.origin) << ",\n";
+  os << "    \"selector\": " << JsonQuoted(ir.provenance.selector) << ",\n";
   os << "    \"iteration\": " << ir.provenance.iteration << ",\n";
   os << "    \"drift\": " << FormatDouble(ir.provenance.drift) << "\n";
   os << "  },\n";
   os << "  \"fs_score\": " << FormatDouble(ir.fs_score) << ",\n";
-  os << "  \"strategy_fingerprint\": " << Quoted(DigestHex(StrategyFingerprint(ir.strategy)))
+  os << "  \"strategy_fingerprint\": " << JsonQuoted(DigestHex(StrategyFingerprint(ir.strategy)))
      << ",\n";
   os << "  \"tensors\": [";
   for (size_t t = 0; t < ir.strategy.options.size(); ++t) {
@@ -532,7 +493,7 @@ void WriteStrategyIR(std::ostream& os, const StrategyIR& ir) {
     os << (t == 0 ? "\n" : ",\n");
     os << "    {\n";
     os << "      \"index\": " << t << ",\n";
-    os << "      \"label\": " << Quoted(option.label) << ",\n";
+    os << "      \"label\": " << JsonQuoted(option.label) << ",\n";
     os << "      \"flat\": " << (option.flat ? "true" : "false") << ",\n";
     os << "      \"ops\": [";
     for (size_t i = 0; i < option.ops.size(); ++i) {

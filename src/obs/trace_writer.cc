@@ -152,8 +152,7 @@ void WriteExtendedChromeTrace(std::ostream& os, const ModelProfile& model,
                               const ClusterSpec& cluster,
                               const std::vector<TimelineEntry>& entries,
                               const std::vector<TraceInstant>& instants,
-                              const TraceCollector* wall,
-                              const ExtendedTraceOptions& options) {
+                              const TraceCollector* wall) {
   JsonWriter w(os);
   w.BeginObject();
   w.Key("traceEvents");
@@ -180,49 +179,45 @@ void WriteExtendedChromeTrace(std::ostream& os, const ModelProfile& model,
     w.EndObject();
   }
 
-  if (options.flow_events) {
-    // Group each tensor's ops in schedule order; a chain of >= 2 ops gets one flow
-    // (s at the first op, t through the middle, f at the last) so Perfetto draws
-    // arrows along compress -> send -> decompress across the resource tracks.
-    std::map<size_t, std::vector<const TimelineEntry*>> chains;
-    for (const auto& e : entries) {
-      chains[e.tensor].push_back(&e);
+  // Group each tensor's ops in schedule order; a chain of >= 2 ops gets one flow
+  // (s at the first op, t through the middle, f at the last) so Perfetto draws
+  // arrows along compress -> send -> decompress across the resource tracks.
+  std::map<size_t, std::vector<const TimelineEntry*>> chains;
+  for (const auto& e : entries) {
+    chains[e.tensor].push_back(&e);
+  }
+  for (auto& [tensor, chain] : chains) {
+    std::sort(chain.begin(), chain.end(),
+              [](const TimelineEntry* a, const TimelineEntry* b) {
+                return std::tie(a->start, a->end) < std::tie(b->start, b->end);
+              });
+    if (chain.size() < 2) {
+      continue;
     }
-    for (auto& [tensor, chain] : chains) {
-      std::sort(chain.begin(), chain.end(),
-                [](const TimelineEntry* a, const TimelineEntry* b) {
-                  return std::tie(a->start, a->end) < std::tie(b->start, b->end);
-                });
-      if (chain.size() < 2) {
-        continue;
-      }
-      const uint64_t flow_id = tensor + 1;  // non-zero ids render more reliably
-      for (size_t i = 0; i < chain.size(); ++i) {
-        const TimelineEntry& e = *chain[i];
-        const double mid_us = (e.start + e.end) * 0.5 * 1e6;
-        const char* phase = i == 0 ? "s" : (i + 1 == chain.size() ? "f" : "t");
-        WriteFlowEvent(w, phase, flow_id, mid_us, EntryTid(e));
-      }
+    const uint64_t flow_id = tensor + 1;  // non-zero ids render more reliably
+    for (size_t i = 0; i < chain.size(); ++i) {
+      const TimelineEntry& e = *chain[i];
+      const double mid_us = (e.start + e.end) * 0.5 * 1e6;
+      const char* phase = i == 0 ? "s" : (i + 1 == chain.size() ? "f" : "t");
+      WriteFlowEvent(w, phase, flow_id, mid_us, EntryTid(e));
     }
   }
 
-  if (options.counter_tracks) {
-    std::vector<std::pair<double, double>> cpu, intra, inter;
-    for (const auto& e : entries) {
-      if (e.resource == "cpu") {
-        cpu.emplace_back(e.start, e.end);
-      } else if (e.resource == "intra") {
-        intra.emplace_back(e.start, e.end);
-      } else if (e.resource == "inter") {
-        inter.emplace_back(e.start, e.end);
-      }
+  std::vector<std::pair<double, double>> cpu, intra, inter;
+  for (const auto& e : entries) {
+    if (e.resource == "cpu") {
+      cpu.emplace_back(e.start, e.end);
+    } else if (e.resource == "intra") {
+      intra.emplace_back(e.start, e.end);
+    } else if (e.resource == "inter") {
+      inter.emplace_back(e.start, e.end);
     }
-    WriteOccupancyTrack(w, "cpu_pool_occupancy", 1.0, cpu);
-    WriteOccupancyTrack(w, "intra_link_bandwidth_bytes_per_s",
-                        cluster.intra.bytes_per_second, intra);
-    WriteOccupancyTrack(w, "inter_link_bandwidth_bytes_per_s",
-                        cluster.inter.bytes_per_second, inter);
   }
+  WriteOccupancyTrack(w, "cpu_pool_occupancy", 1.0, cpu);
+  WriteOccupancyTrack(w, "intra_link_bandwidth_bytes_per_s", cluster.intra.bytes_per_second,
+                      intra);
+  WriteOccupancyTrack(w, "inter_link_bandwidth_bytes_per_s", cluster.inter.bytes_per_second,
+                      inter);
 
   for (const auto& instant : instants) {
     w.BeginObject();

@@ -30,11 +30,6 @@ struct TraceInstant {
   std::string detail;  // free-form args payload shown in the event inspector
 };
 
-struct ExtendedTraceOptions {
-  bool flow_events = true;
-  bool counter_tracks = true;
-};
-
 // `cluster` prices the link-bandwidth counter tracks; `wall` (optional) appends the
 // collector's wall-clock spans as a second process. The simulated part of the
 // output is deterministic for a given (model, entries, instants).
@@ -42,8 +37,7 @@ void WriteExtendedChromeTrace(std::ostream& os, const ModelProfile& model,
                               const ClusterSpec& cluster,
                               const std::vector<TimelineEntry>& entries,
                               const std::vector<TraceInstant>& instants = {},
-                              const TraceCollector* wall = nullptr,
-                              const ExtendedTraceOptions& options = {});
+                              const TraceCollector* wall = nullptr);
 
 // Wall-clock spans only (no simulated timeline) — the benches' `--trace-out`.
 void WriteSpanTrace(std::ostream& os, const TraceCollector& wall);

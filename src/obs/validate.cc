@@ -1,267 +1,40 @@
 #include "src/obs/validate.h"
 
 #include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+
+#include "src/util/json_reader.h"
+#include "src/util/parse_number.h"
 
 namespace espresso::obs {
 
 namespace {
 
-// Recursive-descent JSON syntax scanner. Tracks the element count of the first
-// array appearing under a "metrics" or "traceEvents" key.
-class JsonScanner {
- public:
-  explicit JsonScanner(std::string_view text) : text_(text) {}
-
-  ValidationResult Run() {
-    ValidationResult result;
-    SkipSpace();
-    if (!ParseValue(false)) {
-      result.error = error_.empty() ? Fail("invalid JSON value") : error_;
-      return result;
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      result.error = Fail("trailing bytes after JSON document");
-      return result;
-    }
-    result.ok = true;
-    result.samples = samples_;
-    return result;
-  }
-
- private:
-  std::string Fail(const std::string& what) {
-    return what + " at byte " + std::to_string(pos_);
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Error(const std::string& what) {
-    if (error_.empty()) {
-      error_ = Fail(what);
-    }
-    return false;
-  }
-
-  bool Literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) {
-      return Error("invalid literal");
-    }
-    pos_ += lit.size();
-    return true;
-  }
-
-  bool ParseString() {
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Error("expected string");
-    }
-    ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) {
-          return Error("truncated escape");
-        }
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 1; i <= 4; ++i) {
-            if (pos_ + i >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_ + i]))) {
-              return Error("invalid \\u escape");
-            }
-          }
-          pos_ += 4;
-        } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                   esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-          return Error("invalid escape");
-        }
-        ++pos_;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      } else {
-        ++pos_;
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  bool ParseNumber() {
-    const size_t begin = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      ++pos_;
-    }
-    size_t digits = 0;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-      ++digits;
-    }
-    if (digits == 0) {
-      return Error("invalid number");
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      digits = 0;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        ++digits;
-      }
-      if (digits == 0) {
-        return Error("invalid fraction");
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      digits = 0;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        ++digits;
-      }
-      if (digits == 0) {
-        return Error("invalid exponent");
-      }
-    }
-    return pos_ > begin;
-  }
-
-  bool ParseArray(bool counted) {
-    ++pos_;  // consume '['
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      if (!ParseValue(false)) {
-        return false;
-      }
-      if (counted) {
-        ++samples_;
-      }
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        return Error("unterminated array");
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      if (text_[pos_] != ',') {
-        return Error("expected ',' or ']'");
-      }
-      ++pos_;
-      SkipSpace();
-    }
-  }
-
-  bool ParseObject() {
-    ++pos_;  // consume '{'
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      const size_t key_begin = pos_;
-      if (!ParseString()) {
-        return false;
-      }
-      const std::string_view key = text_.substr(key_begin, pos_ - key_begin);
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return Error("expected ':'");
-      }
-      ++pos_;
-      SkipSpace();
-      const bool count_elements =
-          !counted_array_seen_ &&
-          (key == "\"metrics\"" || key == "\"traceEvents\"");
-      if (count_elements) {
-        counted_array_seen_ = true;
-      }
-      if (!ParseValue(count_elements)) {
-        return false;
-      }
-      SkipSpace();
-      if (pos_ >= text_.size()) {
-        return Error("unterminated object");
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      if (text_[pos_] != ',') {
-        return Error("expected ',' or '}'");
-      }
-      ++pos_;
-      SkipSpace();
-    }
-  }
-
-  bool ParseValue(bool counted_array) {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      return Error("unexpected end of document");
-    }
-    switch (text_[pos_]) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray(counted_array);
-      case '"':
-        return ParseString();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return ParseNumber();
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  size_t samples_ = 0;
-  bool counted_array_seen_ = false;
-  std::string error_;
-};
-
+// Prometheus sample values are Go float literals; NaN, +Inf and -Inf parse here too,
+// since std::from_chars reads "nan" and "inf" in any case.
 bool ValidPrometheusValue(std::string_view token) {
-  if (token.empty()) {
-    return false;
-  }
-  if (token == "NaN" || token == "+Inf" || token == "-Inf" || token == "Inf") {
-    return true;
-  }
-  const std::string copy(token);
-  char* end = nullptr;
-  std::strtod(copy.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  double value = 0.0;
+  return ParseDouble(token, &value) == NumberParse::kOk;
 }
 
 }  // namespace
 
 ValidationResult ValidateJsonDocument(std::string_view text) {
-  return JsonScanner(text).Run();
+  ValidationResult result;
+  const JsonParseResult parsed = ParseJson(text);
+  if (!parsed.ok) {
+    result.error = parsed.error;
+    return result;
+  }
+  result.ok = true;
+  for (const auto& [key, value] : parsed.value.members) {
+    if (key == "metrics" || key == "traceEvents") {
+      result.samples = value.items.size();
+      break;
+    }
+  }
+  return result;
 }
 
 ValidationResult ValidatePrometheusText(std::string_view text) {

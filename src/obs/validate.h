@@ -1,7 +1,7 @@
-// Output validation for the observability surfaces: a minimal JSON well-formedness
-// checker plus Prometheus text-format line validation. Used by the `metrics_check`
-// CI gate — exit non-zero on malformed or empty metric/trace files — and by tests.
-// The repo deliberately ships no JSON DOM; this is a syntax scanner, not a parser.
+// Output validation for the observability surfaces: JSON well-formedness (through
+// ParseJson, src/util/json_reader.h) plus Prometheus text-format line validation. Used
+// by the `metrics_check` CI gate — exit non-zero on malformed or empty metric/trace
+// files — and by tests.
 #ifndef SRC_OBS_VALIDATE_H_
 #define SRC_OBS_VALIDATE_H_
 
@@ -17,8 +17,9 @@ struct ValidationResult {
   size_t samples = 0;  // metric samples / trace events / array elements found
 };
 
-// Full-document JSON syntax check. `samples` counts the elements of the first
-// "metrics" or "traceEvents" array (0 if neither key exists).
+// Full-document JSON check, nesting at most 64 levels deep. `samples` counts the
+// elements of the first top-level "metrics" or "traceEvents" member (0 if there is
+// none, or if it is not an array); every producer writes that array at the top level.
 ValidationResult ValidateJsonDocument(std::string_view text);
 
 // Prometheus text exposition format: every non-comment, non-blank line must be

@@ -31,6 +31,11 @@ namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
 
+// 16x ServiceConfig's default. Each warm config triple's EvaluationCache reserves its
+// hash index for the whole capacity on first use, so the cap bounds what one select
+// can commit.
+constexpr uint64_t kMaxCacheCapacity = uint64_t{1} << 20;
+
 void HandleSignal(int) { g_stop = 1; }
 
 bool ParseFlagUint(const std::string& arg, const std::string& flag, uint64_t* out,
@@ -94,11 +99,20 @@ int main(int argc, char** argv) {
     }
     if (!ParseFlagUint(arg, "--cache-capacity", &value, &matched)) return 2;
     if (matched) {
+      if (value == 0 || value > kMaxCacheCapacity) {
+        std::cerr << "error: --cache-capacity must be in [1, " << kMaxCacheCapacity
+                  << "]\n";
+        return 2;
+      }
       service_config.cache_capacity = static_cast<size_t>(value);
       continue;
     }
     if (!ParseFlagUint(arg, "--max-cached-configs", &value, &matched)) return 2;
     if (matched) {
+      if (value == 0) {
+        std::cerr << "error: --max-cached-configs must be at least 1\n";
+        return 2;
+      }
       service_config.max_cached_configs = static_cast<size_t>(value);
       continue;
     }

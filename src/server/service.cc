@@ -113,7 +113,7 @@ const char* ServeErrorCode(ServeError error) {
 }
 
 SelectionService::SelectionService(ServiceConfig config, obs::AuditLog* audit)
-    : config_(std::move(config)), audit_(audit) {}
+    : config_(std::move(config)), audit_(audit), cache_pool_(config_.max_cached_configs) {}
 
 std::string SelectionService::HandleRequest(std::string_view payload) {
   {
@@ -512,27 +512,12 @@ std::string SelectionService::ErrorResponse(const std::string& id,
 std::shared_ptr<EvaluationCache> SelectionService::CacheFor(
     const std::string& digest_key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_pool_.find(digest_key);
-  if (it == cache_pool_.end()) {
-    while (cache_pool_.size() >= config_.max_cached_configs && !cache_pool_.empty()) {
-      auto oldest = cache_pool_.begin();
-      for (auto candidate = cache_pool_.begin(); candidate != cache_pool_.end();
-           ++candidate) {
-        if (candidate->second.second < oldest->second.second) {
-          oldest = candidate;
-        }
-      }
-      cache_pool_.erase(oldest);
-    }
-    it = cache_pool_
-             .emplace(digest_key,
-                      std::make_pair(
-                          std::make_shared<EvaluationCache>(config_.cache_capacity),
-                          pool_clock_))
-             .first;
+  if (const auto* cache = cache_pool_.Get(digest_key)) {
+    return *cache;
   }
-  it->second.second = ++pool_clock_;
-  return it->second.first;
+  auto cache = std::make_shared<EvaluationCache>(config_.cache_capacity);
+  cache_pool_.Put(digest_key, cache);
+  return cache;
 }
 
 ServiceStats SelectionService::stats() const {

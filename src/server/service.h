@@ -34,10 +34,10 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
 
 #include "src/obs/audit_log.h"
 #include "src/server/frame.h"
+#include "src/util/lru_cache.h"
 
 namespace espresso {
 class EvaluationCache;
@@ -67,7 +67,8 @@ struct ServiceConfig {
   size_t max_inflight = 8;
   // Capacity of each per-config-triple F(S) cache.
   size_t cache_capacity = 1 << 16;
-  // Distinct config triples kept warm; least-recently-used entries are dropped.
+  // Distinct config triples kept warm (at least 1); least-recently-used entries are
+  // dropped.
   size_t max_cached_configs = 8;
   // Evaluation quota for tenants without an explicit entry (0 = unlimited).
   uint64_t default_quota = 0;
@@ -122,11 +123,9 @@ class SelectionService {
   obs::AuditLog* const audit_;  // not owned; may be null
 
   mutable std::mutex mu_;
-  // Digest-triple key -> (shared cache, last-use tick). The tick implements LRU
-  // eviction without timestamps.
-  std::map<std::string, std::pair<std::shared_ptr<EvaluationCache>, uint64_t>> cache_pool_;
+  // Digest-triple key -> shared cache, at most max_cached_configs of them.
+  LruCache<std::string, std::shared_ptr<EvaluationCache>> cache_pool_;
   std::map<std::string, uint64_t> tenant_used_;
-  uint64_t pool_clock_ = 0;
   size_t inflight_ = 0;
   uint64_t requests_ = 0;
   uint64_t served_ = 0;

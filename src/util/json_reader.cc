@@ -177,8 +177,8 @@ class Parser {
       if (c == '"') {
         return true;
       }
-      if (c == '\n') {
-        return Fail("raw newline in string");
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Fail("unescaped control character in string");  // RFC 8259 section 7
       }
       if (c != '\\') {
         out->push_back(c);

@@ -1,12 +1,9 @@
-// Minimal JSON parser producing a small DOM, built for the strategy IR loader: every
+// Minimal JSON parser producing a small DOM; the program's one JSON reader. Every
 // value remembers the line it started on so schema errors cite the offending line, and
 // numbers keep their raw text so 64-bit integers round-trip exactly (a double would
 // silently lose precision past 2^53). Strict by construction: no trailing commas, no
 // comments, no garbage after the document, bounded nesting depth — a torn or tampered
 // IR file must parse to a diagnostic, never to a crash or a half-read document.
-//
-// This is deliberately separate from src/obs/validate.h: that is a syntax *scanner*
-// for CI output gates; this is the one place in the repo that materializes JSON.
 #ifndef SRC_UTIL_JSON_READER_H_
 #define SRC_UTIL_JSON_READER_H_
 

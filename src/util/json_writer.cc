@@ -16,6 +16,43 @@ std::string FormatDouble(double d) {
   return std::string(buf, ptr);
 }
 
+std::string JsonQuoted(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char raw : s) {
+    const auto c = static_cast<unsigned char>(raw);
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (c < 0x20) {
+          out += "\\u00";
+          out += kHex[c >> 4];
+          out += kHex[c & 0xF];
+        } else {
+          out += raw;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
 void JsonWriter::MaybeComma() {
   if (pending_key_) {
     pending_key_ = false;
@@ -60,14 +97,13 @@ void JsonWriter::EndArray() {
 void JsonWriter::Key(std::string_view key) {
   ESP_CHECK(!scopes_.empty() && scopes_.back() == Scope::kObject);
   MaybeComma();
-  WriteEscaped(key);
-  os_ << ":";
+  os_ << JsonQuoted(key) << ":";
   pending_key_ = true;
 }
 
 void JsonWriter::Value(std::string_view s) {
   MaybeComma();
-  WriteEscaped(s);
+  os_ << JsonQuoted(s);
 }
 
 void JsonWriter::Value(double d) {
@@ -95,39 +131,6 @@ void JsonWriter::Value(uint64_t u) {
 void JsonWriter::Value(bool b) {
   MaybeComma();
   os_ << (b ? "true" : "false");
-}
-
-void JsonWriter::WriteEscaped(std::string_view s) {
-  os_ << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os_ << "\\\"";
-        break;
-      case '\\':
-        os_ << "\\\\";
-        break;
-      case '\n':
-        os_ << "\\n";
-        break;
-      case '\t':
-        os_ << "\\t";
-        break;
-      case '\r':
-        os_ << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          // Manual hex: ostream manipulators would leak formatting state to the caller.
-          static constexpr char kHex[] = "0123456789abcdef";
-          const auto u = static_cast<unsigned char>(c);
-          os_ << "\\u00" << kHex[(u >> 4) & 0xF] << kHex[u & 0xF];
-        } else {
-          os_ << c;
-        }
-    }
-  }
-  os_ << '"';
 }
 
 }  // namespace espresso

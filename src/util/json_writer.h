@@ -1,5 +1,6 @@
 // Minimal streaming JSON writer, used by the trace module to emit chrome://tracing files.
-// Supports objects, arrays, and scalar values; escapes strings; no DOM, no parsing.
+// Supports objects, arrays, and scalar values. JsonQuoted is the program's one JSON
+// string escaper; src/util/json_reader.h is its one reader.
 #ifndef SRC_UTIL_JSON_WRITER_H_
 #define SRC_UTIL_JSON_WRITER_H_
 
@@ -15,6 +16,11 @@ namespace espresso {
 // (std::to_chars shortest formatting, 17 significant digits when needed).
 // Callers must handle non-finite values themselves (JsonWriter maps them to null).
 std::string FormatDouble(double d);
+
+// `s` as a quoted JSON string: quote, backslash, newline, tab and carriage return get
+// their two-character escapes, every other byte below 0x20 becomes a lowercase \u00xx, and
+// all other bytes (UTF-8 included) pass through unchanged.
+std::string JsonQuoted(std::string_view s);
 
 class JsonWriter {
  public:
@@ -50,7 +56,6 @@ class JsonWriter {
   enum class Scope { kObject, kArray };
 
   void MaybeComma();
-  void WriteEscaped(std::string_view s);
 
   std::ostream& os_;
   std::vector<Scope> scopes_;

@@ -3,7 +3,7 @@
 // long-lived, multi-tenant process cannot tolerate:
 //
 //   * their decimal handling follows the process locale — under de_DE,
-//     strtod("0.25") stops at the '.' and yields 0.0, silently corrupting every
+//     std::stod("0.25") stops at the '.' and yields 0.0, silently corrupting every
 //     fraction in every config the process parses;
 //   * out-of-range input throws std::out_of_range instead of diagnosing, so a
 //     hostile "1e999" becomes an exception in the middle of a parse loop.

@@ -39,37 +39,31 @@ std::vector<TimelineEntry> ChainEntries() {
   };
 }
 
-std::string Render(const ExtendedTraceOptions& options,
-                   const TraceCollector* wall = nullptr) {
+std::string Render(const TraceCollector* wall = nullptr) {
   std::ostringstream os;
-  WriteExtendedChromeTrace(os, TwoTensorModel(), ToyCluster(), ChainEntries(), {},
-                           wall, options);
+  WriteExtendedChromeTrace(os, TwoTensorModel(), ToyCluster(), ChainEntries(), {}, wall);
   return os.str();
 }
 
 TEST(ExtendedTrace, OutputIsValidJson) {
-  const std::string text = Render({});
+  const std::string text = Render();
   const ValidationResult valid = ValidateJsonDocument(text);
   EXPECT_TRUE(valid.ok) << valid.error;
   EXPECT_GT(valid.samples, 0u);
 }
 
 TEST(ExtendedTrace, EmitsFlowEventsAlongTensorChains) {
-  const std::string text = Render({});
+  const std::string text = Render();
   // Tensor 0 has a 4-op chain: one start, two steps, one finish, all flow id 1.
   EXPECT_NE(text.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"t\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(text.find("\"bp\":\"e\""), std::string::npos);
   EXPECT_NE(text.find("\"cat\":\"flow\""), std::string::npos);
-
-  ExtendedTraceOptions no_flows;
-  no_flows.flow_events = false;
-  EXPECT_EQ(Render(no_flows).find("\"cat\":\"flow\""), std::string::npos);
 }
 
 TEST(ExtendedTrace, EmitsCounterTracks) {
-  const std::string text = Render({});
+  const std::string text = Render();
   EXPECT_NE(text.find("\"name\":\"cpu_pool_occupancy\""), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"intra_link_bandwidth_bytes_per_s\""),
             std::string::npos);
@@ -78,27 +72,23 @@ TEST(ExtendedTrace, EmitsCounterTracks) {
   // The inter track rises to the link's full bandwidth (1e10 B/s, shortest-form
   // double) while the send is in flight.
   EXPECT_NE(text.find("\"value\":1e+10"), std::string::npos);
-
-  ExtendedTraceOptions no_counters;
-  no_counters.counter_tracks = false;
-  EXPECT_EQ(Render(no_counters).find("\"ph\":\"C\""), std::string::npos);
 }
 
 TEST(ExtendedTrace, NamesTensorsInSliceArgs) {
-  const std::string text = Render({});
+  const std::string text = Render();
   EXPECT_NE(text.find("\"tensor\":\"t0\""), std::string::npos);
   EXPECT_NE(text.find("\"tensor\":\"t1\""), std::string::npos);
 }
 
 TEST(ExtendedTrace, SimulatedPartIsDeterministic) {
-  EXPECT_EQ(Render({}), Render({}));
+  EXPECT_EQ(Render(), Render());
 }
 
 TEST(ExtendedTrace, AppendsWallSpansAsSecondProcess) {
   TraceCollector wall;
   wall.set_enabled(true);
   wall.Record({"selector.select", "selector", 0, 0.0, 0.5});
-  const std::string text = Render({}, &wall);
+  const std::string text = Render(&wall);
   EXPECT_NE(text.find("\"name\":\"wall clock\""), std::string::npos);
   EXPECT_NE(text.find("\"name\":\"selector.select\""), std::string::npos);
   EXPECT_NE(text.find("\"pid\":1"), std::string::npos);

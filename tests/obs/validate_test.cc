@@ -40,6 +40,16 @@ TEST(ValidateJson, RejectsMalformedDocuments) {
   EXPECT_NE(trailing.error.find("trailing"), std::string::npos);
 }
 
+TEST(ValidateJson, RefusesDeepNestingWithoutCrashing) {
+  // A recursive reader without a depth bound overflows its stack on this document.
+  constexpr size_t kDepth = 100000;
+  const std::string text =
+      "{\"metrics\":" + std::string(kDepth, '[') + std::string(kDepth, ']') + "}";
+  const ValidationResult r = ValidateJsonDocument(text);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("nesting too deep"), std::string::npos) << r.error;
+}
+
 TEST(ValidateJson, CountsMetricsArrayElements) {
   const ValidationResult r =
       ValidateJsonDocument(R"({"metrics":[{"a":1},{"b":2},{"c":3}]})");

@@ -42,6 +42,12 @@ constexpr const char* kGcAltIni = R"(
 [compression]
 algorithm = fp16
 )";
+// A third compression digest, for the cache pool's eviction order.
+constexpr const char* kGcThirdIni = R"(
+[compression]
+algorithm = randomk
+ratio = 0.05
+)";
 constexpr const char* kSystemIni = R"(
 [cluster]
 testbed = nvlink
@@ -107,7 +113,9 @@ TEST(SelectionService, MalformedJsonIsATypedError) {
   EXPECT_EQ(ErrorCode(service.HandleRequest(
                 "{\"type\":\"select\",\"tenant\":\"t\",\"config\":{}}")),
             "malformed-request");  // empty config payloads
-  EXPECT_EQ(service.stats().rejected, 4u);
+  EXPECT_EQ(ErrorCode(service.HandleRequest("{\"type\":\"health\",\"id\":\"a\tb\"}")),
+            "malformed-request");  // raw control byte inside a string
+  EXPECT_EQ(service.stats().rejected, 5u);
 }
 
 TEST(SelectionService, UnsupportedTypeIsATypedError) {
@@ -294,6 +302,26 @@ TEST(SelectionService, CachePoolEvictsLeastRecentlyUsedConfig) {
   const std::string again = service.HandleRequest(Select("r3", "t"));
   ASSERT_EQ(ErrorCode(again), "");
   EXPECT_EQ(TelemetryField(again, "simulations"), TelemetryField(cold, "simulations"));
+}
+
+TEST(SelectionService, CachePoolEvictsByRecencyNotInsertionOrder) {
+  ServiceConfig config;
+  config.max_cached_configs = 2;
+  SelectionService service(config, nullptr);
+  ASSERT_EQ(ErrorCode(service.HandleRequest(Select("a1", "t"))), "");
+  const std::string cold_b = service.HandleRequest(Select("b1", "t", {}, kGcAltIni));
+  ASSERT_EQ(ErrorCode(cold_b), "");
+  ASSERT_GT(TelemetryField(cold_b, "simulations"), 0u);
+  // Using A again makes B the least recently used, so C evicts B although A is older.
+  ASSERT_EQ(ErrorCode(service.HandleRequest(Select("a2", "t"))), "");
+  ASSERT_EQ(ErrorCode(service.HandleRequest(Select("c1", "t", {}, kGcThirdIni))), "");
+  EXPECT_EQ(service.stats().cached_configs, 2u);
+  const std::string warm_a = service.HandleRequest(Select("a3", "t"));
+  ASSERT_EQ(ErrorCode(warm_a), "");
+  EXPECT_EQ(TelemetryField(warm_a, "simulations"), 0u);
+  const std::string again_b = service.HandleRequest(Select("b2", "t", {}, kGcAltIni));
+  ASSERT_EQ(ErrorCode(again_b), "");
+  EXPECT_EQ(TelemetryField(again_b, "simulations"), TelemetryField(cold_b, "simulations"));
 }
 
 TEST(SelectionService, AuditsServedAndRejectedRequests) {

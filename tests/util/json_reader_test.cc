@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <string>
 
+#include "src/util/json_writer.h"
+
 namespace espresso {
 namespace {
 
@@ -72,6 +74,30 @@ TEST(JsonReader, RejectsMalformedDocuments) {
     EXPECT_FALSE(r.ok) << "accepted: " << text;
     EXPECT_FALSE(r.error.empty()) << text;
   }
+}
+
+TEST(JsonReader, RefusesRawControlBytesInStrings) {
+  // RFC 8259 section 7: every byte below 0x20 inside a string must be escaped.
+  for (const char raw : {'\t', '\r', '\x01', '\n'}) {
+    const JsonParseResult r = ParseJson(std::string("\"a") + raw + "b\"");
+    EXPECT_FALSE(r.ok) << "accepted raw byte " << static_cast<int>(raw);
+    EXPECT_NE(r.error.find("control character"), std::string::npos) << r.error;
+  }
+  EXPECT_EQ(ParseJson(R"("a\tb")").value.text, "a\tb");
+  EXPECT_EQ(ParseJson(R"("a\rb")").value.text, "a\rb");
+  EXPECT_EQ(ParseJson(R"("a\u0001b")").value.text, std::string("a\x01" "b"));
+}
+
+TEST(JsonReader, ReadsBackEveryQuotedAsciiByte) {
+  std::string all;
+  for (int byte = 0; byte < 0x80; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    const JsonParseResult r = ParseJson(JsonQuoted(one));
+    ASSERT_TRUE(r.ok) << "byte " << byte << ": " << r.error;
+    EXPECT_EQ(r.value.text, one) << "byte " << byte;
+    all += one;
+  }
+  EXPECT_EQ(ParseJson(JsonQuoted(all)).value.text, all);
 }
 
 TEST(JsonReader, ErrorsCiteTheLine) {

@@ -6,8 +6,8 @@
 // long-lived service process touched setlocale. The parsers now go through
 // std::from_chars (src/util/parse_number.h, the JSON reader), which is
 // locale-independent by specification; these tests pin that by running the INI /
-// strategy IR / job-config round trips WITH a comma-decimal locale installed as the
-// global locale.
+// strategy IR / job-config round trips and the Prometheus text check WITH a
+// comma-decimal locale installed as the global locale.
 //
 // The fixture materializes de_DE.UTF-8 on the fly with localedef + LOCPATH, so the
 // test runs on minimal containers that ship no locales; when localedef is missing
@@ -22,6 +22,7 @@
 
 #include "src/core/strategy_ir.h"
 #include "src/ddl/job_config.h"
+#include "src/obs/validate.h"
 #include "src/util/config.h"
 
 namespace espresso {
@@ -171,6 +172,14 @@ TEST_F(CommaDecimalLocaleTest, JobConfigRoundTripPreservesFractions) {
   EXPECT_DOUBLE_EQ(result.job.model.tensors[0].backward_time_s, 0.75e-3);
   EXPECT_DOUBLE_EQ(result.job.compressor.ratio, 0.05);
   EXPECT_DOUBLE_EQ(result.job.cluster.inter.bytes_per_second, 25.5e9 / 8.0);
+}
+
+TEST_F(CommaDecimalLocaleTest, PrometheusSampleValuesParseDotDecimal) {
+  AssertCommaLocaleActive();
+  // Pre-fix: strtod stopped at '.', so this line failed with "bad sample value".
+  const obs::ValidationResult r = obs::ValidatePrometheusText("demo_ratio 0.5\n");
+  EXPECT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.samples, 1u);
 }
 
 // Out-of-range tokens diagnose (no locale needed, but run under the comma locale to
