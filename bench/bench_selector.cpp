@@ -41,6 +41,7 @@
 #include "src/obs/span.h"
 #include "src/obs/trace_writer.h"
 #include "src/util/json_writer.h"
+#include "src/util/parse_number.h"
 
 namespace {
 
@@ -170,7 +171,14 @@ int main(int argc, char** argv) {
     if (arg == "--quick") {
       quick = true;
     } else if (arg == "--threads") {
-      threads = std::stoul(next());
+      const std::string value = next();
+      uint64_t parsed = 0;
+      const NumberParse status = ParseUint64(value, &parsed);
+      if (status != NumberParse::kOk) {
+        std::cerr << "--threads " << value << " " << NumberParseMessage(status) << "\n";
+        return 2;
+      }
+      threads = static_cast<size_t>(parsed);
     } else if (arg == "--configs") {
       configs_dir = next();
     } else if (arg == "--out") {

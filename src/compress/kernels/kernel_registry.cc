@@ -1,9 +1,5 @@
-// Runtime ISA dispatch: detect what the host executes, honor the ESPRESSO_KERNELS
-// override, and hand out the table everything compresses through.
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
+// Runtime ISA dispatch: detect whether the host executes AVX2 and hand out the table
+// everything compresses through.
 #include "src/compress/kernels/tables.h"
 
 namespace espresso::kernels {
@@ -12,23 +8,6 @@ namespace {
 
 // Test/bench override; read on every Active() call (cheap: one load + branch).
 const KernelOps* g_forced = nullptr;
-
-const KernelOps* PickAuto() {
-  const std::vector<const KernelOps*>& tables = SupportedOps();
-  if (const char* env = std::getenv("ESPRESSO_KERNELS")) {
-    for (const KernelOps* t : tables) {
-      if (std::strcmp(t->isa, env) == 0) {
-        return t;
-      }
-    }
-    std::fprintf(stderr,
-                 "espresso: ESPRESSO_KERNELS=%s is unknown or unsupported on this "
-                 "host; using scalar kernels\n",
-                 env);
-    return tables.front();
-  }
-  return tables.back();  // SupportedOps orders scalar -> best
-}
 
 }  // namespace
 
@@ -39,15 +18,9 @@ const std::vector<const KernelOps*>& SupportedOps() {
     std::vector<const KernelOps*> t;
     t.push_back(&ScalarTable());
 #if ESPRESSO_KERNELS_X86
-    if (__builtin_cpu_supports("sse2")) {
-      t.push_back(&Sse2Table());
-    }
     if (__builtin_cpu_supports("avx2")) {
       t.push_back(&Avx2Table());
     }
-#endif
-#if ESPRESSO_KERNELS_NEON
-    t.push_back(&NeonTable());  // NEON is architectural on aarch64
 #endif
     return t;
   }();
@@ -58,7 +31,7 @@ const KernelOps& Active() {
   if (g_forced != nullptr) {
     return *g_forced;
   }
-  static const KernelOps* chosen = PickAuto();
+  static const KernelOps* chosen = SupportedOps().back();  // scalar, then AVX2
   return *chosen;
 }
 

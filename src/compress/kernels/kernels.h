@@ -2,11 +2,11 @@
 //
 // The five compressor hot loops (Top-k magnitude selection, QSGD normalize+quantize,
 // TernGrad ternarize, EFSignSGD sign-pack, FP16 convert) funnel through the function
-// table in this header. A table exists per instruction set (scalar always; SSE2/AVX2 on
-// x86-64, NEON on aarch64 when ESPRESSO_SIMD is ON) and the registry picks the best one
-// the host supports at startup. Every non-scalar entry is BIT-IDENTICAL to the scalar
-// reference — payloads memcmp equal — which is what keeps the executor equivalence
-// matrix and the espresso_check corpus valid oracles across ISAs. Three contracts make
+// table in this header. Two tables exist: the scalar reference, always, and AVX2 on
+// x86-64 when ESPRESSO_SIMD is ON; the registry picks AVX2 at startup when the host
+// supports it. Every AVX2 entry is BIT-IDENTICAL to the scalar reference — payloads
+// memcmp equal — which is what keeps the executor equivalence matrix and the
+// espresso_check corpus valid oracles across ISAs. Three contracts make
 // that possible (docs/PERFORMANCE.md §Kernel registry):
 //
 //   1. Lane-order reduction contract: every floating-point reduction (QSGD's L2,
@@ -37,7 +37,7 @@
 namespace espresso::kernels {
 
 // Lane count of the reduction contract (contract 1 above). Eight double lanes map to
-// two __m256d on AVX2, four __m128d on SSE2, four float64x2_t on NEON.
+// two __m256d on AVX2.
 inline constexpr size_t kReductionLanes = 8;
 
 // --- Counter RNG (contract 2) -------------------------------------------------------
@@ -119,16 +119,15 @@ struct KernelOps {
 
 // --- Registry / runtime dispatch -----------------------------------------------------
 
-// The table the process dispatches through: best host-supported ISA, overridable with
-// ESPRESSO_KERNELS=scalar|sse2|avx2|neon (unknown or unsupported names fall back to
-// scalar with a warning) and with SetActiveForTesting.
+// The table the process dispatches through: SupportedOps().back() (AVX2 when the host
+// has it, else scalar) unless SetActiveForTesting forces one.
 const KernelOps& Active();
 
 // The scalar reference table (always available; the equivalence oracle).
 const KernelOps& Scalar();
 
-// Every table the host can execute, scalar first. The kernel equivalence test sweeps
-// these against Scalar().
+// Every table the host can execute, scalar first: {scalar} or {scalar, avx2}. The
+// kernel equivalence test sweeps these against Scalar().
 const std::vector<const KernelOps*>& SupportedOps();
 
 // Forces Active() to return *ops until called with nullptr (restores the automatic

@@ -103,8 +103,7 @@ ESPRESSO_KERNEL_INLINE size_t RefSelectTopK(const float* x, size_t n, uint32_t t
 
 // Truncating float->int32 with x86 cvttps2dq semantics: NaN and out-of-range inputs
 // produce INT32_MIN (the "integer indefinite" value) instead of the UB a bare cast
-// would be. NEON's fcvtzs saturates instead; the NEON table therefore replicates THIS
-// branchy contract, not its native instruction.
+// would be.
 ESPRESSO_KERNEL_INLINE int32_t RefTruncToInt(float m) {
   if (m >= -2147483648.0f && m < 2147483648.0f) {
     return static_cast<int32_t>(m);

@@ -1,7 +1,7 @@
-// Internal: per-ISA table getters and the arch gates that decide which SIMD
-// translation units have content. ESPRESSO_SIMD_DISABLED comes from CMake's
-// -DESPRESSO_SIMD=OFF leg; the SIMD TUs then compile to empty objects and the
-// registry never references them.
+// Internal: the two table getters and the arch gate that decides whether the AVX2
+// translation unit has content. ESPRESSO_SIMD_DISABLED comes from CMake's
+// -DESPRESSO_SIMD=OFF leg; the AVX2 TU then compiles to an empty object and the
+// registry never references it.
 #ifndef SRC_COMPRESS_KERNELS_TABLES_H_
 #define SRC_COMPRESS_KERNELS_TABLES_H_
 
@@ -10,19 +10,12 @@
 #if (defined(__x86_64__) || defined(_M_X64)) && !defined(ESPRESSO_SIMD_DISABLED)
 #define ESPRESSO_KERNELS_X86 1
 #endif
-#if defined(__aarch64__) && !defined(ESPRESSO_SIMD_DISABLED)
-#define ESPRESSO_KERNELS_NEON 1
-#endif
 
 namespace espresso::kernels {
 
 const KernelOps& ScalarTable();
 #if ESPRESSO_KERNELS_X86
-const KernelOps& Sse2Table();  // partial: quantizers fall back to scalar entries
 const KernelOps& Avx2Table();  // full (fp16 entries additionally gated on F16C)
-#endif
-#if ESPRESSO_KERNELS_NEON
-const KernelOps& NeonTable();  // conservative subset; fp16 stays scalar
 #endif
 
 }  // namespace espresso::kernels

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 
 #include "src/models/model_zoo.h"
 #include "src/util/parse_number.h"
@@ -17,11 +18,38 @@ JobConfigResult Fail(const std::string& message) {
   return result;
 }
 
+// Reads an optional number with `parse`. A present value that does not parse is an
+// error, not an absent key: read as absent, "machines = four" would quietly select for
+// the testbed's default machine count. *out is set only when the key is present.
+template <typename T>
+bool ReadNumber(const ConfigFile& file, std::string_view section, std::string_view key,
+                NumberParse (*parse)(std::string_view, T*), std::optional<T>* out,
+                std::string* error) {
+  const auto text = file.Get(section, key);
+  if (!text) {
+    return true;
+  }
+  T value{};
+  const NumberParse status = parse(*text, &value);
+  if (status != NumberParse::kOk) {
+    *error = std::string(key) + " = '" + *text + "' " +
+             (std::is_integral_v<T> && status == NumberParse::kMalformed
+                  ? "is not an integer"
+                  : NumberParseMessage(status));
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 // Reads an optional count that must be at least `min`. The bound is checked on the
 // signed value, before the cast, so "-1" cannot become 2^64 - 1.
 bool ReadCount(const ConfigFile& file, std::string_view section, std::string_view key,
                int64_t min, size_t* out, std::string* error) {
-  const auto v = file.GetInt(section, key);
+  std::optional<int64_t> v;
+  if (!ReadNumber(file, section, key, ParseInt64, &v, error)) {
+    return false;
+  }
   if (!v) {
     return true;
   }
@@ -40,7 +68,10 @@ enum class Sign { kPositive, kNonNegative };
 // infinity either.
 bool ReadReal(const ConfigFile& file, std::string_view section, std::string_view key,
               Sign sign, double scale, double* out, std::string* error) {
-  const auto v = file.GetDouble(section, key);
+  std::optional<double> v;
+  if (!ReadNumber(file, section, key, ParseDouble, &v, error)) {
+    return false;
+  }
   if (!v) {
     return true;
   }
@@ -126,15 +157,21 @@ bool ParseCompression(const ConfigFile& file, CompressorConfig* config,
     return false;
   }
   config->bits = 4;  // QSGD default when the file does not set one
-  if (const auto v = file.GetDouble("compression", "ratio")) {
-    config->ratio = *v;
+  std::optional<double> ratio;
+  std::optional<int64_t> bits;
+  if (!ReadNumber(file, "compression", "ratio", ParseDouble, &ratio, error) ||
+      !ReadNumber(file, "compression", "bits", ParseInt64, &bits, error)) {
+    return false;
   }
-  if (const auto v = file.GetInt("compression", "bits")) {
-    if (*v < 1 || *v > 7) {
+  if (ratio) {
+    config->ratio = *ratio;
+  }
+  if (bits) {
+    if (*bits < 1 || *bits > 7) {
       *error = "compression bits must be in [1, 7]";
       return false;
     }
-    config->bits = static_cast<int>(*v);
+    config->bits = static_cast<int>(*bits);
   }
   if (!ReadReal(file, "compression", "threshold", Sign::kPositive, 1.0,
                 &config->threshold, error) ||
@@ -175,7 +212,12 @@ bool ParseCluster(const ConfigFile& file, ClusterSpec* cluster, std::string* err
                 &cluster->intra.latency_s, error)) {
     return false;
   }
-  if (const auto v = file.GetBool("cluster", "host_copy_contends_intra")) {
+  if (const auto text = file.Get("cluster", "host_copy_contends_intra")) {
+    const auto v = file.GetBool("cluster", "host_copy_contends_intra");
+    if (!v) {
+      *error = "host_copy_contends_intra = '" + *text + "' is not a boolean";
+      return false;
+    }
     cluster->host_copy_contends_intra = *v;
   }
   return true;

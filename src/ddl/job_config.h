@@ -60,7 +60,8 @@ struct JobConfigResult {
   JobConfig job;
 };
 
-// Parses the three configuration objects; `error` names the offending file/field.
+// Parses the three configuration objects; `error` names the offending file/field. A
+// key that is present with a value that does not parse is an error, never a default.
 JobConfigResult LoadJobConfig(const ConfigFile& model_file, const ConfigFile& gc_file,
                               const ConfigFile& system_file);
 

@@ -107,12 +107,14 @@ TEST(JobConfig, RejectsBadInputs) {
   EXPECT_NE(r.error.find("model config"), std::string::npos);
 
   // Values that would otherwise abort a later stage (the model zoo, the compressor
-  // factory, the simulator) or wrap around in a size_t cast.
+  // factory, the simulator) or wrap around in a size_t cast, and present values that do
+  // not parse, which must not load as if absent (with the default).
   for (const char* model :
        {"[model]\nname = gpt3\n", "[model]\nname = gpt2\nbatch_size = -1\n",
         "[model]\nname = gpt2\nforward_ms = nan\n",
         "[model]\nname = gpt2\noptimizer_ms = -5\n", "[tensors]\nw = 100, nan\n",
-        "[tensors]\nw = 100, inf\n"}) {
+        "[tensors]\nw = 100, inf\n", "[model]\nname = gpt2\nforward_ms = fast\n",
+        "[model]\nname = gpt2\nbatch_size = 3.5\n"}) {
     const JobConfigResult bad =
         LoadJobConfig(ConfigFile::ParseString(model), GcFile(), SystemFile());
     EXPECT_FALSE(bad.ok) << model;
@@ -122,7 +124,11 @@ TEST(JobConfig, RejectsBadInputs) {
                          "[compression]\nalgorithm = randomk\nratio = nan\n",
                          "[compression]\nalgorithm = threshold\nthreshold = -1\n",
                          "[compression]\nalgorithm = qsgd\nbits = 4294967297\n",
-                         "[compression]\nalgorithm = dgc\nmax_compress_ops = -1\n"}) {
+                         "[compression]\nalgorithm = dgc\nmax_compress_ops = -1\n",
+                         "[compression]\nalgorithm = randomk\nratio = 0,05\n",
+                         "[compression]\nalgorithm = qsgd\nbits = x\n",
+                         "[compression]\nalgorithm = dgc\nmax_compress_ops = two\n",
+                         "[compression]\nalgorithm = threshold\nthreshold = abc\n"}) {
     const JobConfigResult bad =
         LoadJobConfig(ModelZooFile(), ConfigFile::ParseString(gc), SystemFile());
     EXPECT_FALSE(bad.ok) << gc;
@@ -132,7 +138,8 @@ TEST(JobConfig, RejectsBadInputs) {
        {"machines = -1", "machines = 0", "gpus_per_machine = -2", "cpu_workers_per_gpu = 0",
         "cpu_workers_per_gpu = -1", "intra_gbps = -1", "inter_gbps = -10", "inter_gbps = 0",
         "intra_gbps = nan", "inter_gbps = inf", "inter_gbps = 1e308", "intra_latency_us = -5",
-        "inter_latency_us = inf"}) {
+        "inter_latency_us = inf", "machines = four", "machines = 4.5",
+        "cpu_workers_per_gpu = x", "inter_gbps = fast", "host_copy_contends_intra = maybe"}) {
     const JobConfigResult bad = LoadJobConfig(
         ModelZooFile(), GcFile(),
         ConfigFile::ParseString(std::string("[cluster]\ntestbed = nvlink\n") + cluster));

@@ -143,7 +143,10 @@ TEST(SelectionService, BadConfigIsATypedError) {
       {kModelIni, kGcIni, cluster + "intra_gbps = -1\n"},
       {kModelIni, kGcIni, cluster + "inter_gbps = -10\n"},
       {kModelIni, kGcIni, cluster + "intra_latency_us = -5\n"},
-      {kModelIni, kGcIni, "[cluster]\ntestbed = nvlink\nmachines = -1\n"}};
+      {kModelIni, kGcIni, "[cluster]\ntestbed = nvlink\nmachines = -1\n"},
+      // Values that do not parse were once served as if absent, with the default.
+      {kModelIni, "[compression]\nalgorithm = dgc\nratio = 0,05\n", kSystemIni},
+      {kModelIni, kGcIni, "[cluster]\ntestbed = nvlink\nmachines = four\n"}};
   for (size_t i = 0; i < hostile.size(); ++i) {
     const auto& [model, gc, system] = hostile[i];
     EXPECT_EQ(ErrorCode(service.HandleRequest(
