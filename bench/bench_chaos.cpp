@@ -112,7 +112,7 @@ ConvergenceRun RunLossyConvergence() {
   lossy.channel = &channel;
   run.lossy_accuracy = TrainDataParallel(train, test, lossy).back().test_accuracy;
   run.payloads_dropped = channel.stats().dropped;
-  run.payload_attempts = channel.stats().attempts;
+  run.payload_attempts = channel.stats().transmissions;
   return run;
 }
 

@@ -50,7 +50,7 @@ struct IRValidationOptions {
 struct IRValidationResult {
   // Fail-closed gate: true iff the report has no errors. Warnings do not block.
   bool ok = false;
-  // True when any config digest differed — even under force_digest (callers audit it).
+  // True when any config digest differed, even under force_digest.
   bool digest_mismatch = false;
   // F(S) re-evaluated on THIS configuration (0 when the simulation was skipped).
   // Differs from ir.fs_score when the configs differ or the cost model changed.

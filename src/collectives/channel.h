@@ -5,9 +5,9 @@
 // transport: a transmission can be delivered, dropped outright, or delivered with
 // corrupted contents. The executor sends each payload compressed at an option's first
 // compression site through it, except a part a rank keeps for itself
-// (src/ddl/strategy_executor.h). The fault subsystem (src/fault) provides
-// implementations — a raw chaos transport and a reliable wrapper that adds checksums
-// plus retry/backoff — while the executor stays transport-agnostic.
+// (src/ddl/strategy_executor.h). The fault subsystem (src/fault) provides the one
+// implementation, ChaosChannel, which drops payloads and delivers corruption silently;
+// the executor stays transport-agnostic.
 #ifndef SRC_COLLECTIVES_CHANNEL_H_
 #define SRC_COLLECTIVES_CHANNEL_H_
 
@@ -18,8 +18,7 @@
 
 namespace espresso {
 
-// Final outcome of transmitting one payload (after whatever retries the channel
-// implementation performs internally).
+// Outcome of transmitting one payload.
 enum class PayloadFate {
   kDelivered,  // payload arrives intact
   kDropped,    // payload lost; the sender's update must be preserved elsewhere (EF)

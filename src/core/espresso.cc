@@ -25,7 +25,7 @@ double Seconds(std::chrono::steady_clock::time_point from,
 }
 
 // Process-wide selector metrics; SelectorTelemetry stays the per-call view while the
-// registry accumulates across selections (see SelectorTelemetry::FromMetricsSnapshot).
+// registry accumulates across selections.
 struct SelectorMetrics {
   obs::Counter selections;
   obs::Counter evaluations;
@@ -81,31 +81,6 @@ const SelectorMetrics& Metrics() {
 }
 
 }  // namespace
-
-SelectorTelemetry SelectorTelemetry::FromMetricsSnapshot(
-    const obs::MetricsSnapshot& snapshot) {
-  SelectorTelemetry t;
-  const auto counter = [&snapshot](const char* name) -> uint64_t {
-    const obs::MetricValue* m = snapshot.Find(name);
-    return m == nullptr ? 0 : m->count;
-  };
-  const auto histogram_sum = [&snapshot](const char* name) -> double {
-    const obs::MetricValue* m = snapshot.Find(name);
-    return m == nullptr ? 0.0 : m->value;
-  };
-  t.evaluations = counter("espresso_selector_evaluations_total");
-  t.simulations = counter("espresso_selector_simulations_total");
-  t.cache_hits = counter("espresso_selector_cache_hits_total");
-  t.cache_misses = counter("espresso_selector_cache_misses_total");
-  t.cache_evictions = counter("espresso_selector_cache_evictions_total");
-  t.fanouts = counter("espresso_selector_fanouts_total");
-  t.algorithm1_seconds = histogram_sum("espresso_selector_stage_algorithm1_seconds");
-  t.refine_seconds = histogram_sum("espresso_selector_stage_refine_seconds");
-  t.trajectory_seconds = histogram_sum("espresso_selector_stage_trajectory_seconds");
-  t.offload_seconds = histogram_sum("espresso_selector_stage_offload_seconds");
-  t.total_seconds = histogram_sum("espresso_selector_select_seconds");
-  return t;
-}
 
 EspressoSelector::EspressoSelector(const ModelProfile& model, const ClusterSpec& cluster,
                                    const Compressor& compressor, SelectorOptions options)

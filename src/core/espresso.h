@@ -39,10 +39,6 @@
 #include "src/core/strategy.h"
 #include "src/core/timeline.h"
 
-namespace espresso::obs {
-struct MetricsSnapshot;
-}  // namespace espresso::obs
-
 namespace espresso {
 
 struct SelectorOptions {
@@ -92,11 +88,6 @@ struct SelectorTelemetry {
     const uint64_t total = cache_hits + cache_misses;
     return total == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(total);
   }
-
-  // The registry view: rebuilds a telemetry aggregate from scraped
-  // espresso_selector_* metrics (cumulative across every selection in the
-  // process, not a single Select call). Missing metrics read as zero.
-  static SelectorTelemetry FromMetricsSnapshot(const obs::MetricsSnapshot& snapshot);
 };
 
 struct SelectionResult {

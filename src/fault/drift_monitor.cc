@@ -119,16 +119,14 @@ OnlineReselector::OnlineReselector(const ModelProfile& model, const ClusterSpec&
                                    const Compressor& compressor,
                                    const CompressorConfig& compressor_config,
                                    const SelectorOptions& selector_options,
-                                   const DriftConfig& drift_config,
-                                   DeploymentConfig deploy_config)
+                                   const DriftConfig& drift_config)
     : model_(model),
       profiled_(profiled),
       compressor_(compressor),
       compressor_config_(compressor_config),
       selector_options_(selector_options),
       monitor_(drift_config, profiled),
-      deployment_(model_, profiled_, compressor_, compressor_config_,
-                  std::move(deploy_config)) {
+      deployment_(model_, profiled_, compressor_, compressor_config_) {
   EspressoSelector selector(model_, profiled_, compressor_, selector_options_);
   const SelectionResult result = selector.Select();
   deployment_.Bootstrap(result.strategy, "selector", result.iteration_time);

@@ -88,8 +88,7 @@ class OnlineReselector {
   // digests are recomputed from the config on every publish).
   OnlineReselector(const ModelProfile& model, const ClusterSpec& profiled,
                    const Compressor& compressor, const CompressorConfig& compressor_config,
-                   const SelectorOptions& selector_options, const DriftConfig& drift_config,
-                   DeploymentConfig deploy_config = {});
+                   const SelectorOptions& selector_options, const DriftConfig& drift_config);
 
   // The live strategy (the current deployment's snapshot). The reference stays valid
   // until the next strategy() / Step() call on this reselector.
@@ -97,7 +96,7 @@ class OnlineReselector {
   const DriftMonitor& monitor() const { return monitor_; }
 
   // The deployment pipeline this reselector publishes through: audit log, deploy
-  // metrics, version history, regression watchdog.
+  // metrics, version history.
   StrategyDeployment& deployment() { return deployment_; }
   const StrategyDeployment& deployment() const { return deployment_; }
 

@@ -37,8 +37,7 @@ FaultPlan::FaultPlan(const FaultSpec& spec) : spec_(spec) {
 
 FaultPlan FaultPlan::FromConfig(const ConfigFile& config) {
   FaultSpec spec;
-  const auto seed = config.GetInt("faults", "seed");
-  spec.seed = seed ? static_cast<uint64_t>(*seed) : spec.seed;
+  spec.seed = static_cast<uint64_t>(config.GetIntOr("faults", "seed", 42, 0, INT64_MAX));
   spec.straggler_probability =
       config.GetDoubleOr("faults", "straggler_probability", 0.0, 0.0, 1.0);
   spec.straggler_slowdown =

@@ -37,7 +37,7 @@ struct FaultSpec {
   double cpu_contention_probability = 0.0;
   double cpu_slowdown = 1.0;  // >= 1
 
-  // Data-path faults, drawn per payload transmission attempt.
+  // Data-path faults, drawn once per payload transmission.
   double drop_probability = 0.0;     // payload lost outright
   double corrupt_probability = 0.0;  // payload delivered with flipped bits
 

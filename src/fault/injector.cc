@@ -33,12 +33,12 @@ ResourceScales FaultInjector::ScalesFor(const IterationFaults& faults) const {
 }
 
 PayloadFate FaultInjector::AttemptFate(uint64_t iteration, uint64_t rank,
-                                       uint64_t tensor_id, uint32_t attempt) const {
+                                       uint64_t tensor_id) const {
   const FaultSpec& spec = plan_.spec();
   if (spec.drop_probability == 0.0 && spec.corrupt_probability == 0.0) {
     return PayloadFate::kDelivered;
   }
-  const double draw = plan_.PayloadDraw(iteration, rank, tensor_id, attempt);
+  const double draw = plan_.PayloadDraw(iteration, rank, tensor_id, 1);
   if (draw < spec.drop_probability) {
     return PayloadFate::kDropped;
   }
@@ -49,10 +49,9 @@ PayloadFate FaultInjector::AttemptFate(uint64_t iteration, uint64_t rank,
 }
 
 void FaultInjector::Corrupt(uint64_t iteration, uint64_t rank, uint64_t tensor_id,
-                            uint32_t attempt, CompressedTensor* payload) const {
+                            CompressedTensor* payload) const {
   ESP_CHECK(payload != nullptr);
-  const double draw =
-      plan_.PayloadDraw(iteration, rank ^ kCorruptionRank, tensor_id, attempt);
+  const double draw = plan_.PayloadDraw(iteration, rank ^ kCorruptionRank, tensor_id, 1);
   auto flip_bit = [&](auto& container) {
     using Value = typename std::remove_reference_t<decltype(container)>::value_type;
     const size_t index = static_cast<size_t>(draw * static_cast<double>(container.size()));

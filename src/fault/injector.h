@@ -39,12 +39,11 @@ class FaultInjector {
   // profiled cluster).
   ResourceScales ScalesFor(const IterationFaults& faults) const;
 
-  // Outcome of one payload transmission attempt (attempts are 1-based).
-  PayloadFate AttemptFate(uint64_t iteration, uint64_t rank, uint64_t tensor_id,
-                          uint32_t attempt) const;
+  // Outcome of one payload transmission.
+  PayloadFate AttemptFate(uint64_t iteration, uint64_t rank, uint64_t tensor_id) const;
 
   // Deterministically flips one bit of the payload's contents.
-  void Corrupt(uint64_t iteration, uint64_t rank, uint64_t tensor_id, uint32_t attempt,
+  void Corrupt(uint64_t iteration, uint64_t rank, uint64_t tensor_id,
                CompressedTensor* payload) const;
 
   // Whether a whole collective phase fails on this attempt.

@@ -1,7 +1,7 @@
 // Capped exponential backoff with deterministic jitter.
 //
-// Retried operations (payload retransmits, failed collective phases) back off
-// exponentially from `base_delay_s`, capped at `max_delay_s`, with a +/- `jitter`
+// Retried operations (failed collective phases, src/fault/resilient_executor.h) back
+// off exponentially from `base_delay_s`, capped at `max_delay_s`, with a +/- `jitter`
 // fractional perturbation drawn from a caller-supplied Rng — deterministic given the
 // caller's seed, so retry schedules replay exactly. attempts are 1-based: attempt 1 is
 // the initial try, attempts 2..max_attempts are retries.

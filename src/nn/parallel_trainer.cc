@@ -34,7 +34,7 @@ const TrainerMetrics& Metrics() {
     m.payloads_corrupted = r.RegisterCounter(
         "espresso_trainer_payloads_corrupted_total",
         "Compressed payloads the channel delivered corrupted and that were aggregated as "
-        "received (a checksumming channel retransmits them instead)");
+        "received");
     m.step_seconds = r.RegisterHistogram("espresso_trainer_step_seconds",
                                          "Per-iteration wall time (compute + sync)",
                                          obs::DefaultTimeBuckets());

@@ -1,7 +1,7 @@
 // AuditLog: a thread-safe, append-only JSONL event stream.
 //
 // The deployment pipeline (src/ddl/strategy_deployment.h) records every strategy
-// deploy, rejection, and rollback here — and the strategy-selection service records
+// deploy and rejection here — and the strategy-selection service records
 // every served and rejected request — so an operator can reconstruct *why* the
 // executors are running the strategy they are running: the metrics say how often,
 // the audit log says what and when. One event per line, flushed as written, so a

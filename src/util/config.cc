@@ -127,26 +127,6 @@ std::string ConfigFile::GetOr(std::string_view section, std::string_view key,
   return Get(section, key).value_or(std::string(fallback));
 }
 
-std::optional<double> ConfigFile::GetDouble(std::string_view section,
-                                            std::string_view key) const {
-  const auto value = Get(section, key);
-  if (!value) {
-    return std::nullopt;
-  }
-  // Locale-independent and exception-free: a de_DE process locale must not turn
-  // "0.25" into 0, and a hostile "1e999" must diagnose, not throw.
-  return ParseDoubleOpt(*value);
-}
-
-std::optional<int64_t> ConfigFile::GetInt(std::string_view section,
-                                          std::string_view key) const {
-  const auto value = Get(section, key);
-  if (!value) {
-    return std::nullopt;
-  }
-  return ParseInt64Opt(*value);
-}
-
 std::optional<bool> ConfigFile::GetBool(std::string_view section,
                                         std::string_view key) const {
   const auto value = Get(section, key);
@@ -175,13 +155,12 @@ double ConfigFile::GetDoubleOr(std::string_view section, std::string_view key,
                      std::to_string(fallback));
     return fallback;
   }
-  const std::optional<double> parsed = value;
-  if (*parsed < min || *parsed > max) {
+  if (value < min || value > max) {
     Warn(*entry, "out of range [" + std::to_string(min) + ", " + std::to_string(max) +
                      "]; using " + std::to_string(fallback));
     return fallback;
   }
-  return *parsed;
+  return value;
 }
 
 int64_t ConfigFile::GetIntOr(std::string_view section, std::string_view key,
@@ -197,13 +176,12 @@ int64_t ConfigFile::GetIntOr(std::string_view section, std::string_view key,
                      std::to_string(fallback));
     return fallback;
   }
-  const std::optional<int64_t> parsed = value;
-  if (*parsed < min || *parsed > max) {
+  if (value < min || value > max) {
     Warn(*entry, "out of range [" + std::to_string(min) + ", " + std::to_string(max) +
                      "]; using " + std::to_string(fallback));
     return fallback;
   }
-  return *parsed;
+  return value;
 }
 
 std::vector<std::pair<std::string, std::string>> ConfigFile::Entries(

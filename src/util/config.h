@@ -32,8 +32,6 @@ class ConfigFile {
   std::optional<std::string> Get(std::string_view section, std::string_view key) const;
   std::string GetOr(std::string_view section, std::string_view key,
                     std::string_view fallback) const;
-  std::optional<double> GetDouble(std::string_view section, std::string_view key) const;
-  std::optional<int64_t> GetInt(std::string_view section, std::string_view key) const;
   std::optional<bool> GetBool(std::string_view section, std::string_view key) const;
 
   // Range-checked lookups with diagnostics: a present-but-malformed value, or one

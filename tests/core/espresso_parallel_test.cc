@@ -158,8 +158,10 @@ TEST(EspressoParallel, WarmTelemetryCountsEveryQueryOnce) {
 // The registry mirrors the per-call fan-out count, so a scrape shows how often
 // selections paid for a pool round trip.
 TEST(EspressoParallel, FanoutsAreMirroredInTheRegistry) {
-  const auto fanouts_total = [] {
-    return SelectorTelemetry::FromMetricsSnapshot(obs::GlobalMetrics().Scrape()).fanouts;
+  const auto fanouts_total = []() -> uint64_t {
+    const obs::MetricsSnapshot snapshot = obs::GlobalMetrics().Scrape();
+    const obs::MetricValue* metric = snapshot.Find("espresso_selector_fanouts_total");
+    return metric == nullptr ? 0 : metric->count;
   };
   const uint64_t before = fanouts_total();
   const auto compressor = Make("dgc");

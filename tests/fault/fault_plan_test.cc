@@ -141,6 +141,14 @@ TEST(FaultPlan, FromConfigParsesAndRangeChecks) {
   EXPECT_DOUBLE_EQ(plan.spec().drop_probability, 0.0);
   ASSERT_EQ(config.warnings().size(), 1u);
   EXPECT_NE(config.warnings()[0].find("drop_probability"), std::string::npos);
+
+  // A seed that does not parse warns and falls back, like every other [faults] key.
+  const ConfigFile bad_seed = ConfigFile::ParseString("[faults]\nseed = abc\n");
+  ASSERT_TRUE(bad_seed.ok());
+  EXPECT_EQ(FaultPlan::FromConfig(bad_seed).spec().seed, 42u);
+  ASSERT_EQ(bad_seed.warnings().size(), 1u);
+  EXPECT_NE(bad_seed.warnings()[0].find("seed = abc"), std::string::npos)
+      << bad_seed.warnings()[0];
 }
 
 // The acceptance bar for the chaos harness: a seeded fault schedule must yield a
@@ -215,7 +223,7 @@ TEST(FaultInjector, AttemptFateRatesTrackProbabilities) {
   size_t dropped = 0, corrupted = 0;
   const size_t trials = 5000;
   for (uint64_t i = 0; i < trials; ++i) {
-    switch (injector.AttemptFate(i, i % 8, i % 33, 1)) {
+    switch (injector.AttemptFate(i, i % 8, i % 33)) {
       case PayloadFate::kDropped: ++dropped; break;
       case PayloadFate::kCorrupted: ++corrupted; break;
       case PayloadFate::kDelivered: break;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/fault/checksum.h"
-
 namespace espresso {
 namespace {
 
@@ -84,37 +82,6 @@ TEST(RetryPolicy, FromConfigFallsBackOnBadValues) {
   EXPECT_DOUBLE_EQ(policy.jitter, 0.5);
   ASSERT_EQ(config.warnings().size(), 1u);
   EXPECT_NE(config.warnings()[0].find("base_delay_s"), std::string::npos);
-}
-
-TEST(Checksum, Crc32MatchesKnownVector) {
-  // CRC-32/IEEE of "123456789" is the classic check value.
-  const char* s = "123456789";
-  const uint32_t crc =
-      Crc32(std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(s), 9));
-  EXPECT_EQ(crc, 0xCBF43926u);
-}
-
-TEST(Checksum, PayloadChecksumSeesEveryField) {
-  CompressedTensor payload;
-  payload.kind = PayloadKind::kSparse;
-  payload.original_elements = 64;
-  payload.indices = {1, 5, 9};
-  payload.values = {0.5f, -1.0f, 2.0f};
-  const uint32_t base = PayloadChecksum(payload);
-
-  CompressedTensor tweaked = payload;
-  tweaked.values[1] = -1.0000001f;
-  EXPECT_NE(PayloadChecksum(tweaked), base);
-
-  tweaked = payload;
-  tweaked.indices[0] = 2;
-  EXPECT_NE(PayloadChecksum(tweaked), base);
-
-  tweaked = payload;
-  tweaked.original_elements = 65;
-  EXPECT_NE(PayloadChecksum(tweaked), base);
-
-  EXPECT_EQ(PayloadChecksum(payload), base);  // stable across calls
 }
 
 }  // namespace

@@ -125,38 +125,6 @@ void Refill(RankBuffers& buffers, const RankBuffers& initial) {
   }
 }
 
-// The reliable channel's corrupt-and-retry path: once its scratch tensor has held a
-// payload, each corrupted attempt copies the payload into it without allocating, and
-// the checksum and backoff of the retry allocate nothing either.
-TEST(AllocationCount, ReliableChannelRetryIsAllocationFree) {
-  FaultSpec spec;
-  spec.corrupt_probability = 0.5;
-  const FaultInjector injector{FaultPlan(spec)};
-  ReliableChannel channel(&injector, RetryPolicy{});
-  const auto topk = CreateCompressor(CompressorConfig{.algorithm = "topk", .ratio = 0.25});
-  const RankBuffers gradient = MakeGradients(1, 512, 17);
-  CompressedTensor payload;
-  topk->Compress(gradient[0], /*seed=*/0, &payload);
-  auto transmit_step = [&](uint64_t iteration) {
-    channel.BeginIteration(iteration);
-    for (size_t rank = 0; rank < 8; ++rank) {
-      channel.Transmit(rank, /*tensor_id=*/0, &payload);
-    }
-  };
-
-  transmit_step(0);  // warm-up: the first corrupted attempt sizes the scratch tensor
-  const uint64_t warm_corruptions = channel.stats().corrupted;
-  ASSERT_GT(warm_corruptions, 0u);
-  const std::uint64_t before = AllocationCount();
-  for (uint64_t iteration = 1; iteration <= 10; ++iteration) {
-    transmit_step(iteration);
-  }
-  const std::uint64_t delta = AllocationCount() - before;
-  EXPECT_EQ(delta, 0u);
-  EXPECT_GT(channel.stats().corrupted, warm_corruptions);
-  EXPECT_GT(channel.stats().retries, 0u);
-}
-
 // Satellite regression for the ErrorFeedback per-call decompress buffer: repeated
 // CompressWithFeedback on a warm residual must not touch the heap.
 TEST(AllocationCount, ErrorFeedbackSteadyStateIsAllocationFree) {

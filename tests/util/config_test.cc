@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace espresso {
 namespace {
 
@@ -16,7 +18,7 @@ testbed = nvlink ; another comment style
 )");
   ASSERT_TRUE(c.ok()) << c.error();
   EXPECT_EQ(c.Get("model", "name"), "gpt2");
-  EXPECT_EQ(c.GetInt("model", "batch_size"), 80);
+  EXPECT_EQ(c.GetIntOr("model", "batch_size", 0, INT64_MIN, INT64_MAX), 80);
   EXPECT_EQ(c.Get("cluster", "testbed"), "nvlink");
   EXPECT_EQ(c.Entries("model").size(), 2u);
   EXPECT_TRUE(c.Entries("compression").empty());
@@ -33,9 +35,12 @@ TEST(ConfigFile, MissingKeysReturnNullopt) {
 TEST(ConfigFile, TypedGettersRejectGarbage) {
   const ConfigFile c = ConfigFile::ParseString("[a]\nx = 12abc\ny = maybe\nz = 2.5\n");
   ASSERT_TRUE(c.ok());
-  EXPECT_FALSE(c.GetInt("a", "x").has_value());
+  // Any int64 is in range, so only a parse failure returns the fallback.
+  EXPECT_EQ(c.GetIntOr("a", "x", -1, INT64_MIN, INT64_MAX), -1);
   EXPECT_FALSE(c.GetBool("a", "y").has_value());
-  EXPECT_EQ(c.GetDouble("a", "z"), 2.5);
+  EXPECT_EQ(c.GetDoubleOr("a", "z", 0.0, 0.0, 10.0), 2.5);
+  ASSERT_EQ(c.warnings().size(), 1u);
+  EXPECT_NE(c.warnings()[0].find("x = 12abc"), std::string::npos) << c.warnings()[0];
 }
 
 TEST(ConfigFile, BoolSpellings) {

@@ -97,9 +97,8 @@ TEST_F(CommaDecimalLocaleTest, IniDoubleParsesDotDecimal) {
       "threshold = 1.5e-3\n");
   ASSERT_TRUE(config.ok());
   // Pre-fix: stod stopped at '.' and returned 0.0 under de_DE.
-  EXPECT_EQ(config.GetDouble("compression", "ratio"), 0.25);
-  EXPECT_EQ(config.GetDouble("compression", "threshold"), 1.5e-3);
   EXPECT_EQ(config.GetDoubleOr("compression", "ratio", 9.0, 0.0, 1.0), 0.25);
+  EXPECT_EQ(config.GetDoubleOr("compression", "threshold", 9.0, 0.0, 1.0), 1.5e-3);
   EXPECT_TRUE(config.warnings().empty());
 }
 
@@ -190,10 +189,12 @@ TEST_F(CommaDecimalLocaleTest, OutOfRangeTokensDiagnose) {
       "[compression]\n"
       "ratio = 1e999\n");
   ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config.GetDouble("compression", "ratio"), std::nullopt);
   EXPECT_EQ(config.GetDoubleOr("compression", "ratio", 0.5, 0.0, 1.0), 0.5);
   ASSERT_EQ(config.warnings().size(), 1u);
-  EXPECT_NE(config.warnings()[0].find("out of range"), std::string::npos);
+  // "is out of range" is ParseDouble's diagnosis of the token itself, not the [0, 1]
+  // range check's.
+  EXPECT_NE(config.warnings()[0].find("is out of range"), std::string::npos)
+      << config.warnings()[0];
   EXPECT_NE(config.warnings()[0].find("line 2"), std::string::npos);
 
   std::string text = StrategyIRToString(FractionalIr());
