@@ -1,5 +1,6 @@
-// Fail-closed admission control for strategy IR documents (the load half of the
-// deployment pipeline; src/ddl/strategy_deployment.h is the swap half).
+// Fail-closed admission control for strategy IR documents: the gate espresso_cli
+// --ir-in, strategy_lint --ir, every IR espresso_serve answers with, and every
+// OnlineReselector re-selection (src/fault/drift_monitor.h) pass before they run.
 //
 // A parsed StrategyIR is *syntactically* sound — the parser already enforced the
 // schema and the payload digest. This pass decides whether it may EXECUTE on a given
@@ -11,7 +12,8 @@
 //   3. schedule: the strategy is simulated on this configuration and the recorded
 //      timeline re-checked by the ScheduleVerifier.
 // The default posture is fail-closed: any error in the report means "do not run this
-// strategy" — executors keep their last-known-good deployment instead.
+// strategy" — the CLIs exit non-zero, the service answers with a typed error, and the
+// reselector keeps its last-known-good strategy.
 #ifndef SRC_ANALYSIS_IR_VALIDATOR_H_
 #define SRC_ANALYSIS_IR_VALIDATOR_H_
 

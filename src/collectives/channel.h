@@ -25,8 +25,6 @@ enum class PayloadFate {
   kCorrupted,  // payload arrives with mutated contents (undetected corruption)
 };
 
-const char* PayloadFateName(PayloadFate fate);
-
 class PayloadChannel {
  public:
   virtual ~PayloadChannel() = default;

@@ -370,16 +370,6 @@ size_t OptionSpace::TotalWithDeviceChoices() const {
   return total;
 }
 
-std::vector<CompressionOption> OptionSpace::CompressedOnly() const {
-  std::vector<CompressionOption> compressed;
-  for (const auto& option : options) {
-    if (option.Compressed()) {
-      compressed.push_back(option);
-    }
-  }
-  return compressed;
-}
-
 OptionSpace EnumerateOptions(const TreeConfig& config) {
   OptionSpace space;
   EnumerateFlat(config, &space.options);

@@ -44,7 +44,6 @@ struct OptionSpace {
 
   // |C|: structural paths times the 2^slots device assignments of each.
   size_t TotalWithDeviceChoices() const;
-  std::vector<CompressionOption> CompressedOnly() const;
 };
 
 // Every valid path through the decision tree (deduplicated).

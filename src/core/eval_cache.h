@@ -74,11 +74,6 @@ struct EvalCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-
-  double HitRate() const {
-    const uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
 };
 
 // Thread-safe fingerprint -> F(S) LRU. Concurrent selections that share a cache hit

@@ -121,7 +121,6 @@ class TimelineEvaluator {
   // Installs fault-injected speed multipliers applied to every subsequent simulation
   // (compute on the gpu scale as well as pipeline ops). Scales must be positive.
   void SetResourceScales(const ResourceScales& scales);
-  const ResourceScales& resource_scales() const { return resource_scales_; }
 
   // Full evaluation with per-op entries for traces/plots.
   TimelineResult Evaluate(const Strategy& strategy, bool record_entries) const;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/analysis/ir_validator.h"
 #include "src/core/strategy_ir.h"
 #include "src/obs/metrics.h"
 #include "src/util/logging.h"
@@ -26,6 +27,7 @@ double LatencyDeviation(double observed, double profiled) {
 struct DriftMetrics {
   obs::Counter observations;
   obs::Counter reselections;
+  obs::Counter rejected;
   obs::Counter options_changed;
   obs::Gauge drift;
 };
@@ -38,6 +40,9 @@ const DriftMetrics& Metrics() {
                                         "Cluster observations fed to the drift monitor");
     dm.reselections = r.RegisterCounter("espresso_drift_reselections_total",
                                         "Strategy hot-swaps triggered by drift");
+    dm.rejected = r.RegisterCounter(
+        "espresso_drift_rejected_total",
+        "Drift-triggered re-selections refused by the fail-closed admission pass");
     dm.options_changed = r.RegisterCounter(
         "espresso_drift_options_changed_total",
         "Tensor options replaced across all drift-triggered re-selections");
@@ -125,16 +130,9 @@ OnlineReselector::OnlineReselector(const ModelProfile& model, const ClusterSpec&
       compressor_(compressor),
       compressor_config_(compressor_config),
       selector_options_(selector_options),
-      monitor_(drift_config, profiled),
-      deployment_(model_, profiled_, compressor_, compressor_config_) {
+      monitor_(drift_config, profiled) {
   EspressoSelector selector(model_, profiled_, compressor_, selector_options_);
-  const SelectionResult result = selector.Select();
-  deployment_.Bootstrap(result.strategy, "selector", result.iteration_time);
-}
-
-const Strategy& OnlineReselector::strategy() const {
-  snapshot_ = deployment_.Acquire();
-  return snapshot_->strategy;
+  strategy_ = selector.Select().strategy;
 }
 
 std::optional<ReselectionEvent> OnlineReselector::Step(uint64_t iteration,
@@ -143,24 +141,22 @@ std::optional<ReselectionEvent> OnlineReselector::Step(uint64_t iteration,
 
   const ClusterSpec drifted = monitor_.SmoothedCluster();
   EspressoSelector selector(model_, drifted, compressor_, selector_options_);
-  const SelectionResult result = selector.Select();
-  const std::shared_ptr<const DeployedStrategy> live = deployment_.Acquire();
+  SelectionResult result = selector.Select();
 
   ReselectionEvent event;
   event.iteration = iteration;
   event.drift = monitor_.drift();
-  event.stale_iteration_time = selector.evaluator().IterationTime(live->strategy);
+  event.stale_iteration_time = selector.evaluator().IterationTime(strategy_);
   event.new_iteration_time = result.iteration_time;
-  ESP_CHECK_EQ(result.strategy.options.size(), live->strategy.options.size());
-  for (size_t t = 0; t < live->strategy.options.size(); ++t) {
-    if (!(result.strategy.options[t] == live->strategy.options[t]))
-      ++event.options_changed;
+  ESP_CHECK_EQ(result.strategy.options.size(), strategy_.options.size());
+  for (size_t t = 0; t < strategy_.options.size(); ++t) {
+    if (!(result.strategy.options[t] == strategy_.options[t])) ++event.options_changed;
   }
 
-  // Publish through the fail-closed pipeline instead of mutating in place. The IR's
-  // digests and F(S) are stamped against the PROFILED configuration — the one the
-  // deployment validates against — so the document is self-consistent; the drifted
-  // scores travel in the event (and the drift magnitude in the provenance).
+  // Admit through the fail-closed pass before replacing anything. The IR's digests and
+  // F(S) are stamped against the PROFILED configuration — the one admission validates
+  // against — so the document is self-consistent; the drifted scores travel in the
+  // event (and the drift magnitude in the provenance).
   StrategyProvenance provenance;
   provenance.origin = "online-reselector";
   provenance.selector = "espresso";
@@ -170,17 +166,19 @@ std::optional<ReselectionEvent> OnlineReselector::Step(uint64_t iteration,
   const StrategyIR ir = CompileStrategyIR(
       result.strategy, profiled_evaluator.IterationTime(result.strategy), model_,
       profiled_, compressor_config_, std::move(provenance));
-  const DeployResult deploy = deployment_.Deploy(ir);
-  event.deployed = deploy.accepted;
-  event.version = deploy.version;
+  event.deployed =
+      ValidateStrategyIR(ir, model_, profiled_, compressor_, compressor_config_).ok;
 
   // The cooldown applies whether or not admission accepted: a refused IR would be
   // refused again next iteration, and re-selection is too expensive to spin on.
   monitor_.AcknowledgeReselection(iteration);
   auto& registry = obs::GlobalMetrics();
   if (event.deployed) {
+    strategy_ = std::move(result.strategy);
     registry.Add(Metrics().reselections);
     registry.Add(Metrics().options_changed, event.options_changed);
+  } else {
+    registry.Add(Metrics().rejected);
   }
   return event;
 }

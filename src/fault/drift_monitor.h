@@ -4,23 +4,20 @@
 // cluster drifts (congested NICs, contended fabrics). The DriftMonitor tracks the
 // observed link parameters as an EWMA and flags when they have moved past a relative
 // threshold from the profile; the OnlineReselector then re-runs the full decision
-// algorithm against the drifted cost model and publishes the result through the
-// fail-closed deployment pipeline (src/ddl/strategy_deployment.h): the re-selection is
-// compiled to a digest-stamped StrategyIR, re-validated (digests, linter, schedule
-// verifier), and atomically swapped — never mutated in place. A re-selection that
-// fails admission leaves the last-known-good strategy running and is visible in the
-// deployment's audit log and the espresso_deploy_* metrics. Re-selection is
-// rate-limited by a cooldown so jitter does not thrash the strategy.
+// algorithm against the drifted cost model, compiles the result to a digest-stamped
+// StrategyIR and admits it with the fail-closed ValidateStrategyIR pass (digests,
+// linter, schedule verifier) before it replaces the live strategy. A re-selection that
+// fails admission leaves the last-known-good strategy running and is counted in
+// espresso_drift_rejected_total. Re-selection is rate-limited by a cooldown so jitter
+// does not thrash the strategy.
 #ifndef SRC_FAULT_DRIFT_MONITOR_H_
 #define SRC_FAULT_DRIFT_MONITOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "src/core/espresso.h"
 #include "src/costmodel/calibration.h"
-#include "src/ddl/strategy_deployment.h"
 #include "src/util/config.h"
 
 namespace espresso {
@@ -74,36 +71,30 @@ struct ReselectionEvent {
   double stale_iteration_time = 0.0;  // F(S_old) under the drifted cost model
   double new_iteration_time = 0.0;    // F(S_new) under the drifted cost model
   size_t options_changed = 0;         // tensors whose option the swap replaced
-  // Deployment outcome: false means the admission pass refused the re-selection and
-  // the previous strategy is still live (see the deployment's audit log for why).
+  // Admission outcome: false means ValidateStrategyIR refused the re-selection and the
+  // previous strategy is still live.
   bool deployed = false;
-  uint64_t version = 0;  // deployment version live after this event
 };
 
-// Owns the live strategy (through a StrategyDeployment) and the monitor; Step() feeds
-// observations, re-selects on drift, and publishes through the deployment pipeline.
+// Owns the live strategy and the monitor; Step() feeds observations, re-selects on
+// drift, and replaces the live strategy only with an admitted re-selection.
 class OnlineReselector {
  public:
-  // `compressor` must be the one built from `compressor_config` (the deployment
-  // digests are recomputed from the config on every publish).
+  // `compressor` must be the one built from `compressor_config` (the IR's digests are
+  // recomputed from the config on every admission).
   OnlineReselector(const ModelProfile& model, const ClusterSpec& profiled,
                    const Compressor& compressor, const CompressorConfig& compressor_config,
                    const SelectorOptions& selector_options, const DriftConfig& drift_config);
 
-  // The live strategy (the current deployment's snapshot). The reference stays valid
-  // until the next strategy() / Step() call on this reselector.
-  const Strategy& strategy() const;
+  // The live strategy. An admitted Step() overwrites it in place, so a reader on
+  // another thread must not hold the reference across a Step().
+  const Strategy& strategy() const { return strategy_; }
   const DriftMonitor& monitor() const { return monitor_; }
 
-  // The deployment pipeline this reselector publishes through: audit log, deploy
-  // metrics, version history.
-  StrategyDeployment& deployment() { return deployment_; }
-  const StrategyDeployment& deployment() const { return deployment_; }
-
   // Feeds iteration `iteration`'s observed cluster. When drift triggers, re-runs the
-  // Espresso selector on the smoothed cluster, publishes the result as a StrategyIR
-  // through the deployment (fail-closed), and reports what changed; returns nullopt
-  // when drift stayed below threshold or the cooldown is active.
+  // Espresso selector on the smoothed cluster, compiles the result to a StrategyIR,
+  // admits it (fail-closed) and reports what changed; returns nullopt when drift
+  // stayed below threshold or the cooldown is active.
   std::optional<ReselectionEvent> Step(uint64_t iteration, const ClusterSpec& observed);
 
  private:
@@ -113,9 +104,7 @@ class OnlineReselector {
   CompressorConfig compressor_config_;
   SelectorOptions selector_options_;
   DriftMonitor monitor_;
-  StrategyDeployment deployment_;
-  // Keeps the snapshot strategy() handed out alive across the next swap.
-  mutable std::shared_ptr<const DeployedStrategy> snapshot_;
+  Strategy strategy_;
 };
 
 }  // namespace espresso

@@ -1,7 +1,6 @@
 #include "src/obs/audit_log.h"
 
 #include <cerrno>
-#include <cstring>
 #include <sstream>
 
 #include "src/obs/metrics.h"
@@ -19,8 +18,6 @@ Counter WriteFailuresCounter() {
 
 }  // namespace
 
-AuditLog::AuditLog(size_t retention) : retention_(retention) {}
-
 bool AuditLog::Open(const std::string& path, std::string* error) {
   std::lock_guard<std::mutex> lock(mu_);
   file_.open(path, std::ios::app);
@@ -34,10 +31,13 @@ bool AuditLog::Open(const std::string& path, std::string* error) {
   return true;
 }
 
-uint64_t AuditLog::Append(std::string_view event,
-                          const std::function<void(JsonWriter&)>& fields) {
+void AuditLog::Append(std::string_view event,
+                      const std::function<void(JsonWriter&)>& fields) {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t seq = next_seq_++;
+  if (!file_.is_open()) {
+    return;
+  }
   std::ostringstream line;
   {
     JsonWriter json(line);
@@ -49,46 +49,24 @@ uint64_t AuditLog::Append(std::string_view event,
     }
     json.EndObject();
   }
-  const std::string text = line.str();
-  // Bounded retention: the ring holds the last `retention_` lines; the complete
-  // history is the attached file's job. pop_front keeps this O(1) per append.
-  entries_.push_back(text);
-  while (entries_.size() > retention_) {
-    entries_.pop_front();
-  }
-  if (file_.is_open()) {
-    // One line per event, flushed immediately: a crash can tear at most the line in
-    // flight, never an earlier record. The stream is checked after the flush — an
-    // audit record silently lost to a full disk is a hole in a fail-closed pipeline.
-    errno = 0;
-    file_ << text << '\n' << std::flush;
-    if (!file_) {
-      ++write_failures_;
-      GlobalMetrics().Add(WriteFailuresCounter());
-      if (write_error_.empty()) {
-        const int saved_errno = errno;
-        write_error_ = "audit write to " + path_ + " failed at seq " +
-                       std::to_string(seq) +
-                       (saved_errno != 0
-                            ? " (errno " + std::to_string(saved_errno) + ")"
-                            : "");
-      }
-      // Clear the stream error so later appends still try (and keep counting):
-      // a transient ENOSPC should not end the audit trail forever.
-      file_.clear();
+  // One line per event, flushed immediately: a crash can tear at most the line in
+  // flight, never an earlier record. The stream is checked after the flush — an audit
+  // record silently lost to a full disk is a hole in the trail.
+  errno = 0;
+  file_ << line.str() << '\n' << std::flush;
+  if (!file_) {
+    ++write_failures_;
+    GlobalMetrics().Add(WriteFailuresCounter());
+    if (write_error_.empty()) {
+      const int saved_errno = errno;
+      write_error_ = "audit write to " + path_ + " failed at seq " + std::to_string(seq) +
+                     (saved_errno != 0 ? " (errno " + std::to_string(saved_errno) + ")"
+                                       : "");
     }
+    // Clear the stream error so later appends still try (and keep counting):
+    // a transient ENOSPC should not end the audit trail forever.
+    file_.clear();
   }
-  return seq;
-}
-
-std::vector<std::string> AuditLog::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {entries_.begin(), entries_.end()};
-}
-
-uint64_t AuditLog::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_seq_;
 }
 
 bool AuditLog::write_failed() const {

@@ -29,29 +29,6 @@ const MetricValue* MetricsSnapshot::Find(std::string_view name) const {
   return nullptr;
 }
 
-std::vector<double> LinearBuckets(double start, double width, size_t count) {
-  ESP_CHECK_GT(width, 0.0);
-  ESP_CHECK_GT(count, 0u);
-  std::vector<double> bounds(count);
-  for (size_t i = 0; i < count; ++i) {
-    bounds[i] = start + width * static_cast<double>(i);
-  }
-  return bounds;
-}
-
-std::vector<double> ExponentialBuckets(double start, double factor, size_t count) {
-  ESP_CHECK_GT(start, 0.0);
-  ESP_CHECK_GT(factor, 1.0);
-  ESP_CHECK_GT(count, 0u);
-  std::vector<double> bounds(count);
-  double bound = start;
-  for (size_t i = 0; i < count; ++i) {
-    bounds[i] = bound;
-    bound *= factor;
-  }
-  return bounds;
-}
-
 std::vector<double> DefaultTimeBuckets() {
   return {1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 0.025, 0.1, 0.5, 1.0, 5.0, 10.0};
 }

@@ -72,11 +72,8 @@ struct MetricsSnapshot {
   const MetricValue* Find(std::string_view name) const;
 };
 
-// Bucket helpers for histogram registration.
-std::vector<double> LinearBuckets(double start, double width, size_t count);
-std::vector<double> ExponentialBuckets(double start, double factor, size_t count);
-// 1us .. 10s, decade-ish spacing — fits everything from a single F(S) simulation
-// to a full strategy selection.
+// Histogram bucket bounds, 1us .. 10s with decade-ish spacing — fits everything from a
+// single F(S) simulation to a full strategy selection.
 std::vector<double> DefaultTimeBuckets();
 
 class MetricsRegistry {

@@ -4,8 +4,7 @@
 //   espresso_serve [--port=N] [--port-file=<path>]
 //                  [--max-inflight=N] [--cache-capacity=N] [--max-cached-configs=N]
 //                  [--default-quota=N] [--tenant-quota=<name>=<N>]...
-//                  [--audit-log=<path>] [--audit-retention=N]
-//                  [--max-frame-bytes=N]
+//                  [--audit-log=<path>] [--max-frame-bytes=N]
 //
 // Binds 127.0.0.1 only. --port=0 (the default) picks an ephemeral port;
 // --port-file writes the bound port as a decimal line so harnesses can discover
@@ -69,7 +68,6 @@ int main(int argc, char** argv) {
   server::ServerOptions server_options;
   std::string port_file;
   std::string audit_path;
-  uint64_t audit_retention = obs::kDefaultAuditRetention;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -138,13 +136,12 @@ int main(int argc, char** argv) {
       audit_path = arg.substr(12);
       continue;
     }
-    if (!ParseFlagUint(arg, "--audit-retention", &value, &matched)) return 2;
-    if (matched) {
-      audit_retention = value;
-      continue;
-    }
     if (!ParseFlagUint(arg, "--max-frame-bytes", &value, &matched)) return 2;
     if (matched) {
+      if (value == 0) {
+        std::cerr << "error: --max-frame-bytes must be at least 1\n";
+        return 2;
+      }
       server_options.max_frame_bytes = static_cast<size_t>(value);
       service_config.max_request_bytes = static_cast<size_t>(value);
       continue;
@@ -154,11 +151,11 @@ int main(int argc, char** argv) {
               << " [--port=N] [--port-file=<path>] [--max-inflight=N]"
               << " [--cache-capacity=N] [--max-cached-configs=N] [--default-quota=N]"
               << " [--tenant-quota=<name>=<N>]... [--audit-log=<path>]"
-              << " [--audit-retention=N] [--max-frame-bytes=N]\n";
+              << " [--max-frame-bytes=N]\n";
     return 2;
   }
 
-  obs::AuditLog audit(static_cast<size_t>(audit_retention));
+  obs::AuditLog audit;
   if (!audit_path.empty()) {
     std::string error;
     if (!audit.Open(audit_path, &error)) {
@@ -167,7 +164,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  server::SelectionService service(service_config, &audit);
+  // Without --audit-log the service audits nothing.
+  server::SelectionService service(service_config,
+                                   audit_path.empty() ? nullptr : &audit);
   server::ServeServer server(&service, server_options);
   std::string error;
   if (!server.Start(&error)) {

@@ -19,14 +19,6 @@ constexpr size_t SaturatingAdd(size_t a, size_t b) {
   return a > kSaturated - b ? kSaturated : a + b;
 }
 
-// a * b, clamped to SIZE_MAX.
-constexpr size_t SaturatingMul(size_t a, size_t b) {
-  if (a == 0 || b == 0) {
-    return 0;
-  }
-  return a > kSaturated / b ? kSaturated : a * b;
-}
-
 // 2^exponent, clamped to SIZE_MAX (exponents >= bit width saturate rather than shift
 // into undefined behavior).
 constexpr size_t SaturatingPow2(size_t exponent) {

@@ -61,22 +61,4 @@ NumberParse ParseUint64(std::string_view text, uint64_t* out) {
   return ParseWith(text, out);
 }
 
-std::optional<double> ParseDoubleOpt(std::string_view text) {
-  double value = 0.0;
-  return ParseDouble(text, &value) == NumberParse::kOk ? std::optional<double>(value)
-                                                       : std::nullopt;
-}
-
-std::optional<int64_t> ParseInt64Opt(std::string_view text) {
-  int64_t value = 0;
-  return ParseInt64(text, &value) == NumberParse::kOk ? std::optional<int64_t>(value)
-                                                      : std::nullopt;
-}
-
-std::optional<uint64_t> ParseUint64Opt(std::string_view text) {
-  uint64_t value = 0;
-  return ParseUint64(text, &value) == NumberParse::kOk ? std::optional<uint64_t>(value)
-                                                       : std::nullopt;
-}
-
 }  // namespace espresso

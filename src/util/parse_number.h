@@ -16,7 +16,6 @@
 #define SRC_UTIL_PARSE_NUMBER_H_
 
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace espresso {
@@ -34,11 +33,6 @@ const char* NumberParseMessage(NumberParse status);
 NumberParse ParseDouble(std::string_view text, double* out);
 NumberParse ParseInt64(std::string_view text, int64_t* out);
 NumberParse ParseUint64(std::string_view text, uint64_t* out);
-
-// Conveniences for call sites that only need success/failure.
-std::optional<double> ParseDoubleOpt(std::string_view text);
-std::optional<int64_t> ParseInt64Opt(std::string_view text);
-std::optional<uint64_t> ParseUint64Opt(std::string_view text);
 
 }  // namespace espresso
 

@@ -1,5 +1,5 @@
 // Fuzz-style robustness for the strategy IR parser, the one strategy format and the one
-// read from outside the process (--ir-in, strategy_lint --ir, StrategyDeployment): a
+// read from outside the process (--ir-in, strategy_lint --ir): a
 // torn, duplicated, or bit-flipped document must come back as {ok=false, error}, or
 // parse cleanly when the damage happened to be benign — never crash, hang, or abort.
 // Every document is parsed with and without payload-digest verification, and a

@@ -10,9 +10,17 @@
 #include "src/compress/compressor.h"
 #include "src/costmodel/calibration.h"
 #include "src/models/model_zoo.h"
+#include "src/obs/metrics.h"
+#include "src/util/config.h"
 
 namespace espresso {
 namespace {
+
+uint64_t CounterValue(const char* name) {
+  const obs::MetricsSnapshot snapshot = obs::GlobalMetrics().Scrape();
+  const obs::MetricValue* metric = snapshot.Find(name);
+  return metric == nullptr ? 0 : metric->count;
+}
 
 ClusterSpec WithInterLatency(const ClusterSpec& base, double latency_s) {
   ClusterSpec observed = base;
@@ -109,7 +117,7 @@ TEST(OnlineReselector, LatencyOnlyDriftHotSwapsTheStrategy) {
   EXPECT_GT(event->new_iteration_time, 0.0);
 }
 
-TEST(OnlineReselector, PublishesThroughTheDeploymentPipeline) {
+TEST(OnlineReselector, AdmittedReselectionReplacesTheLiveStrategy) {
   const ModelProfile model = Lstm();
   const ClusterSpec profiled = NvlinkCluster(2, 2);
   const CompressorConfig gc{.algorithm = "dgc", .ratio = 0.01};
@@ -119,52 +127,43 @@ TEST(OnlineReselector, PublishesThroughTheDeploymentPipeline) {
   drift.smoothing = 1.0;
   OnlineReselector reselector(model, profiled, *compressor, gc, SelectorOptions{}, drift);
 
-  // The construction-time selection arrives as a bootstrap deployment.
-  auto& deployment = reselector.deployment();
-  EXPECT_EQ(deployment.version(), 1u);
-  ASSERT_EQ(deployment.events().size(), 1u);
-  EXPECT_EQ(deployment.events()[0].event, "bootstrap");
-  EXPECT_EQ(deployment.events()[0].origin, "selector");
+  // The construction-time strategy is the selection on the profiled cluster.
+  EXPECT_TRUE(reselector.strategy().options ==
+              EspressoSelector(model, profiled, *compressor).Select().strategy.options);
 
-  // A drift-triggered re-selection lands as a versioned, audited deploy.
+  // A drift-triggered re-selection passes admission and becomes the live strategy.
+  const uint64_t reselections_before = CounterValue("espresso_drift_reselections_total");
+  const uint64_t rejected_before = CounterValue("espresso_drift_rejected_total");
   ClusterSpec observed = profiled;
   observed.inter = observed.inter.Degraded(0.1);
   const auto event = reselector.Step(3, observed);
   ASSERT_TRUE(event.has_value());
   EXPECT_TRUE(event->deployed);
-  EXPECT_EQ(event->version, 2u);
-  EXPECT_EQ(deployment.version(), 2u);
-  const auto live = deployment.Acquire();
-  EXPECT_EQ(live->origin, "online-reselector");
-  EXPECT_TRUE(reselector.strategy().options == live->strategy.options);
-  ASSERT_EQ(deployment.events().size(), 2u);
-  EXPECT_EQ(deployment.events()[1].event, "deploy");
-  EXPECT_EQ(deployment.events()[1].iteration, 3u);
-  EXPECT_GT(deployment.events()[1].fs_score, 0.0);
-  // The audit trail carries both events.
-  EXPECT_EQ(deployment.audit_log().size(), 2u);
+  EXPECT_GT(event->options_changed, 0u);
+  const ClusterSpec drifted = reselector.monitor().SmoothedCluster();
+  EXPECT_TRUE(reselector.strategy().options ==
+              EspressoSelector(model, drifted, *compressor).Select().strategy.options);
+  EXPECT_EQ(CounterValue("espresso_drift_reselections_total"), reselections_before + 1);
+  EXPECT_EQ(CounterValue("espresso_drift_rejected_total"), rejected_before);
 }
 
-TEST(OnlineReselector, StrategySnapshotSurvivesTheSwap) {
-  const ModelProfile model = Lstm();
-  const ClusterSpec profiled = NvlinkCluster(2, 2);
-  const CompressorConfig gc{.algorithm = "dgc", .ratio = 0.01};
-  const auto compressor = CreateCompressor(gc);
-  DriftConfig drift;
-  drift.threshold = 0.25;
-  drift.smoothing = 1.0;
-  OnlineReselector reselector(model, profiled, *compressor, gc, SelectorOptions{}, drift);
-
-  // Hold a reference across a hot swap: the snapshot semantics keep it valid (and
-  // bit-identical) until the next strategy() call re-acquires.
-  const Strategy& before = reselector.strategy();
-  const size_t options_before = before.options.size();
-  ClusterSpec observed = profiled;
-  observed.inter = observed.inter.Degraded(0.05);
-  const auto event = reselector.Step(0, observed);
-  ASSERT_TRUE(event.has_value());
-  EXPECT_EQ(before.options.size(), options_before);  // still the old snapshot
-  EXPECT_EQ(reselector.strategy().options.size(), model.tensors.size());
+TEST(DriftConfig, FromConfigParsesAndRangeChecks) {
+  const ConfigFile config = ConfigFile::ParseString(
+      "[drift]\n"
+      "threshold = 0.4\n"
+      "smoothing = abc\n"              // malformed -> fallback + warning
+      "cooldown_iterations = -3\n");  // out of range -> fallback + warning
+  ASSERT_TRUE(config.ok());
+  const DriftConfig drift = DriftConfig::FromConfig(config);
+  const DriftConfig defaults;
+  EXPECT_DOUBLE_EQ(drift.threshold, 0.4);
+  EXPECT_DOUBLE_EQ(drift.smoothing, defaults.smoothing);
+  EXPECT_EQ(drift.cooldown_iterations, defaults.cooldown_iterations);
+  ASSERT_EQ(config.warnings().size(), 2u);
+  EXPECT_NE(config.warnings()[0].find("smoothing"), std::string::npos)
+      << config.warnings()[0];
+  EXPECT_NE(config.warnings()[1].find("cooldown_iterations"), std::string::npos)
+      << config.warnings()[1];
 }
 
 }  // namespace

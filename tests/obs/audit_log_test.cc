@@ -4,8 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/obs/metrics.h"
 
@@ -16,63 +16,29 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-size_t FileLineCount(const std::string& path) {
+std::vector<std::string> FileLines(const std::string& path) {
   std::ifstream in(path);
-  size_t lines = 0;
+  std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) {
-    ++lines;
+    lines.push_back(line);
   }
   return lines;
 }
 
 TEST(AuditLog, EnvelopeAndFields) {
+  const std::string path = TempPath("audit_envelope.jsonl");
+  std::remove(path.c_str());
   AuditLog log;
-  const uint64_t seq0 = log.Append("deploy", [](JsonWriter& json) {
+  ASSERT_TRUE(log.Open(path));
+  log.Append("deploy", [](JsonWriter& json) {
     json.Field("version", static_cast<uint64_t>(3));
   });
-  const uint64_t seq1 = log.Append("reject");
-  EXPECT_EQ(seq0, 0u);
-  EXPECT_EQ(seq1, 1u);
-  const auto entries = log.entries();
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0], "{\"seq\":0,\"event\":\"deploy\",\"version\":3}");
-  EXPECT_EQ(entries[1], "{\"seq\":1,\"event\":\"reject\"}");
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_FALSE(log.write_failed());
-}
-
-// Regression: pre-fix, entries_ grew without bound — a leak in any long-lived
-// process that audits every request.
-TEST(AuditLog, InMemoryRetentionIsBounded) {
-  const std::string path = TempPath("audit_ring.jsonl");
-  std::remove(path.c_str());
-  AuditLog log(/*retention=*/4);
-  ASSERT_TRUE(log.Open(path));
-  for (int i = 0; i < 10; ++i) {
-    log.Append("event");
-  }
-  EXPECT_EQ(log.size(), 10u);  // total appended, not capped
-  const auto entries = log.entries();
-  ASSERT_EQ(entries.size(), 4u);  // ring of the last N
-  // The ring holds the MOST RECENT lines, sequence numbers intact.
-  EXPECT_EQ(entries.front(), "{\"seq\":6,\"event\":\"event\"}");
-  EXPECT_EQ(entries.back(), "{\"seq\":9,\"event\":\"event\"}");
-  // Full history only on disk.
-  EXPECT_EQ(FileLineCount(path), 10u);
-  std::remove(path.c_str());
-}
-
-TEST(AuditLog, ZeroRetentionKeepsDiskOnlyHistory) {
-  const std::string path = TempPath("audit_zero.jsonl");
-  std::remove(path.c_str());
-  AuditLog log(/*retention=*/0);
-  ASSERT_TRUE(log.Open(path));
-  log.Append("a");
-  log.Append("b");
-  EXPECT_TRUE(log.entries().empty());
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(FileLineCount(path), 2u);
+  log.Append("reject");
+  const std::vector<std::string> lines = FileLines(path);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "{\"seq\":0,\"event\":\"deploy\",\"version\":3}");
+  EXPECT_EQ(lines[1], "{\"seq\":1,\"event\":\"reject\"}");
   EXPECT_FALSE(log.write_failed());
   std::remove(path.c_str());
 }
@@ -110,9 +76,6 @@ TEST(AuditLog, WriteFailureIsCountedAndSticky) {
       after_snapshot.Find("espresso_audit_write_failures_total");
   ASSERT_NE(after_metric, nullptr);
   EXPECT_EQ(after_metric->count, before + 2);
-
-  // The in-memory ring still has both lines — degraded, not lost.
-  EXPECT_EQ(log.entries().size(), 2u);
 }
 
 TEST(AuditLog, HealthyFileWritesDoNotTripTheFailureState) {
@@ -126,7 +89,7 @@ TEST(AuditLog, HealthyFileWritesDoNotTripTheFailureState) {
   EXPECT_FALSE(log.write_failed());
   EXPECT_EQ(log.write_failures(), 0u);
   EXPECT_EQ(log.last_write_error(), "");
-  EXPECT_EQ(FileLineCount(path), 5u);
+  EXPECT_EQ(FileLines(path).size(), 5u);
   std::remove(path.c_str());
 }
 

@@ -214,14 +214,6 @@ TEST(GlobalMetrics, IsASingleton) {
 }
 
 TEST(Buckets, HelpersProduceMonotoneBounds) {
-  const std::vector<double> linear = LinearBuckets(1.0, 2.0, 4);
-  ASSERT_EQ(linear.size(), 4u);
-  EXPECT_DOUBLE_EQ(linear[0], 1.0);
-  EXPECT_DOUBLE_EQ(linear[3], 7.0);
-  const std::vector<double> expo = ExponentialBuckets(1e-6, 10.0, 5);
-  for (size_t i = 1; i < expo.size(); ++i) {
-    EXPECT_GT(expo[i], expo[i - 1]);
-  }
   const std::vector<double> defaults = DefaultTimeBuckets();
   for (size_t i = 1; i < defaults.size(); ++i) {
     EXPECT_GT(defaults[i], defaults[i - 1]);

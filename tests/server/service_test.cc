@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -328,11 +330,19 @@ TEST(SelectionService, CachePoolEvictsByRecencyNotInsertionOrder) {
 }
 
 TEST(SelectionService, AuditsServedAndRejectedRequests) {
+  const std::string path = ::testing::TempDir() + "/service_audit.jsonl";
+  std::remove(path.c_str());
   obs::AuditLog audit;
+  ASSERT_TRUE(audit.Open(path));
   SelectionService service({}, &audit);
   ASSERT_EQ(ErrorCode(service.HandleRequest(Select("ok-req", "alice"))), "");
   ASSERT_EQ(ErrorCode(service.HandleRequest("garbage")), "malformed-request");
-  const auto entries = audit.entries();
+  std::vector<std::string> entries;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) {
+    entries.push_back(line);
+  }
+  std::remove(path.c_str());
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_NE(entries[0].find("\"event\":\"serve\""), std::string::npos) << entries[0];
   EXPECT_NE(entries[0].find("\"id\":\"ok-req\""), std::string::npos);

@@ -13,14 +13,6 @@ TEST(CheckedMath, SaturatingAdd) {
   EXPECT_EQ(SaturatingAdd(kSaturated / 2 + 1, kSaturated / 2 + 1), kSaturated);
 }
 
-TEST(CheckedMath, SaturatingMul) {
-  EXPECT_EQ(SaturatingMul(6, 7), 42u);
-  EXPECT_EQ(SaturatingMul(0, kSaturated), 0u);
-  EXPECT_EQ(SaturatingMul(kSaturated, 0), 0u);
-  EXPECT_EQ(SaturatingMul(kSaturated, 1), kSaturated);
-  EXPECT_EQ(SaturatingMul(kSaturated / 2, 3), kSaturated);
-}
-
 TEST(CheckedMath, SaturatingPow2) {
   EXPECT_EQ(SaturatingPow2(0), 1u);
   EXPECT_EQ(SaturatingPow2(10), 1024u);

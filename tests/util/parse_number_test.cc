@@ -62,14 +62,6 @@ TEST(ParseNumber, Uint64) {
   EXPECT_EQ(ParseUint64("-1", &v), NumberParse::kMalformed);
 }
 
-TEST(ParseNumber, OptionalWrappers) {
-  EXPECT_EQ(ParseDoubleOpt("0.5"), 0.5);
-  EXPECT_EQ(ParseDoubleOpt("1e999"), std::nullopt);
-  EXPECT_EQ(ParseInt64Opt("-3"), -3);
-  EXPECT_EQ(ParseUint64Opt("3"), 3u);
-  EXPECT_EQ(ParseUint64Opt("x"), std::nullopt);
-}
-
 TEST(ParseNumber, Messages) {
   EXPECT_STREQ(NumberParseMessage(NumberParse::kMalformed), "is not a number");
   EXPECT_STREQ(NumberParseMessage(NumberParse::kOutOfRange), "is out of range");
