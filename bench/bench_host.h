@@ -13,19 +13,19 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "src/compress/kernels/kernels.h"
 #include "src/util/json_reader.h"
 #include "src/util/json_writer.h"
+#include "src/util/thread_pool.h"
 
 namespace espresso {
 
 inline void WriteHostBlock(JsonWriter& json) {
   json.Key("host");
   json.BeginObject();
-  json.Field("cpus", static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  json.Field("cpus", static_cast<uint64_t>(UsableCpus()));
   json.Field("active_kernel_isa", kernels::Active().isa);
   json.Key("isa_features");
   json.BeginArray();

@@ -29,7 +29,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -42,6 +41,7 @@
 #include "src/obs/trace_writer.h"
 #include "src/util/json_writer.h"
 #include "src/util/parse_number.h"
+#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -144,7 +144,7 @@ void WriteArm(JsonWriter& json, const char* key, const ArmResult& arm) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  size_t threads = espresso::UsableCpus();
   std::string configs_dir = "configs";
   std::string out_path;
   std::string check_path;

@@ -130,34 +130,7 @@ void EspressoSelector::Init() {
   if (options_.cache_capacity > 0 && cache_ == nullptr) {
     cache_ = std::make_shared<EvaluationCache>(options_.cache_capacity);
   }
-  contexts_.emplace_back();  // the caller's; ParallelFor adds the chunks' on demand
-}
-
-template <typename Fn>
-void EspressoSelector::ParallelFor(size_t count, const Fn& fn) const {
-  const size_t chunks = std::min(options_.threads, count);
-  if (chunks <= 1) {
-    for (size_t i = 0; i < count; ++i) {
-      fn(i, size_t{0}, &contexts_[0]);
-    }
-    return;
-  }
-  while (contexts_.size() < chunks) {
-    contexts_.emplace_back();
-  }
-  ++fanouts_;
-  TaskGroup group;
-  ThreadPool& pool = GlobalThreadPool();
-  for (size_t c = 0; c < chunks; ++c) {
-    pool.Submit(group, [this, &fn, c, chunks, count] {
-      const size_t begin = c * count / chunks;
-      const size_t end = (c + 1) * count / chunks;
-      for (size_t i = begin; i < end; ++i) {
-        fn(i, c, &contexts_[c]);
-      }
-    });
-  }
-  group.Wait();
+  contexts_.emplace_back();  // chunk 0's, which runs on the caller; ScoreBatch adds more
 }
 
 template <typename KeyFn, typename PrepareFn, typename SimulateFn, typename StoreFn>
@@ -179,9 +152,16 @@ void EspressoSelector::ScoreBatch(size_t count, const KeyFn& key, const PrepareF
   if (!misses_.empty()) {
     prepare();
   }
-  ParallelFor(misses_.size(), [&](size_t m, size_t chunk,
-                                  TimelineEvaluator::EvalContext* ctx) {
-    misses_[m].value = simulate(misses_[m].query, chunk, ctx);
+  // The misses are simulated in min(threads, misses) chunks, one EvalContext each.
+  const size_t chunks = std::min(options_.threads, misses_.size());
+  while (contexts_.size() < chunks) {
+    contexts_.emplace_back();
+  }
+  if (chunks > 1) {
+    ++fanouts_;
+  }
+  ParallelFor(options_.threads, misses_.size(), [&](size_t m, size_t chunk) {
+    misses_[m].value = simulate(misses_[m].query, chunk, &contexts_[chunk]);
   });
   for (const Miss& miss : misses_) {
     if (cache_ != nullptr) {

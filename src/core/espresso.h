@@ -17,8 +17,9 @@
 // Search acceleration: every F(S) query and every Property-1 bubble set is memoized
 // in a fingerprint-keyed LRU (SelectorOptions::cache_capacity). A batch of queries is
 // first probed against that cache on the caller's thread; only the misses are
-// simulated, split into SelectorOptions::threads chunks on the process-wide
-// GlobalThreadPool() through TimelineEvaluator's thread-safe non-mutating scoring entry
+// simulated, split by ParallelFor (src/util/thread_pool.h) into SelectorOptions::threads
+// chunks, the first on the caller's thread and the rest on the process-wide
+// GlobalThreadPool(), through TimelineEvaluator's thread-safe non-mutating scoring entry
 // points. A selection whose queries all hit submits no task and runs no simulation.
 // A tensor's candidates resume from one TimelineEvaluator::Checkpoint
 // of the timeline prefix they share; refinement sweeps visit tensors in ascending
@@ -57,8 +58,8 @@ struct SelectorOptions {
   // counts takes over (Lemma 1 still fixes the within-group order either way).
   size_t offload_search_budget = 3000;
   // Fan-out width: a batch with at least two cache misses is split into this many
-  // chunks, simulated on the process-wide GlobalThreadPool() (0 or 1 = simulate on
-  // the caller's thread). A fully cached selection submits nothing. The selected
+  // chunks, the first simulated on the caller's thread and the rest on the
+  // process-wide GlobalThreadPool() (0 or 1 = simulate on the caller's thread). A fully cached selection submits nothing. The selected
   // strategy is identical for any width.
   size_t threads = 0;
   // Capacity of the memoized F(S) cache (0 disables memoization). The cache is keyed
@@ -159,13 +160,6 @@ class EspressoSelector {
   // Memoized full-strategy F(S) (fingerprint computed from scratch).
   double CachedIterationTime(const Strategy& strategy) const;
 
-  // Runs fn(i, chunk, context) for i in [0, count), split into min(threads, count)
-  // chunks on GlobalThreadPool() under a per-call TaskGroup, with one EvalContext per
-  // chunk. Runs inline on the caller's thread, in index order, unless both `count` and
-  // threads are at least two.
-  template <typename Fn>
-  void ParallelFor(size_t count, const Fn& fn) const;
-
   // Scores every candidate against `base` with options[index] substituted, into
   // `times` (resized to candidates_.size()). A candidate equal to `skip` (if non-null)
   // is left at +inf — the caller already scored it. Misses resume from checkpoint_.
@@ -193,7 +187,7 @@ class EspressoSelector {
   // read-only by every chunk.
   mutable TimelineEvaluator::Checkpoint checkpoint_;
   mutable uint64_t evaluations_ = 0;              // logical F(S) and bubble-set queries
-  mutable uint64_t fanouts_ = 0;                  // ParallelFor calls that used the pool
+  mutable uint64_t fanouts_ = 0;                  // batches split into 2+ chunks
   mutable std::vector<size_t> scored_;            // ScoreCandidates' candidate indices
   mutable std::vector<Miss> misses_;              // ScoreBatch's misses
 };

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <span>
+#include <utility>
 
 #include "src/mem/stable_vec.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace espresso {
 
@@ -85,13 +89,27 @@ int PhaseLevel(CommPhase phase) {
 
 }  // namespace
 
-// The workspace body lives here so it can hold the interpreter-internal types.
+// The workspace body lives here so it can hold the interpreter-internal types. Chunk c
+// of a fanned-out op uses only chunks[c], and each rank's alltoall inbox slot i is
+// written only by group member i, so no two threads ever share a member. Every member
+// only grows.
 struct ExecutorWorkspace::Impl {
+  // One chunk's staging, serving one group at a time: `floats` holds a group sum or an
+  // uncompressed allgather merge, `gathered` a compressed allgather's union.
+  struct Chunk {
+    std::vector<float> floats;
+    mem::StableVec<RangedPayload> gathered;
+  };
+
   std::vector<RankState> states;
-  mem::StableVec<std::vector<size_t>> groups;        // Groups() output
-  mem::StableVec<RangedPayload> gather_scratch;      // allgather/gather/broadcast staging
-  std::vector<mem::StableVec<RangedPayload>> inbox;  // alltoall per-member staging
-  std::vector<float> scratch;  // group sum, allgather merge, broadcast staging
+  mem::StableVec<std::vector<size_t>> groups;        // BuildGroups output
+  std::vector<Chunk> chunks;                         // one per chunk of an op's fan-out
+  std::vector<mem::StableVec<RangedPayload>> inbox;  // alltoall: the parts each rank receives
+  // Decompress: the ranks that decode their own payloads, the (rank, representative)
+  // pairs that copy a replicated set's decode, and each set's representative.
+  std::vector<size_t> decoders;
+  std::vector<std::pair<size_t, size_t>> replicas;
+  std::vector<size_t> representatives;
 };
 
 ExecutorWorkspace::ExecutorWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -103,6 +121,49 @@ ExecutorWorkspace& ExecutorWorkspace::ThreadDefault() {
 }
 
 namespace {
+
+// An op fans out on the process pool only when it touches at least this many floats
+// across its ranks; a smaller one runs inline on the caller, where a fan-out's submit,
+// wake-up and wait cost more than the work they split. Measured on a shared 4-CPU AVX2
+// host, 8 x 8 ranks, every candidate option, always fanning out against never: with
+// DGC (top-k) the two break even at 2^15 floats per tensor and fanning out is 1.9x
+// faster at 2^18; with efsignsgd, whose ops only move memory, fanning out every op is
+// 2x slower at 2^15 and breaks even near 2^17. On perfbench, a 2^17 grain lost all 3
+// alternating pairs to this one on both exec workloads (exec-dgc-nvlink 9.1 against
+// 11.2 steps/s), and 2^13 measured the same as 2^15.
+constexpr size_t kFanoutGrain = size_t{1} << 15;
+
+// Group sums run block by block, so each block of the sum stays in cache while every
+// member's slice streams past; a single group's sum fans out by block.
+constexpr size_t kSumBlock = 4096;
+
+// A chunk's staging float buffer, emptied and able to hold `n` floats without
+// reallocating. Growth rounds the capacity up to a power of two, which keeps the
+// block's size and heap placement those of a size-bucketed allocator. SumGroup streams
+// it against every rank's buffer, and an exact-size block once measured about 5%
+// slower on exec-efsignsgd-pcie (docs/MEMORY.md §1).
+std::vector<float>& Scratch(std::vector<float>& scratch, size_t n) {
+  scratch.clear();
+  if (scratch.capacity() < n) {
+    scratch.reserve(std::bit_ceil(n));
+  }
+  return scratch;
+}
+
+// Comm routines whose members send compressed payloads: the alltoall and the gather
+// always, the allgather and the broadcast when the op is compressed.
+bool SendsPayloads(const Op& op) {
+  switch (op.routine) {
+    case Routine::kAlltoall:
+    case Routine::kGather:
+      return true;
+    case Routine::kAllgather:
+    case Routine::kBroadcast:
+      return op.compressed;
+    default:
+      return false;
+  }
+}
 
 class OptionExecutor {
  public:
@@ -176,27 +237,53 @@ class OptionExecutor {
   }
 
  private:
-  // The workspace's float scratch, emptied and able to hold `n` floats without
-  // reallocating. The group sum, the uncompressed allgather merge and the broadcast
-  // staging each hold it for one group and are never live at the same time.
-  std::vector<float>& Scratch(size_t n) {
-    std::vector<float>& scratch = ws_.scratch;
-    scratch.clear();
-    if (scratch.capacity() < n) {
-      // Growth rounds the capacity up to a power of two, which keeps the block's size
-      // and heap placement those of a size-bucketed allocator. SumGroup streams it
-      // against every rank's buffer, and an exact-size block once measured about 5%
-      // slower on exec-efsignsgd-pcie (docs/MEMORY.md §1).
-      scratch.reserve(std::bit_ceil(n));
+  using Chunk = ExecutorWorkspace::Impl::Chunk;
+  using Groups = mem::StableVec<std::vector<size_t>>;
+
+  // The fan-out width of an op that touches `floats` floats across its ranks: 1 below
+  // kFanoutGrain, the pool's width otherwise. Grows the per-chunk scratch to match.
+  size_t Width(size_t floats) {
+    const size_t width = floats < kFanoutGrain ? 1 : GlobalThreadPool().num_threads();
+    if (ws_.chunks.size() < width) {
+      ws_.chunks.resize(width);
     }
-    return scratch;
+    return width;
+  }
+
+  // Calls fn(gi, i) for member i of every group gi: several groups run in parallel,
+  // each whole in one chunk; a single group runs its members in parallel.
+  template <typename Fn>
+  void ForEachMember(size_t width, const Groups& groups, const Fn& fn) const {
+    if (groups.size() == 1) {
+      ParallelFor(width, groups[0].size(), [&](size_t i, size_t) { fn(size_t{0}, i); });
+      return;
+    }
+    ParallelFor(width, groups.size(), [&](size_t gi, size_t) {
+      for (size_t i = 0; i < groups[gi].size(); ++i) {
+        fn(gi, i);
+      }
+    });
+  }
+
+  // Calls fn(gi, chunk, inner_width) for every group gi. Several groups run in
+  // parallel, each whole in one chunk, so their routines get an inner width of 1; a
+  // single group runs on the caller with the op's width, for its routine to split by
+  // member or by sum block.
+  template <typename Fn>
+  void ForEachGroup(size_t width, const Groups& groups, const Fn& fn) {
+    if (groups.size() == 1) {
+      fn(size_t{0}, ws_.chunks[0], width);
+      return;
+    }
+    ParallelFor(width, groups.size(),
+                [&](size_t gi, size_t chunk) { fn(gi, ws_.chunks[chunk], size_t{1}); });
   }
 
   // Rank groups participating in a communication op of the given phase: machine groups
   // for intra phases; active ranks grouped by their current range for inter/flat (the
   // cross-machine column groups of Figure 1 fall out of the shared shard offsets).
   // The group lists live in the workspace; valid until the next BuildGroups call.
-  mem::StableVec<std::vector<size_t>>& BuildGroups(const Op& op) {
+  Groups& BuildGroups(const Op& op) {
     // A Broadcast revives the ranks that a rooted first step (Reduce/Gather) at the
     // same communication level made dormant — they are recipients.
     const bool revive = op.routine == Routine::kBroadcast;
@@ -220,7 +307,7 @@ class OptionExecutor {
         }
       }
     };
-    mem::StableVec<std::vector<size_t>>& groups = ws_.groups;
+    Groups& groups = ws_.groups;
     groups.clear();
     auto begin_group = [&]() -> std::vector<size_t>& {
       std::vector<size_t>& g = groups.push();
@@ -263,32 +350,36 @@ class OptionExecutor {
     return groups;
   }
 
+  // The error-feedback store of `rank`'s compression site while the option is still
+  // at its FIRST compression site (nullptr after it, or without feedback). Residuals
+  // are keyed by (tensor, offset), so each of a rank's sites keeps its own memory;
+  // re-compressions at later stages (divisible middle stages, second steps) are
+  // transient and carry no residual.
+  ErrorFeedback* FirstSiteFeedback(size_t rank) const {
+    return first_compression_ && config_.feedback != nullptr ? &(*config_.feedback)[rank]
+                                                             : nullptr;
+  }
+  uint64_t ResidualKey(size_t offset) const { return tensor_id_ * kIdStride + offset; }
+
   // Fills `p` with rank `rank`'s compression of the tensor range [offset, offset +
-  // view.size()). Error feedback applies at the pipeline's FIRST compression site —
-  // whether that is the rank's raw gradient or its post-reduce-scatter shard — with the
-  // residual keyed by (tensor, offset) so each rank's compression site keeps its own
-  // memory; re-compressions at later stages (divisible middle stages, second steps) are
-  // transient and carry no residual. A first-site payload that leaves its rank (`sent`)
-  // crosses the channel as (rank, wire_id); a dropped one is marked lost and folded back
-  // into the residual it was cut from.
+  // view.size()), through the rank's error feedback at the first compression site —
+  // whether that is the rank's raw gradient or its post-reduce-scatter shard.
   void CompressInto(size_t rank, std::span<const float> view, size_t offset,
-                    uint64_t wire_id, bool sent, RangedPayload* p) {
+                    RangedPayload* p) const {
     p->offset = offset;
     p->length = view.size();
     p->lost = false;
-    const uint64_t key = tensor_id_ * kIdStride + offset;
-    ErrorFeedback* feedback = first_compression_ && config_.feedback != nullptr
-                                  ? &(*config_.feedback)[rank]
-                                  : nullptr;
-    if (feedback != nullptr) {
-      feedback->CompressWithFeedback(*config_.compressor, key, view, config_.seed,
-                                     &p->payload);
+    if (ErrorFeedback* feedback = FirstSiteFeedback(rank)) {
+      feedback->CompressWithFeedback(*config_.compressor, ResidualKey(offset), view,
+                                     config_.seed, &p->payload);
     } else {
       config_.compressor->Compress(view, config_.seed, &p->payload);
     }
-    if (!first_compression_ || !sent || config_.channel == nullptr) {
-      return;
-    }
+  }
+
+  // Sends rank `rank`'s first-site payload `p` across the channel as `wire_id`. A
+  // dropped one is marked lost and folded back into the residual it was cut from.
+  void Transmit(size_t rank, uint64_t wire_id, RangedPayload* p) {
     switch (config_.channel->Transmit(rank, wire_id, &p->payload)) {
       case PayloadFate::kDelivered:
         break;
@@ -298,8 +389,9 @@ class OptionExecutor {
       case PayloadFate::kDropped:
         ++tally_.payloads_dropped;
         p->lost = true;
-        if (feedback != nullptr) {
-          feedback->AbsorbLostPayload(*config_.compressor, key, p->payload);
+        if (ErrorFeedback* feedback = FirstSiteFeedback(rank)) {
+          feedback->AbsorbLostPayload(*config_.compressor, ResidualKey(p->offset),
+                                      p->payload);
         }
         break;
     }
@@ -307,34 +399,62 @@ class OptionExecutor {
 
   // --- communication routines -------------------------------------------------------
 
+  // An op runs in up to three stages, each a fan-out: every member prepares what it
+  // sends (compressing if a Comp op is pending), the caller passes the first-site
+  // payloads through the channel in member order, then every group delivers.
   void Communicate(const Op& op) {
+    Groups& groups = BuildGroups(op);
+    size_t floats = 0;
+    bool carried = false;
+    for (size_t gi = 0; gi < groups.size(); ++gi) {
+      for (size_t r : groups[gi]) {
+        const RankState& s = states_[r];
+        floats += s.length;
+        carried = carried || (s.active && s.HasPayloads() && !s.pending_compress);
+      }
+    }
+    const size_t width = Width(floats);
     // A payload-set on the wire without a preceding Decompress means the option either
     // skips the decompress-aggregate-recompress stage (same-range payloads: aggregate
     // in the compressed domain) or carries a multi-chunk compressed tensor (disjoint
     // ranges: pass through untouched).
-    for (RankState& s : states_) {
-      if (s.active && s.HasPayloads() && !s.pending_compress) {
-        DedupePayloads(&s);
+    if (carried) {
+      ForEachMember(width, groups, [&](size_t gi, size_t i) {
+        RankState& s = states_[groups[gi][i]];
+        if (s.active && s.HasPayloads() && !s.pending_compress) {
+          DedupePayloads(&s);
+        }
+      });
+    }
+    if (SendsPayloads(op)) {
+      PreparePayloads(op, groups, width);
+      if (first_compression_ && config_.channel != nullptr) {
+        TransmitFirstSite(op, groups);
       }
     }
-    mem::StableVec<std::vector<size_t>>& groups = BuildGroups(op);
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
+    // Replicated payload sets are numbered by group, whichever group finishes first.
+    const uint64_t sets = payload_sets_;
+    ForEachGroup(width, groups, [&](size_t gi, Chunk& chunk, size_t inner) {
       const std::vector<size_t>& group = groups[gi];
       switch (op.routine) {
         case Routine::kAllreduce:
-          GroupAllreduce(group);
+          GroupAllreduce(group, chunk, inner);
           break;
         case Routine::kReduceScatter:
-          GroupReduceScatter(group);
+          GroupReduceScatter(group, chunk, inner);
           break;
         case Routine::kAllgather:
-          GroupAllgather(group, op.compressed);
+          if (op.compressed) {
+            GroupAllgatherCompressed(group, chunk, sets + gi + 1, inner);
+          } else {
+            GroupAllgather(group, chunk, inner);
+          }
           break;
         case Routine::kReduce:
-          GroupReduce(group, PhaseLevel(op.phase));
+          GroupReduce(group, chunk, PhaseLevel(op.phase), inner);
           break;
         case Routine::kBroadcast:
-          GroupBroadcast(group, op.compressed);
+          GroupBroadcast(group, op.compressed, sets + gi + 1, inner);
           break;
         case Routine::kAlltoall:
           GroupAlltoall(group);
@@ -345,6 +465,10 @@ class OptionExecutor {
         case Routine::kNone:
           ESP_CHECK(false);
       }
+    });
+    if (op.compressed &&
+        (op.routine == Routine::kAllgather || op.routine == Routine::kBroadcast)) {
+      payload_sets_ += groups.size();
     }
     bool consumed_pending = false;
     for (RankState& s : states_) {
@@ -356,225 +480,266 @@ class OptionExecutor {
     }
   }
 
-  // sum[i] = 0 + raw_g0[i] + raw_g1[i] + ... over the group in group order. Blocked
-  // so each block of `sum` stays in cache while every member's slice streams past.
-  void SumGroup(const std::vector<size_t>& group, std::span<float> sum) const {
-    constexpr size_t kBlock = 4096;
-    for (size_t r : group) {
-      ESP_CHECK_EQ(states_[r].length, sum.size());
+  // What every member sends, before anything is transmitted or delivered: the
+  // compressions a pending Comp op asks for (into the member's own payload set) and,
+  // for an alltoall, its G parts (into slot i of each receiver's inbox). Each member
+  // writes only its own state and slots.
+  void PreparePayloads(const Op& op, const Groups& groups, size_t width) {
+    if (op.routine == Routine::kAlltoall) {
+      if (ws_.inbox.size() < states_.size()) {
+        ws_.inbox.resize(states_.size());
+      }
+      for (size_t gi = 0; gi < groups.size(); ++gi) {
+        for (size_t r : groups[gi]) {
+          ws_.inbox[r].clear();
+          for (size_t i = 0; i < groups[gi].size(); ++i) {
+            ws_.inbox[r].push();
+          }
+        }
+      }
     }
-    for (size_t b = 0; b < sum.size(); b += kBlock) {
-      const size_t n = std::min(kBlock, sum.size() - b);
-      float* dst = sum.data() + b;
-      for (size_t r : group) {
-        const float* src = states_[r].raw.data() + b;
-        for (size_t i = 0; i < n; ++i) {
-          dst[i] += src[i];
+    ForEachMember(width, groups, [&](size_t gi, size_t i) {
+      const std::vector<size_t>& group = groups[gi];
+      RankState& s = states_[group[i]];
+      if (op.routine == Routine::kAlltoall) {
+        SplitForAlltoall(group, i);
+        return;
+      }
+      if (op.routine == Routine::kBroadcast && i != 0) {
+        return;  // only the root sends
+      }
+      if (s.pending_compress) {
+        ESP_CHECK(!s.HasPayloads()) << option_.Describe();
+        CompressInto(group[i], s.raw, s.offset, &s.payloads.push());
+      } else {
+        ESP_CHECK(s.HasPayloads()) << option_.Describe();
+      }
+    });
+  }
+
+  // Member i's part j of its range, for member j: compressed now if a Comp op is
+  // pending, range-split from its carried payload otherwise.
+  void SplitForAlltoall(const std::vector<size_t>& group, size_t i) {
+    const RankState& s = states_[group[i]];
+    ESP_CHECK_EQ(s.length, states_[group.front()].length);
+    const Partition part(s.length, group.size());
+    for (size_t j = 0; j < group.size(); ++j) {
+      RangedPayload& p = ws_.inbox[group[j]][i];
+      if (s.pending_compress) {
+        ESP_CHECK(!s.HasPayloads()) << option_.Describe();
+        const std::span<const float> view(s.raw);
+        CompressInto(group[i], view.subspan(part.Offset(j), part.Length(j)),
+                     s.offset + part.Offset(j), &p);
+      } else {
+        ESP_CHECK_EQ(s.payloads.size(), 1u);
+        const RangedPayload& carried = s.payloads.front();
+        p.offset = s.offset + part.Offset(j);
+        p.length = part.Length(j);
+        p.lost = carried.lost;
+        SplitSparsePayload(carried.payload, part.Offset(j), part.Length(j), &p.payload);
+      }
+    }
+  }
+
+  // Passes every first-site payload that leaves its rank through the channel, on the
+  // caller, group by group and member by member. A channel's verdict depends only on
+  // (iteration, rank, wire id), so no fate depends on the fan-out. A part a rank keeps
+  // for itself (alltoall part i, the gather root's own) stays local; an alltoall part j
+  // crosses as tensor * kIdStride + j.
+  void TransmitFirstSite(const Op& op, const Groups& groups) {
+    for (size_t gi = 0; gi < groups.size(); ++gi) {
+      const std::vector<size_t>& group = groups[gi];
+      for (size_t i = 0; i < group.size(); ++i) {
+        RankState& s = states_[group[i]];
+        if (!s.pending_compress) {
+          continue;
+        }
+        switch (op.routine) {
+          case Routine::kAlltoall:
+            for (size_t j = 0; j < group.size(); ++j) {
+              if (j != i) {
+                Transmit(group[i], tensor_id_ * kIdStride + j, &ws_.inbox[group[j]][i]);
+              }
+            }
+            break;
+          case Routine::kBroadcast:
+            if (i == 0) {
+              Transmit(group[i], tensor_id_, &s.payloads.front());
+            }
+            break;
+          case Routine::kGather:
+            if (i != 0) {
+              Transmit(group[i], tensor_id_, &s.payloads.front());
+            }
+            break;
+          default:
+            Transmit(group[i], tensor_id_, &s.payloads.front());
+            break;
         }
       }
     }
   }
 
-  void GroupAllreduce(const std::vector<size_t>& group) {
-    RankState& first = states_[group.front()];
-    ESP_CHECK(!first.pending_compress && !first.HasPayloads());
-    std::vector<float>& sum = Scratch(first.length);
-    sum.assign(first.length, 0.0f);
-    SumGroup(group, sum);
+  // sum[i] = 0 + raw_g0[i] + raw_g1[i] + ... over the group in group order, in the
+  // chunk's float scratch, split by kSumBlock block across `width` chunks.
+  const std::vector<float>& SumGroup(const std::vector<size_t>& group, Chunk& chunk,
+                                     size_t width) const {
+    const size_t n = states_[group.front()].length;
     for (size_t r : group) {
-      states_[r].raw.assign(sum.begin(), sum.end());
+      ESP_CHECK_EQ(states_[r].length, n);
     }
+    std::vector<float>& sum = Scratch(chunk.floats, n);
+    sum.assign(n, 0.0f);
+    ParallelFor(width, (n + kSumBlock - 1) / kSumBlock, [&](size_t block, size_t) {
+      const size_t b = block * kSumBlock;
+      const size_t len = std::min(kSumBlock, n - b);
+      float* dst = sum.data() + b;
+      for (size_t r : group) {
+        const float* src = states_[r].raw.data() + b;
+        for (size_t i = 0; i < len; ++i) {
+          dst[i] += src[i];
+        }
+      }
+    });
+    return sum;
   }
 
-  void GroupReduceScatter(const std::vector<size_t>& group) {
+  void GroupAllreduce(const std::vector<size_t>& group, Chunk& chunk, size_t width) {
     const RankState& first = states_[group.front()];
     ESP_CHECK(!first.pending_compress && !first.HasPayloads());
-    const Partition part(first.length, group.size());
+    const std::vector<float>& sum = SumGroup(group, chunk, width);
+    ParallelFor(width, group.size(), [&](size_t j, size_t) {
+      states_[group[j]].raw.assign(sum.begin(), sum.end());
+    });
+  }
+
+  void GroupReduceScatter(const std::vector<size_t>& group, Chunk& chunk, size_t width) {
+    const RankState& first = states_[group.front()];
+    ESP_CHECK(!first.pending_compress && !first.HasPayloads());
     // Shard j is range j of the group sum; the whole sum is staged before any state
     // is overwritten (rank j's raw feeds every shard).
-    std::vector<float>& sum = Scratch(first.length);
-    sum.assign(first.length, 0.0f);
-    SumGroup(group, sum);
-    for (size_t j = 0; j < group.size(); ++j) {
+    const std::vector<float>& sum = SumGroup(group, chunk, width);
+    const Partition part(sum.size(), group.size());
+    ParallelFor(width, group.size(), [&](size_t j, size_t) {
       RankState& s = states_[group[j]];
       const size_t offset = part.Offset(j);
       const size_t length = part.Length(j);
       s.offset += offset;
       s.length = length;
       s.raw.assign(sum.begin() + offset, sum.begin() + offset + length);
-    }
+    });
   }
 
-  void GroupReduce(const std::vector<size_t>& group, int level) {
-    GroupAllreduce(group);
+  void GroupReduce(const std::vector<size_t>& group, Chunk& chunk, int level,
+                   size_t width) {
+    GroupAllreduce(group, chunk, width);
     for (size_t j = 1; j < group.size(); ++j) {
       states_[group[j]].active = false;
       states_[group[j]].dormant_level = level;
     }
   }
 
-  void GroupAllgather(const std::vector<size_t>& group, bool compressed) {
-    if (compressed) {
-      // Every member contributes its payloads (compressing its raw range now if a Comp
-      // op is pending); everyone ends with the union of the group's payload sets.
-      mem::StableVec<RangedPayload>& gathered = ws_.gather_scratch;
-      gathered.clear();
-      for (size_t r : group) {
-        RankState& s = states_[r];
-        if (s.pending_compress) {
-          ESP_CHECK(!s.HasPayloads());
-          CompressInto(r, s.raw, s.offset, tensor_id_, /*sent=*/true, &gathered.push());
-        } else {
-          ESP_CHECK(s.HasPayloads());
-          gathered.AppendFrom(s.payloads);
-        }
-      }
-      const uint64_t set = ++payload_sets_;
-      for (size_t r : group) {
-        states_[r].payloads.CopyFrom(gathered);
-        states_[r].payload_set = set;
-        states_[r].raw.clear();
-      }
-      return;
-    }
-    // Uncompressed: concatenate the members' (disjoint) ranges on every member.
+  // Uncompressed: concatenate the members' (disjoint) ranges on every member.
+  void GroupAllgather(const std::vector<size_t>& group, Chunk& chunk, size_t width) {
     size_t lo = SIZE_MAX, hi = 0;
     for (size_t r : group) {
       lo = std::min(lo, states_[r].offset);
       hi = std::max(hi, states_[r].offset + states_[r].length);
     }
-    std::vector<float>& merged = Scratch(hi - lo);
+    std::vector<float>& merged = Scratch(chunk.floats, hi - lo);
     merged.assign(hi - lo, 0.0f);
     for (size_t r : group) {
       const RankState& s = states_[r];
       std::copy(s.raw.begin(), s.raw.end(), merged.begin() + (s.offset - lo));
     }
-    for (size_t r : group) {
-      states_[r].offset = lo;
-      states_[r].length = hi - lo;
-      states_[r].raw.assign(merged.begin(), merged.end());
-    }
+    ParallelFor(width, group.size(), [&](size_t j, size_t) {
+      RankState& s = states_[group[j]];
+      s.offset = lo;
+      s.length = hi - lo;
+      s.raw.assign(merged.begin(), merged.end());
+    });
   }
 
-  void GroupBroadcast(const std::vector<size_t>& group, bool compressed) {
+  // Every member ends with the union of the group's payload sets, in member order,
+  // tagged with the replicated set id `set`.
+  void GroupAllgatherCompressed(const std::vector<size_t>& group, Chunk& chunk,
+                                uint64_t set, size_t width) {
+    mem::StableVec<RangedPayload>& gathered = chunk.gathered;
+    gathered.clear();
+    for (size_t r : group) {
+      gathered.AppendFrom(states_[r].payloads);
+    }
+    ParallelFor(width, group.size(), [&](size_t j, size_t) {
+      RankState& s = states_[group[j]];
+      s.payloads.CopyFrom(gathered);
+      s.payload_set = set;
+      s.raw.clear();
+    });
+  }
+
+  // The root (the group's front) keeps its value and revives every other member with
+  // a copy; a compressed set is tagged with the replicated set id `set`.
+  void GroupBroadcast(const std::vector<size_t>& group, bool compressed, uint64_t set,
+                      size_t width) {
     RankState& root = states_[group.front()];
+    root.active = true;
+    root.dormant_level = -1;
     if (compressed) {
-      mem::StableVec<RangedPayload>& payloads = ws_.gather_scratch;
-      payloads.clear();
-      if (root.pending_compress) {
-        ESP_CHECK(!root.HasPayloads());
-        CompressInto(group.front(), root.raw, root.offset, tensor_id_, /*sent=*/true,
-                     &payloads.push());
-      } else {
-        ESP_CHECK(root.HasPayloads());
-        payloads.CopyFrom(root.payloads);
-      }
       size_t lo = SIZE_MAX, hi = 0;
-      for (size_t i = 0; i < payloads.size(); ++i) {
-        const RangedPayload& p = payloads[i];
+      for (const RangedPayload& p : root.payloads) {
         lo = std::min(lo, p.offset);
         hi = std::max(hi, p.offset + p.length);
       }
-      const uint64_t set = ++payload_sets_;
-      for (size_t r : group) {
-        RankState& s = states_[r];
-        s.active = true;
-        s.dormant_level = -1;
-        s.offset = lo;
-        s.length = hi - lo;
-        s.raw.clear();
-        s.payloads.CopyFrom(payloads);
-        s.payload_set = set;
-      }
-      return;
+      root.offset = lo;
+      root.length = hi - lo;
+      root.raw.clear();
+      root.payload_set = set;
+    } else {
+      ESP_CHECK(!root.HasPayloads());
+      root.payload_set = 0;
     }
-    ESP_CHECK(!root.HasPayloads());
-    // Stage the root's value: the loop overwrites the root's own raw vector.
-    std::vector<float>& value = Scratch(root.raw.size());
-    value.assign(root.raw.begin(), root.raw.end());
-    const size_t offset = root.offset;
-    const size_t length = root.length;
-    for (size_t r : group) {
-      RankState& s = states_[r];
+    ParallelFor(width, group.size() - 1, [&](size_t k, size_t) {
+      RankState& s = states_[group[k + 1]];
       s.active = true;
       s.dormant_level = -1;
-      s.offset = offset;
-      s.length = length;
-      s.raw.assign(value.begin(), value.end());
-      s.payloads.clear();
-      s.payload_set = 0;
-    }
+      s.offset = root.offset;
+      s.length = root.length;
+      if (compressed) {
+        s.raw.clear();
+        s.payloads.CopyFrom(root.payloads);
+      } else {
+        s.raw.assign(root.raw.begin(), root.raw.end());
+        s.payloads.clear();
+      }
+      s.payload_set = root.payload_set;
+    });
   }
 
+  // Member j takes the G parts the members cut for it: a compressed shuffle.
   void GroupAlltoall(const std::vector<size_t>& group) {
-    // Compressed shuffle: each member splits its range into G parts (compressing now if
-    // a Comp op is pending, range-splitting its carried payload otherwise) and sends
-    // part j to member j. Member j ends with G payloads covering part j.
-    const size_t G = group.size();
-    const RankState& first = states_[group.front()];
-    const Partition part(first.length, G);
-    std::vector<mem::StableVec<RangedPayload>>& inbox = ws_.inbox;
-    if (inbox.size() < G) {
-      inbox.resize(G);
-    }
-    for (size_t j = 0; j < G; ++j) {
-      inbox[j].clear();
-    }
-    for (size_t i = 0; i < G; ++i) {
-      RankState& s = states_[group[i]];
-      ESP_CHECK_EQ(s.length, first.length);
-      for (size_t j = 0; j < G; ++j) {
-        RangedPayload& p = inbox[j].push();
-        if (s.pending_compress) {
-          ESP_CHECK(!s.HasPayloads()) << option_.Describe();
-          const std::span<const float> view(s.raw);
-          // Part i is member i's own: it stays local.
-          CompressInto(group[i], view.subspan(part.Offset(j), part.Length(j)),
-                       s.offset + part.Offset(j), tensor_id_ * kIdStride + j,
-                       /*sent=*/j != i, &p);
-        } else {
-          ESP_CHECK_EQ(s.payloads.size(), 1u);
-          const RangedPayload& carried = s.payloads.front();
-          p.offset = s.offset + part.Offset(j);
-          p.length = part.Length(j);
-          p.lost = carried.lost;
-          SplitSparsePayload(carried.payload, part.Offset(j), part.Length(j), &p.payload);
-        }
-      }
-    }
-    for (size_t j = 0; j < G; ++j) {
+    const Partition part(states_[group.front()].length, group.size());
+    for (size_t j = 0; j < group.size(); ++j) {
       RankState& s = states_[group[j]];
       s.offset += part.Offset(j);
       s.length = part.Length(j);
       s.raw.clear();
-      s.payloads.Swap(inbox[j]);  // constant-time; capacities circulate, never drop
+      s.payloads.Swap(ws_.inbox[group[j]]);  // constant-time; capacities circulate
       s.payload_set = 0;
     }
   }
 
+  // The root collects every member's payloads after its own, in member order; the
+  // other members go dormant at this level.
   void GroupGather(const std::vector<size_t>& group, int level) {
-    mem::StableVec<RangedPayload>& gathered = ws_.gather_scratch;
-    gathered.clear();
-    for (size_t r : group) {
-      RankState& s = states_[r];
-      if (s.pending_compress) {
-        ESP_CHECK(!s.HasPayloads()) << option_.Describe();
-        // The root's own payload stays local.
-        CompressInto(r, s.raw, s.offset, tensor_id_, /*sent=*/r != group.front(),
-                     &gathered.push());
-      } else {
-        ESP_CHECK(s.HasPayloads()) << option_.Describe();
-        gathered.AppendFrom(s.payloads);
-      }
-    }
     RankState& root = states_[group.front()];
-    root.raw.clear();
-    root.payloads.Swap(gathered);
-    root.payload_set = 0;
     for (size_t j = 1; j < group.size(); ++j) {
-      states_[group[j]].active = false;
-      states_[group[j]].dormant_level = level;
+      RankState& s = states_[group[j]];
+      root.payloads.AppendFrom(s.payloads);
+      s.active = false;
+      s.dormant_level = level;
     }
+    root.raw.clear();
+    root.payload_set = 0;
   }
 
   // --- decompression ------------------------------------------------------------------
@@ -586,7 +751,7 @@ class OptionExecutor {
   // duplicate is folded (in encounter order) into the first payload of its range, and
   // only when something was folded does the surviving set get re-sorted by offset —
   // a dedupe-free set keeps its original order, bit for bit.
-  void DedupePayloads(RankState* s) {
+  void DedupePayloads(RankState* s) const {
     mem::StableVec<RangedPayload>& ps = s->payloads;
     size_t unique = 0;
     bool aggregated = false;
@@ -625,60 +790,73 @@ class OptionExecutor {
     }
   }
 
-  // A rank before `rank` that decoded the same replicated payload set in the current
-  // Decompress op, or nullptr. Ranks run one after another, so its decode is exactly
-  // what `rank` would compute itself.
-  const RankState* DecodedReplica(size_t rank) const {
-    const uint64_t set = states_[rank].payload_set;
-    if (set == 0) {
-      return nullptr;
+  // Decodes `s`'s payloads into its raw range [s.offset, s.offset + s.length).
+  void Decode(const Op& op, RankState& s) const {
+    if (op.fan_in == 1 && s.payloads.size() > 1) {
+      DedupePayloads(&s);
     }
-    for (size_t q = 0; q < rank; ++q) {
-      if (states_[q].active && states_[q].payload_set == set) {
-        return &states_[q];
+    // Decompress straight into the state's raw vector (payloads hold the data; raw is
+    // dead here, so zero-assign reuses its capacity).
+    s.raw.assign(s.length, 0.0f);
+    for (const RangedPayload& p : s.payloads) {
+      if (!p.lost) {
+        auto view = std::span<float>(s.raw).subspan(p.offset - s.offset, p.length);
+        config_.compressor->DecompressAdd(p.payload, view);
       }
     }
-    return nullptr;
+    s.payloads.clear();
   }
 
+  // Every active rank decodes its payloads, except that the holders of one replicated
+  // set (compressed allgather/broadcast) copy the decode of its representative, the
+  // lowest active rank holding it: same bytes, same floats. A serial pre-pass sets
+  // each rank's decoded range and picks the representatives; the decoders run in
+  // parallel, then the copies do.
   void Decompress(const Op& op) {
+    std::vector<size_t>& decoders = ws_.decoders;
+    std::vector<std::pair<size_t, size_t>>& replicas = ws_.replicas;
+    std::vector<size_t>& representatives = ws_.representatives;
+    decoders.clear();
+    replicas.clear();
+    if (representatives.size() <= payload_sets_) {
+      representatives.resize(payload_sets_ + 1);
+    }
+    std::fill(representatives.begin(), representatives.begin() + payload_sets_ + 1,
+              SIZE_MAX);
+    size_t floats = 0;
     for (size_t r = 0; r < states_.size(); ++r) {
       RankState& s = states_[r];
       if (!s.active) {
         continue;
       }
       ESP_CHECK(s.HasPayloads()) << "decompress without payloads: " << option_.Describe();
-      if (const RankState* replica = DecodedReplica(r)) {
-        s.raw.assign(replica->raw.begin(), replica->raw.end());
-        s.offset = replica->offset;
-        s.length = replica->length;
-        s.payloads.clear();
-        continue;
-      }
-      if (op.fan_in == 1 && s.payloads.size() > 1) {
-        DedupePayloads(&s);
-      }
       size_t lo = SIZE_MAX, hi = 0;
-      for (size_t i = 0; i < s.payloads.size(); ++i) {
-        const RangedPayload& p = s.payloads[i];
+      for (const RangedPayload& p : s.payloads) {
         lo = std::min(lo, p.offset);
         hi = std::max(hi, p.offset + p.length);
       }
-      // Decompress straight into the state's raw vector (payloads hold the data; raw
-      // is dead here, so zero-assign reuses its capacity).
-      s.raw.assign(hi - lo, 0.0f);
-      for (size_t i = 0; i < s.payloads.size(); ++i) {
-        const RangedPayload& p = s.payloads[i];
-        if (!p.lost) {
-          auto view = std::span<float>(s.raw).subspan(p.offset - lo, p.length);
-          config_.compressor->DecompressAdd(p.payload, view);
-        }
-      }
       s.offset = lo;
       s.length = hi - lo;
-      s.payloads.clear();
+      floats += s.length;
+      if (s.payload_set != 0) {
+        size_t& representative = representatives[s.payload_set];
+        if (representative != SIZE_MAX) {
+          replicas.emplace_back(r, representative);
+          continue;
+        }
+        representative = r;
+      }
+      decoders.push_back(r);
     }
-    // The ids stay set until every holder has looked for a decoded replica.
+    const size_t width = Width(floats);
+    ParallelFor(width, decoders.size(),
+                [&](size_t k, size_t) { Decode(op, states_[decoders[k]]); });
+    ParallelFor(width, replicas.size(), [&](size_t k, size_t) {
+      RankState& s = states_[replicas[k].first];
+      const RankState& decoded = states_[replicas[k].second];
+      s.raw.assign(decoded.raw.begin(), decoded.raw.end());
+      s.payloads.clear();
+    });
     for (RankState& s : states_) {
       s.payload_set = 0;
     }

@@ -16,12 +16,22 @@
 // aggregates correctly (exactly with a near-lossless compressor, approximately
 // otherwise).
 //
+// Every op fans out on the process pool through ParallelFor (src/util/thread_pool.h):
+// an op with several rank groups runs its groups in parallel; a single group splits its
+// sum by 4096-float block and its per-member compressions and copies by member; a
+// Decompress splits by rank. Chunk 0 runs on the calling thread, and an op that touches
+// fewer than 2^15 floats across its ranks runs inline there. Every element is still
+// summed 0 + g0 + g1 + ... in group order, and each rank's compression, error feedback
+// and decode stay its own, so the result is bit-identical at every pool width.
+//
 // An optional PayloadChannel models an imperfect network (src/fault). Only the payloads
 // compressed at an option's first compression site — the ones error feedback covers —
 // cross it; a part a rank keeps for itself stays local. A dropped payload is excluded
 // from every receiver and folded back into its sender's residual (a compressed set
 // whose payloads were all dropped decodes to zeros); a corrupted one is aggregated as
-// delivered. Re-compressions at later stages are treated as local.
+// delivered. Re-compressions at later stages are treated as local. The channel is only
+// called on the calling thread: every member compresses first, then the caller sends
+// the payloads through the channel in member order, then they are delivered.
 #ifndef SRC_DDL_STRATEGY_EXECUTOR_H_
 #define SRC_DDL_STRATEGY_EXECUTOR_H_
 
@@ -55,15 +65,16 @@ struct ChannelTally {
 };
 
 // Persistent scratch for the option interpreter: per-rank states (compressed payload
-// sets, recycled via capacity-keeping containers), group index lists, payload
-// gather/shuffle staging, and one float scratch buffer (group sums, uncompressed
-// allgather merges, broadcast staging). The ranks' raw ranges are not stored here: each
-// execution swaps the caller's buffers in and hands the same allocations back, so the
-// workspace keeps no per-rank tensor copy. One workspace serves every tensor of a
-// strategy and every step of a run — after the first execution at a given topology and
-// tensor shape, the executor performs no heap allocations. A workspace is
-// single-threaded; executions with different shapes/topologies may share one
-// (containers grow to the high-water mark).
+// sets, recycled via capacity-keeping containers) and alltoall inboxes, group index
+// lists, decode lists, and per fan-out chunk a float buffer (group sums, uncompressed
+// allgather merges) and a payload set (compressed allgather staging). The ranks' raw
+// ranges are not stored here: each execution swaps the caller's buffers in and hands
+// the same allocations back, so the workspace keeps no per-rank tensor copy. One
+// workspace serves every tensor of a strategy and every step of a run — after the first
+// execution at a given topology and tensor shape, the executor performs no heap
+// allocations, fanned out or not. A workspace serves one caller at a time (the
+// executor's own fan-out gives each chunk its own members); executions with different
+// shapes/topologies may share one (containers grow to the high-water mark).
 class ExecutorWorkspace {
  public:
   ExecutorWorkspace();

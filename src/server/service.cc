@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
-#include <thread>
 
 #include "src/analysis/ir_validator.h"
 #include "src/core/espresso.h"
@@ -14,6 +13,7 @@
 #include "src/obs/metrics.h"
 #include "src/util/json_reader.h"
 #include "src/util/json_writer.h"
+#include "src/util/thread_pool.h"
 
 namespace espresso::server {
 
@@ -316,8 +316,7 @@ std::string SelectionService::HandleSelect(const SelectRequest& request) {
   // Clamped to the host's cores (the size of the process pool): the selector sizes
   // per-chunk tables by this width, and bit-exactness means the clamp cannot change
   // the strategy.
-  options.threads = std::min<size_t>(
-      request.threads, std::max(1u, std::thread::hardware_concurrency()));
+  options.threads = std::min<size_t>(request.threads, UsableCpus());
   if (request.offload_search_budget > 0) {
     options.offload_search_budget = request.offload_search_budget;
   }

@@ -1,11 +1,29 @@
 #include "src/util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
 
 #include "src/util/logging.h"
 
 namespace espresso {
+
+namespace {
+thread_local bool t_on_worker = false;  // set by WorkerLoop: a nested RunChunks runs inline
+}  // namespace
+
+size_t UsableCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int cpus = CPU_COUNT(&mask);
+    if (cpus > 0) {
+      return static_cast<size_t>(cpus);
+    }
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 
 void TaskGroup::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
@@ -59,34 +77,85 @@ void ThreadPool::Submit(TaskGroup& group, std::function<void()> task) {
   group.TaskAdded();
   {
     std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back([&group, task = std::move(task)] {
-      task();
-      group.TaskFinished();
-    });
+    if (queued_ == ring_.size()) {
+      // Full: unwrap the queue into a ring twice the size. Moving a std::function
+      // moves its callable's storage, so this allocates only the new ring.
+      std::vector<Entry> grown(std::max<size_t>(16, 2 * ring_.size()));
+      for (size_t i = 0; i < queued_; ++i) {
+        grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
+      }
+      ring_.swap(grown);
+      head_ = 0;
+    }
+    Entry& entry = ring_[(head_ + queued_) & (ring_.size() - 1)];
+    entry.task = std::move(task);
+    entry.group = &group;
+    ++queued_;
   }
   work_cv_.notify_one();
 }
 
 void ThreadPool::WorkerLoop() {
+  t_on_worker = true;
   for (;;) {
     std::function<void()> task;
+    TaskGroup* group = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) {
+      work_cv_.wait(lock, [this] { return shutdown_ || queued_ > 0; });
+      if (queued_ == 0) {
         return;  // shutdown with drained queue
       }
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      Entry& entry = ring_[head_];
+      task = std::move(entry.task);
+      group = entry.group;
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --queued_;
     }
     task();
+    group->TaskFinished();
   }
 }
 
 ThreadPool& GlobalThreadPool() {
-  static ThreadPool* pool =
-      new ThreadPool(std::max(1u, std::thread::hardware_concurrency()));  // never destroyed
+  static ThreadPool* pool = new ThreadPool(UsableCpus());  // never destroyed
   return *pool;
 }
+
+namespace internal {
+
+void RunChunks(size_t width, size_t count, ChunkRunner run, const void* fn) {
+  if (count == 0) {
+    return;
+  }
+  const size_t chunks = std::min(std::max<size_t>(width, 1), count);
+  if (chunks == 1 || t_on_worker) {
+    for (size_t c = 0; c < chunks; ++c) {
+      run(fn, c * count / chunks, (c + 1) * count / chunks, c);
+    }
+    return;
+  }
+  // Each chunk task captures a pointer to this frame's job and its chunk index:
+  // 16 trivially copyable bytes, which std::function stores inline.
+  struct Job {
+    ChunkRunner run;
+    const void* fn;
+    size_t count;
+    size_t chunks;
+    void RunChunk(size_t c) const {
+      run(fn, c * count / chunks, (c + 1) * count / chunks, c);
+    }
+  };
+  const Job job{run, fn, count, chunks};
+  TaskGroup group;
+  ThreadPool& pool = GlobalThreadPool();
+  for (size_t c = 1; c < chunks; ++c) {
+    pool.Submit(group, [&job, c] { job.RunChunk(c); });
+  }
+  job.RunChunk(0);
+  group.Wait();
+}
+
+}  // namespace internal
 
 }  // namespace espresso

@@ -1,25 +1,35 @@
-// The process's one worker pool. GlobalThreadPool() is built on first use with
-// max(1, hardware_concurrency()) workers and is never destroyed (like
-// obs::GlobalMetrics()); every selector, including the nested forced-compression
-// one, scores its cache misses on it.
+// The process's one worker pool and its one fan-out. GlobalThreadPool() is built on
+// first use with UsableCpus() workers and is never destroyed (like
+// obs::GlobalMetrics()).
+//
+// ParallelFor is how the program fans work out: every selector scores its cache
+// misses through it, and the strategy executor runs an op's groups, members, sum
+// blocks and decodes through it. It runs chunk 0 on the calling thread and the other
+// chunks on the pool, under a TaskGroup on its own stack, and returns when all of them
+// have finished. Called on a pool worker it runs every chunk inline, so no pool task
+// ever waits on the pool and TaskGroup::Wait simply blocks.
 //
 // A client submits against its own TaskGroup and waits on that group only, so
-// concurrent clients complete independently of each other's tasks. Clients run on
-// request connection threads or a program's main thread, never on a pool worker,
-// so no pool task ever waits on another and TaskGroup::Wait simply blocks. A task
-// that fanned out again and waited would need Wait to run its group's queued tasks
-// on the calling thread ("caller-runs") to avoid deadlock.
+// concurrent clients complete independently of each other's tasks. Submit allocates
+// nothing once the queue has grown to its high-water mark, as long as the task fits
+// std::function's inline buffer (ParallelFor's chunk tasks do), so warm fan-outs keep
+// the executor's steady state allocation-free.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <deque>
+#include <cstddef>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace espresso {
+
+// The number of CPUs this process may run on: the size of its affinity mask
+// (sched_getaffinity), or max(1, std::thread::hardware_concurrency()) when the mask
+// cannot be read. Under `taskset -c 0` it is 1, whatever the host has.
+size_t UsableCpus();
 
 // Tracks the in-flight count of one client's tasks across a shared ThreadPool.
 // A group may be reused after Wait() returns; it must outlive every task submitted
@@ -61,16 +71,26 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   // Queues a task accounted against `group`, so group.Wait() covers it. The group
-  // must outlive the task's execution.
+  // must outlive the task's execution. Allocates only to grow the queue past its
+  // high-water mark (and when `task` itself holds its callable on the heap).
   void Submit(TaskGroup& group, std::function<void()> task);
 
   size_t num_threads() const { return threads_.size(); }
 
  private:
+  struct Entry {
+    std::function<void()> task;
+    TaskGroup* group = nullptr;
+  };
+
   void WorkerLoop();
 
   std::vector<std::thread> threads_;
-  std::deque<std::function<void()>> queue_;
+  // A grow-only ring of queued tasks: `queued_` entries from `head_`, wrapping; its
+  // size is zero or a power of two.
+  std::vector<Entry> ring_;
+  size_t head_ = 0;
+  size_t queued_ = 0;
   std::mutex mu_;
   std::condition_variable work_cv_;
   bool shutdown_ = false;
@@ -78,6 +98,32 @@ class ThreadPool {
 
 // The process-wide pool; the only ThreadPool the program builds.
 ThreadPool& GlobalThreadPool();
+
+namespace internal {
+// Runs run(fn, begin, end, chunk) for each of ParallelFor's chunks.
+using ChunkRunner = void (*)(const void* fn, size_t begin, size_t end, size_t chunk);
+void RunChunks(size_t width, size_t count, ChunkRunner run, const void* fn);
+}  // namespace internal
+
+// Calls fn(i, chunk) for every i in [0, count), in max(1, min(width, count))
+// contiguous chunks: chunk c covers [c * count / chunks, (c + 1) * count / chunks), in
+// index order. Chunk 0 runs on the caller and the others on GlobalThreadPool(); the
+// call returns when every chunk has finished. All chunks run inline, one after
+// another, when width <= 1 or when the caller is a pool worker. The partition depends
+// only on (width, count), so per-chunk state indexed by `chunk` is the same wherever
+// the chunks run.
+template <typename Fn>
+void ParallelFor(size_t width, size_t count, const Fn& fn) {
+  internal::RunChunks(
+      width, count,
+      [](const void* erased, size_t begin, size_t end, size_t chunk) {
+        const Fn& f = *static_cast<const Fn*>(erased);
+        for (size_t i = begin; i < end; ++i) {
+          f(i, chunk);
+        }
+      },
+      &fn);
+}
 
 }  // namespace espresso
 

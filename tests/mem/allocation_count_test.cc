@@ -95,6 +95,10 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "src/core/baselines.h"
@@ -105,6 +109,7 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 #include "src/models/model_zoo.h"
 #include "src/nn/parallel_trainer.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace espresso {
 namespace {
@@ -275,6 +280,117 @@ TEST(AllocationCount, ExecutorSteadyStateIsAllocationFree) {
   }
   const std::uint64_t delta = AllocationCount() - before;
   EXPECT_EQ(delta, 0u);
+}
+
+// The one fan-out: once the pool is built and its queue has grown, a ParallelFor's
+// submissions, wake-ups and wait allocate nothing. The width is at least 2 so the chunk
+// tasks go through ThreadPool::Submit even on a one-CPU host.
+TEST(AllocationCount, ParallelForIsAllocationFreeOnceWarm) {
+  const size_t width = std::max<size_t>(2, GlobalThreadPool().num_threads());
+  std::vector<uint64_t> touched(1024, 0);
+  auto fan_out = [&] {
+    ParallelFor(width, touched.size(), [&](size_t i, size_t chunk) { touched[i] += chunk + 1; });
+  };
+  for (int i = 0; i < 10; ++i) {  // warm-up: builds the pool and grows its queue
+    fan_out();
+  }
+  const std::uint64_t before = AllocationCount();
+  for (int i = 0; i < 1000; ++i) {
+    fan_out();
+  }
+  const std::uint64_t delta = AllocationCount() - before;
+  EXPECT_EQ(delta, 0u);
+  EXPECT_GT(touched.back(), touched.front());  // the last chunk ran, as chunk >= 1
+}
+
+// Compresses `n` floats on every pool worker and on the caller, so the thread-local
+// kernel scratch of every thread a fanned-out op can land on is at its high-water
+// mark. Each task blocks until all have started, which puts exactly one on each worker.
+void WarmEveryThread(const std::vector<const Compressor*>& compressors, size_t n) {
+  ThreadPool& pool = GlobalThreadPool();
+  const size_t workers = pool.num_threads();
+  const std::vector<float> input(n, 1.0f);
+  auto compress_all = [&] {
+    CompressedTensor out;
+    for (const Compressor* compressor : compressors) {
+      compressor->Compress(input, 0, &out);
+    }
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t started = 0;
+  TaskGroup group;
+  for (size_t w = 0; w < workers; ++w) {
+    pool.Submit(group, [&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++started;
+      cv.notify_all();
+      cv.wait(lock, [&] { return started == workers; });
+      lock.unlock();
+      compress_all();
+    });
+  }
+  group.Wait();
+  compress_all();
+}
+
+// The fanned-out executor keeps the headline guarantee: 8 x 8 ranks and tensors well
+// over the fan-out grain, so every op below splits by group, member, sum block or
+// decode across the pool, with per-chunk scratch. Top-k with error feedback and fp16,
+// each on a perfect network and through a dropping and corrupting ChaosChannel.
+TEST(AllocationCount, FannedOutExecutorSteadyStateIsAllocationFree) {
+  constexpr size_t kMachines = 8, kGpus = 8, kRanks = kMachines * kGpus;
+  constexpr size_t n = 4099;  // 262336 floats across the ranks
+  std::vector<CompressionOption> options;
+  for (const CompressionOption& option : CandidateOptions(TreeConfig{kMachines, kGpus, false})) {
+    if (option.label == "hier[rs|comp+agc+dec|ag]" || option.label == "flat[ar]" ||
+        option.label == "flat[comp+agc+dec]" ||
+        option.label == "flat[comp+a2ac+dec+comp+agc+dec]") {
+      options.push_back(option);
+    }
+  }
+  ASSERT_EQ(options.size(), 4u);
+  const auto topk = CreateCompressor(CompressorConfig{.algorithm = "topk", .ratio = 0.05});
+  const auto fp16 = CreateCompressor(CompressorConfig{.algorithm = "fp16"});
+  WarmEveryThread({topk.get(), fp16.get()}, n);
+
+  FaultSpec spec;
+  spec.drop_probability = 0.2;
+  spec.corrupt_probability = 0.2;
+  const FaultInjector injector{FaultPlan(spec)};
+  ChaosChannel chaos(&injector);
+  const RankBuffers initial = MakeGradients(kRanks, n, 17);
+  RankBuffers buffers = initial;
+  for (const Compressor* compressor : {topk.get(), fp16.get()}) {
+    for (PayloadChannel* channel : {static_cast<PayloadChannel*>(nullptr),
+                                    static_cast<PayloadChannel*>(&chaos)}) {
+      std::vector<ErrorFeedback> feedback(kRanks);
+      ExecutorWorkspace workspace;
+      ExecutorConfig config{.machines = kMachines, .gpus_per_machine = kGpus,
+                            .compressor = compressor, .feedback = &feedback,
+                            .channel = channel};
+      auto step = [&](uint64_t iteration) {
+        config.seed = iteration;
+        chaos.BeginIteration(iteration);
+        for (size_t t = 0; t < options.size(); ++t) {
+          Refill(buffers, initial);
+          ExecuteOption(options[t], config, t, buffers, &workspace);
+        }
+      };
+      for (uint64_t iteration = 0; iteration < 3; ++iteration) {  // warm-up
+        step(iteration);
+      }
+      const std::uint64_t before = AllocationCount();
+      for (uint64_t iteration = 3; iteration < 8; ++iteration) {
+        step(iteration);
+      }
+      const std::uint64_t delta = AllocationCount() - before;
+      EXPECT_EQ(delta, 0u) << std::string(compressor->name())
+                           << (channel != nullptr ? ", chaos channel" : ", perfect network");
+    }
+  }
+  EXPECT_GT(chaos.stats().dropped, 0u);
+  EXPECT_GT(chaos.stats().corrupted, 0u);
 }
 
 // Checkpointed candidate scoring (docs/PERFORMANCE.md): once a checkpoint and a context

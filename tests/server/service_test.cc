@@ -10,12 +10,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/obs/audit_log.h"
 #include "src/server/client.h"
 #include "src/util/json_reader.h"
+#include "src/util/thread_pool.h"
 
 namespace espresso::server {
 namespace {
@@ -205,8 +205,7 @@ TEST(SelectionService, HostileThreadBudgetIsClampedNotFatal) {
   hostile.threads = int64_t{1} << 40;
   const std::string response = service.HandleRequest(Select("hostile", "alice", hostile));
   ASSERT_EQ(ErrorCode(response), "");
-  EXPECT_LE(TelemetryField(response, "threads"),
-            std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_LE(TelemetryField(response, "threads"), UsableCpus());
 
   RequestBudget serial;
   serial.threads = 0;

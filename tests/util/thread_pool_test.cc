@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <future>
 #include <thread>
 #include <vector>
@@ -57,7 +58,7 @@ TEST(ThreadPool, ZeroWorkersIsRefused) {
 TEST(ThreadPool, GlobalPoolIsOneHostSizedPool) {
   ThreadPool& pool = GlobalThreadPool();
   EXPECT_EQ(&pool, &GlobalThreadPool());
-  EXPECT_EQ(pool.num_threads(), std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(pool.num_threads(), UsableCpus());
   TaskGroup group;
   std::atomic<int> counter{0};
   for (int i = 0; i < 16; ++i) {
@@ -65,6 +66,40 @@ TEST(ThreadPool, GlobalPoolIsOneHostSizedPool) {
   }
   group.Wait();
   EXPECT_EQ(counter.load(), 16);
+}
+
+// A ParallelFor called on a pool worker runs every chunk inline, in chunk order, on
+// that worker: with every worker inside such a task, a chunk queued behind them would
+// never run, so a fan-out that waited on its own pool would deadlock here.
+TEST(ThreadPool, NestedParallelForRunsInline) {
+  ThreadPool& pool = GlobalThreadPool();
+  const size_t tasks = pool.num_threads();
+  const size_t width = tasks + 1;  // more chunks than the pool has workers
+  constexpr size_t kCount = 64;
+  std::vector<std::thread::id> task_thread(tasks);
+  std::vector<std::vector<std::thread::id>> fn_thread(tasks,
+                                                      std::vector<std::thread::id>(kCount));
+  std::vector<std::vector<size_t>> fn_chunk(tasks, std::vector<size_t>(kCount, SIZE_MAX));
+  TaskGroup group;
+  for (size_t t = 0; t < tasks; ++t) {
+    pool.Submit(group, [&, t] {
+      task_thread[t] = std::this_thread::get_id();
+      ParallelFor(width, kCount, [&, t](size_t i, size_t chunk) {
+        fn_thread[t][i] = std::this_thread::get_id();
+        fn_chunk[t][i] = chunk;
+      });
+    });
+  }
+  group.Wait();
+  const size_t chunks = std::min(width, kCount);
+  for (size_t t = 0; t < tasks; ++t) {
+    for (size_t i = 0; i < kCount; ++i) {
+      EXPECT_EQ(fn_thread[t][i], task_thread[t]) << "task " << t << " index " << i;
+      // Chunk c covers [c * count / chunks, (c + 1) * count / chunks).
+      EXPECT_LE(fn_chunk[t][i] * kCount / chunks, i);
+      EXPECT_LT(i, (fn_chunk[t][i] + 1) * kCount / chunks);
+    }
+  }
 }
 
 // A contention schedule from the fault layer: iterations where a CPU spike is active
