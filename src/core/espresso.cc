@@ -130,7 +130,7 @@ void EspressoSelector::Init() {
   if (options_.cache_capacity > 0 && cache_ == nullptr) {
     cache_ = std::make_shared<EvaluationCache>(options_.cache_capacity);
   }
-  contexts_.emplace_back();  // chunk 0's, which runs on the caller; ScoreBatch adds more
+  contexts_.emplace_back();  // slot 0's, the caller's; ScoreBatch adds the others
 }
 
 template <typename KeyFn, typename PrepareFn, typename SimulateFn, typename StoreFn>
@@ -152,16 +152,16 @@ void EspressoSelector::ScoreBatch(size_t count, const KeyFn& key, const PrepareF
   if (!misses_.empty()) {
     prepare();
   }
-  // The misses are simulated in min(threads, misses) chunks, one EvalContext each.
-  const size_t chunks = std::min(options_.threads, misses_.size());
-  while (contexts_.size() < chunks) {
+  // The misses are simulated on min(threads, misses) slots, one EvalContext each.
+  const size_t slots = std::min(options_.threads, misses_.size());
+  while (contexts_.size() < slots) {
     contexts_.emplace_back();
   }
-  if (chunks > 1) {
+  if (slots > 1) {
     ++fanouts_;
   }
-  ParallelFor(options_.threads, misses_.size(), [&](size_t m, size_t chunk) {
-    misses_[m].value = simulate(misses_[m].query, chunk, &contexts_[chunk]);
+  ParallelFor(options_.threads, misses_.size(), [&](size_t m, size_t slot) {
+    misses_[m].value = simulate(misses_[m].query, slot, &contexts_[slot]);
   });
   for (const Miss& miss : misses_) {
     if (cache_ != nullptr) {
@@ -396,7 +396,7 @@ Strategy EspressoSelector::OffloadToCpu(const Strategy& gpu_strategy, size_t* co
     }
   }
 
-  // Scores a batch of odometer states (flattened per-group counts). Each chunk worker
+  // Scores a batch of odometer states (flattened per-group counts). Each ParallelFor slot
   // keeps one override table and applies/undoes the per-combo deltas on it — the full
   // strategy is never copied per visit.
   std::vector<std::vector<const CompressionOption*>> tables(
@@ -415,9 +415,9 @@ Strategy EspressoSelector::OffloadToCpu(const Strategy& gpu_strategy, size_t* co
           return FinalizeStrategyKey(total);
         },
         [] {},
-        [&](size_t b, size_t chunk, TimelineEvaluator::EvalContext* ctx) {
+        [&](size_t b, size_t slot, TimelineEvaluator::EvalContext* ctx) {
           const size_t* counts = flat.data() + b * num_groups;
-          std::vector<const CompressionOption*>& table = tables[chunk];
+          std::vector<const CompressionOption*>& table = tables[slot];
           if (table.size() != n) {
             table.assign(n, nullptr);
           }

@@ -17,10 +17,10 @@
 // Search acceleration: every F(S) query and every Property-1 bubble set is memoized
 // in a fingerprint-keyed LRU (SelectorOptions::cache_capacity). A batch of queries is
 // first probed against that cache on the caller's thread; only the misses are
-// simulated, split by ParallelFor (src/util/thread_pool.h) into SelectorOptions::threads
-// chunks, the first on the caller's thread and the rest on the process-wide
-// GlobalThreadPool(), through TimelineEvaluator's thread-safe non-mutating scoring entry
-// points. A selection whose queries all hit submits no task and runs no simulation.
+// simulated by ParallelFor (src/util/thread_pool.h) on SelectorOptions::threads
+// threads, the caller's and the process-wide GlobalThreadPool()'s, through
+// TimelineEvaluator's thread-safe non-mutating scoring entry points. A selection whose
+// queries all hit submits no task and runs no simulation.
 // A tensor's candidates resume from one TimelineEvaluator::Checkpoint
 // of the timeline prefix they share; refinement sweeps visit tensors in ascending
 // order, so the checkpoint mostly advances in place. Both knobs are bit-exact: the
@@ -57,9 +57,9 @@ struct SelectorOptions {
   // Algorithm 2 exhaustive-search budget; beyond it coordinate descent over the group
   // counts takes over (Lemma 1 still fixes the within-group order either way).
   size_t offload_search_budget = 3000;
-  // Fan-out width: a batch with at least two cache misses is split into this many
-  // chunks, the first simulated on the caller's thread and the rest on the
-  // process-wide GlobalThreadPool() (0 or 1 = simulate on the caller's thread). A fully cached selection submits nothing. The selected
+  // Fan-out width: a batch with at least two cache misses is simulated by this many
+  // threads, the caller's and the process-wide GlobalThreadPool()'s (0 or 1 = simulate
+  // on the caller's thread). A fully cached selection submits nothing. The selected
   // strategy is identical for any width.
   size_t threads = 0;
   // Capacity of the memoized F(S) cache (0 disables memoization). The cache is keyed
@@ -143,7 +143,7 @@ class EspressoSelector {
 
   // Answers `count` F(S) queries; every query the selector makes goes through here,
   // and this is where evaluations are counted. `key(i)` is query i's fingerprint,
-  // `simulate(i, chunk, ctx)` computes its F(S), and `store(i, value)` receives the
+  // `simulate(i, slot, ctx)` computes its F(S), and `store(i, value)` receives the
   // answer. The cache is probed on the caller's thread; only the misses reach
   // ParallelFor, and their values enter the cache in query order, so the cache's
   // contents and statistics are the same for every thread count. `prepare()` runs on
@@ -182,12 +182,12 @@ class EspressoSelector {
   std::vector<uint64_t> candidate_fingerprints_;  // OptionFingerprint(candidates_[j])
   CompressionOption default_option_;
   std::shared_ptr<EvaluationCache> cache_;        // null = memoization disabled
-  mutable std::deque<TimelineEvaluator::EvalContext> contexts_;  // one per chunk
+  mutable std::deque<TimelineEvaluator::EvalContext> contexts_;  // one per ParallelFor slot
   // The shared prefix for candidate scoring: advanced on the caller's thread, resumed
-  // read-only by every chunk.
+  // read-only by every slot.
   mutable TimelineEvaluator::Checkpoint checkpoint_;
   mutable uint64_t evaluations_ = 0;              // logical F(S) and bubble-set queries
-  mutable uint64_t fanouts_ = 0;                  // batches split into 2+ chunks
+  mutable uint64_t fanouts_ = 0;                  // batches fanned out to 2+ slots
   mutable std::vector<size_t> scored_;            // ScoreCandidates' candidate indices
   mutable std::vector<Miss> misses_;              // ScoreBatch's misses
 };

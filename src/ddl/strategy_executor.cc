@@ -1,7 +1,6 @@
 #include "src/ddl/strategy_executor.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -89,21 +88,12 @@ int PhaseLevel(CommPhase phase) {
 
 }  // namespace
 
-// The workspace body lives here so it can hold the interpreter-internal types. Chunk c
-// of a fanned-out op uses only chunks[c], and each rank's alltoall inbox slot i is
-// written only by group member i, so no two threads ever share a member. Every member
-// only grows.
+// The workspace body lives here so it can hold the interpreter-internal types. A
+// fanned-out op writes a rank's state, and slot i of a rank's alltoall inbox, from one
+// thread only, so no two threads ever share a member. Every member only grows.
 struct ExecutorWorkspace::Impl {
-  // One chunk's staging, serving one group at a time: `floats` holds a group sum or an
-  // uncompressed allgather merge, `gathered` a compressed allgather's union.
-  struct Chunk {
-    std::vector<float> floats;
-    mem::StableVec<RangedPayload> gathered;
-  };
-
   std::vector<RankState> states;
   mem::StableVec<std::vector<size_t>> groups;        // BuildGroups output
-  std::vector<Chunk> chunks;                         // one per chunk of an op's fan-out
   std::vector<mem::StableVec<RangedPayload>> inbox;  // alltoall: the parts each rank receives
   // Decompress: the ranks that decode their own payloads, the (rank, representative)
   // pairs that copy a replicated set's decode, and each set's representative.
@@ -125,30 +115,18 @@ namespace {
 // An op fans out on the process pool only when it touches at least this many floats
 // across its ranks; a smaller one runs inline on the caller, where a fan-out's submit,
 // wake-up and wait cost more than the work they split. Measured on a shared 4-CPU AVX2
-// host, 8 x 8 ranks, every candidate option, always fanning out against never: with
-// DGC (top-k) the two break even at 2^15 floats per tensor and fanning out is 1.9x
-// faster at 2^18; with efsignsgd, whose ops only move memory, fanning out every op is
-// 2x slower at 2^15 and breaks even near 2^17. On perfbench, a 2^17 grain lost all 3
-// alternating pairs to this one on both exec workloads (exec-dgc-nvlink 9.1 against
-// 11.2 steps/s), and 2^13 measured the same as 2^15.
+// host, 8 x 8 ranks, every candidate option, fanning every op out against running it
+// inline: with DGC (top-k) the two break even near 2^14 floats per tensor, and fanning
+// out is 1.4x faster at 2^15 and 2.3x at 2^18; with efsignsgd, whose ops only move
+// memory, fanning out is 1.3x slower at 2^15 and breaks even between 2^17 and 2^18.
+// Whole perfbench steps favour the lower grain anyway: with a 2^17 grain,
+// exec-dgc-nvlink ran 6.7 against 12.1 steps/s and exec-efsignsgd-pcie 21.6 against
+// 24.4 (one alternating pair without hypervisor steal); 2^13 was within 4% on both.
 constexpr size_t kFanoutGrain = size_t{1} << 15;
 
 // Group sums run block by block, so each block of the sum stays in cache while every
 // member's slice streams past; a single group's sum fans out by block.
 constexpr size_t kSumBlock = 4096;
-
-// A chunk's staging float buffer, emptied and able to hold `n` floats without
-// reallocating. Growth rounds the capacity up to a power of two, which keeps the
-// block's size and heap placement those of a size-bucketed allocator. SumGroup streams
-// it against every rank's buffer, and an exact-size block once measured about 5%
-// slower on exec-efsignsgd-pcie (docs/MEMORY.md §1).
-std::vector<float>& Scratch(std::vector<float>& scratch, size_t n) {
-  scratch.clear();
-  if (scratch.capacity() < n) {
-    scratch.reserve(std::bit_ceil(n));
-  }
-  return scratch;
-}
 
 // Comm routines whose members send compressed payloads: the alltoall and the gather
 // always, the allgather and the broadcast when the op is compressed.
@@ -237,21 +215,16 @@ class OptionExecutor {
   }
 
  private:
-  using Chunk = ExecutorWorkspace::Impl::Chunk;
   using Groups = mem::StableVec<std::vector<size_t>>;
 
   // The fan-out width of an op that touches `floats` floats across its ranks: 1 below
-  // kFanoutGrain, the pool's width otherwise. Grows the per-chunk scratch to match.
-  size_t Width(size_t floats) {
-    const size_t width = floats < kFanoutGrain ? 1 : GlobalThreadPool().num_threads();
-    if (ws_.chunks.size() < width) {
-      ws_.chunks.resize(width);
-    }
-    return width;
+  // kFanoutGrain, the pool's width otherwise.
+  static size_t Width(size_t floats) {
+    return floats < kFanoutGrain ? 1 : GlobalThreadPool().num_threads();
   }
 
   // Calls fn(gi, i) for member i of every group gi: several groups run in parallel,
-  // each whole in one chunk; a single group runs its members in parallel.
+  // each whole on one thread; a single group runs its members in parallel.
   template <typename Fn>
   void ForEachMember(size_t width, const Groups& groups, const Fn& fn) const {
     if (groups.size() == 1) {
@@ -265,18 +238,17 @@ class OptionExecutor {
     });
   }
 
-  // Calls fn(gi, chunk, inner_width) for every group gi. Several groups run in
-  // parallel, each whole in one chunk, so their routines get an inner width of 1; a
-  // single group runs on the caller with the op's width, for its routine to split by
-  // member or by sum block.
+  // Calls fn(gi, inner_width) for every group gi. Several groups run in parallel,
+  // each whole on one thread, so their routines get an inner width of 1; a single
+  // group runs on the caller with the op's width, for its routine to split by member
+  // or by sum block.
   template <typename Fn>
-  void ForEachGroup(size_t width, const Groups& groups, const Fn& fn) {
+  void ForEachGroup(size_t width, const Groups& groups, const Fn& fn) const {
     if (groups.size() == 1) {
-      fn(size_t{0}, ws_.chunks[0], width);
+      fn(size_t{0}, width);
       return;
     }
-    ParallelFor(width, groups.size(),
-                [&](size_t gi, size_t chunk) { fn(gi, ws_.chunks[chunk], size_t{1}); });
+    ParallelFor(width, groups.size(), [&](size_t gi, size_t) { fn(gi, size_t{1}); });
   }
 
   // Rank groups participating in a communication op of the given phase: machine groups
@@ -434,24 +406,24 @@ class OptionExecutor {
     }
     // Replicated payload sets are numbered by group, whichever group finishes first.
     const uint64_t sets = payload_sets_;
-    ForEachGroup(width, groups, [&](size_t gi, Chunk& chunk, size_t inner) {
+    ForEachGroup(width, groups, [&](size_t gi, size_t inner) {
       const std::vector<size_t>& group = groups[gi];
       switch (op.routine) {
         case Routine::kAllreduce:
-          GroupAllreduce(group, chunk, inner);
+          GroupAllreduce(group, inner);
           break;
         case Routine::kReduceScatter:
-          GroupReduceScatter(group, chunk, inner);
+          GroupReduceScatter(group, inner);
           break;
         case Routine::kAllgather:
           if (op.compressed) {
-            GroupAllgatherCompressed(group, chunk, sets + gi + 1, inner);
+            GroupAllgatherCompressed(group, sets + gi + 1, inner);
           } else {
-            GroupAllgather(group, chunk, inner);
+            GroupAllgather(group, inner);
           }
           break;
         case Routine::kReduce:
-          GroupReduce(group, chunk, PhaseLevel(op.phase), inner);
+          GroupReduce(group, PhaseLevel(op.phase), inner);
           break;
         case Routine::kBroadcast:
           GroupBroadcast(group, op.compressed, sets + gi + 1, inner);
@@ -580,98 +552,113 @@ class OptionExecutor {
     }
   }
 
-  // sum[i] = 0 + raw_g0[i] + raw_g1[i] + ... over the group in group order, in the
-  // chunk's float scratch, split by kSumBlock block across `width` chunks.
-  const std::vector<float>& SumGroup(const std::vector<size_t>& group, Chunk& chunk,
-                                     size_t width) const {
+  // The group sum, in place in the first member's buffer: raw_g0[i] = 0 + raw_g0[i] +
+  // raw_g1[i] + ... over the group in group order, split by kSumBlock block across
+  // `width` threads.
+  void SumGroup(const std::vector<size_t>& group, size_t width) {
     const size_t n = states_[group.front()].length;
     for (size_t r : group) {
       ESP_CHECK_EQ(states_[r].length, n);
     }
-    std::vector<float>& sum = Scratch(chunk.floats, n);
-    sum.assign(n, 0.0f);
+    float* sum = states_[group.front()].raw.data();
     ParallelFor(width, (n + kSumBlock - 1) / kSumBlock, [&](size_t block, size_t) {
       const size_t b = block * kSumBlock;
       const size_t len = std::min(kSumBlock, n - b);
-      float* dst = sum.data() + b;
-      for (size_t r : group) {
-        const float* src = states_[r].raw.data() + b;
+      float* dst = sum + b;
+      for (size_t i = 0; i < len; ++i) {
+        dst[i] = 0.0f + dst[i];
+      }
+      for (size_t j = 1; j < group.size(); ++j) {
+        const float* src = states_[group[j]].raw.data() + b;
         for (size_t i = 0; i < len; ++i) {
           dst[i] += src[i];
         }
       }
     });
-    return sum;
   }
 
-  void GroupAllreduce(const std::vector<size_t>& group, Chunk& chunk, size_t width) {
+  void GroupAllreduce(const std::vector<size_t>& group, size_t width) {
     const RankState& first = states_[group.front()];
     ESP_CHECK(!first.pending_compress && !first.HasPayloads());
-    const std::vector<float>& sum = SumGroup(group, chunk, width);
-    ParallelFor(width, group.size(), [&](size_t j, size_t) {
-      states_[group[j]].raw.assign(sum.begin(), sum.end());
+    SumGroup(group, width);
+    ParallelFor(width, group.size() - 1, [&](size_t k, size_t) {
+      states_[group[k + 1]].raw.assign(first.raw.begin(), first.raw.end());
     });
   }
 
-  void GroupReduceScatter(const std::vector<size_t>& group, Chunk& chunk, size_t width) {
-    const RankState& first = states_[group.front()];
+  void GroupReduceScatter(const std::vector<size_t>& group, size_t width) {
+    RankState& first = states_[group.front()];
     ESP_CHECK(!first.pending_compress && !first.HasPayloads());
-    // Shard j is range j of the group sum; the whole sum is staged before any state
-    // is overwritten (rank j's raw feeds every shard).
-    const std::vector<float>& sum = SumGroup(group, chunk, width);
-    const Partition part(sum.size(), group.size());
-    ParallelFor(width, group.size(), [&](size_t j, size_t) {
-      RankState& s = states_[group[j]];
-      const size_t offset = part.Offset(j);
-      const size_t length = part.Length(j);
+    SumGroup(group, width);
+    // Shard j is range j of the group sum. Every other member copies its shard out of
+    // the first member's buffer before that buffer is cut down to shard 0.
+    const Partition part(first.length, group.size());
+    ParallelFor(width, group.size() - 1, [&](size_t k, size_t) {
+      RankState& s = states_[group[k + 1]];
+      const size_t offset = part.Offset(k + 1);
+      const size_t length = part.Length(k + 1);
       s.offset += offset;
       s.length = length;
-      s.raw.assign(sum.begin() + offset, sum.begin() + offset + length);
+      s.raw.assign(first.raw.begin() + offset, first.raw.begin() + offset + length);
     });
+    first.length = part.Length(0);
+    first.raw.resize(first.length);
   }
 
-  void GroupReduce(const std::vector<size_t>& group, Chunk& chunk, int level,
-                   size_t width) {
-    GroupAllreduce(group, chunk, width);
+  void GroupReduce(const std::vector<size_t>& group, int level, size_t width) {
+    GroupAllreduce(group, width);
     for (size_t j = 1; j < group.size(); ++j) {
       states_[group[j]].active = false;
       states_[group[j]].dormant_level = level;
     }
   }
 
-  // Uncompressed: concatenate the members' (disjoint) ranges on every member.
-  void GroupAllgather(const std::vector<size_t>& group, Chunk& chunk, size_t width) {
+  // Uncompressed: every member ends with the members' (disjoint) ranges concatenated.
+  // They are merged in the first member's buffer: its own range moves to its place in
+  // [lo, hi), the rest starts at zero and the others' ranges are copied in, in member
+  // order; then the others copy the merge.
+  void GroupAllgather(const std::vector<size_t>& group, size_t width) {
     size_t lo = SIZE_MAX, hi = 0;
     for (size_t r : group) {
       lo = std::min(lo, states_[r].offset);
       hi = std::max(hi, states_[r].offset + states_[r].length);
     }
-    std::vector<float>& merged = Scratch(chunk.floats, hi - lo);
-    merged.assign(hi - lo, 0.0f);
-    for (size_t r : group) {
-      const RankState& s = states_[r];
-      std::copy(s.raw.begin(), s.raw.end(), merged.begin() + (s.offset - lo));
+    RankState& first = states_[group.front()];
+    const size_t own = first.offset - lo;
+    first.raw.resize(hi - lo);
+    if (own > 0) {
+      std::copy_backward(first.raw.begin(), first.raw.begin() + first.length,
+                         first.raw.begin() + own + first.length);
+      std::fill(first.raw.begin(), first.raw.begin() + own, 0.0f);
     }
-    ParallelFor(width, group.size(), [&](size_t j, size_t) {
-      RankState& s = states_[group[j]];
+    for (size_t j = 1; j < group.size(); ++j) {
+      const RankState& s = states_[group[j]];
+      std::copy(s.raw.begin(), s.raw.end(), first.raw.begin() + (s.offset - lo));
+    }
+    first.offset = lo;
+    first.length = hi - lo;
+    ParallelFor(width, group.size() - 1, [&](size_t k, size_t) {
+      RankState& s = states_[group[k + 1]];
       s.offset = lo;
       s.length = hi - lo;
-      s.raw.assign(merged.begin(), merged.end());
+      s.raw.assign(first.raw.begin(), first.raw.end());
     });
   }
 
   // Every member ends with the union of the group's payload sets, in member order,
-  // tagged with the replicated set id `set`.
-  void GroupAllgatherCompressed(const std::vector<size_t>& group, Chunk& chunk,
-                                uint64_t set, size_t width) {
-    mem::StableVec<RangedPayload>& gathered = chunk.gathered;
-    gathered.clear();
-    for (size_t r : group) {
-      gathered.AppendFrom(states_[r].payloads);
+  // tagged with the replicated set id `set`: the others' sets are appended to the
+  // first member's, and the others copy it.
+  void GroupAllgatherCompressed(const std::vector<size_t>& group, uint64_t set,
+                                size_t width) {
+    RankState& first = states_[group.front()];
+    for (size_t j = 1; j < group.size(); ++j) {
+      first.payloads.AppendFrom(states_[group[j]].payloads);
     }
-    ParallelFor(width, group.size(), [&](size_t j, size_t) {
-      RankState& s = states_[group[j]];
-      s.payloads.CopyFrom(gathered);
+    first.payload_set = set;
+    first.raw.clear();
+    ParallelFor(width, group.size() - 1, [&](size_t k, size_t) {
+      RankState& s = states_[group[k + 1]];
+      s.payloads.CopyFrom(first.payloads);
       s.payload_set = set;
       s.raw.clear();
     });

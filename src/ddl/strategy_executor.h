@@ -19,8 +19,8 @@
 // Every op fans out on the process pool through ParallelFor (src/util/thread_pool.h):
 // an op with several rank groups runs its groups in parallel; a single group splits its
 // sum by 4096-float block and its per-member compressions and copies by member; a
-// Decompress splits by rank. Chunk 0 runs on the calling thread, and an op that touches
-// fewer than 2^15 floats across its ranks runs inline there. Every element is still
+// Decompress splits by rank. The calling thread takes part, and an op that touches
+// fewer than 2^15 floats across its ranks runs inline on it. Every element is still
 // summed 0 + g0 + g1 + ... in group order, and each rank's compression, error feedback
 // and decode stay its own, so the result is bit-identical at every pool width.
 //
@@ -66,15 +66,15 @@ struct ChannelTally {
 
 // Persistent scratch for the option interpreter: per-rank states (compressed payload
 // sets, recycled via capacity-keeping containers) and alltoall inboxes, group index
-// lists, decode lists, and per fan-out chunk a float buffer (group sums, uncompressed
-// allgather merges) and a payload set (compressed allgather staging). The ranks' raw
-// ranges are not stored here: each execution swaps the caller's buffers in and hands
-// the same allocations back, so the workspace keeps no per-rank tensor copy. One
-// workspace serves every tensor of a strategy and every step of a run — after the first
-// execution at a given topology and tensor shape, the executor performs no heap
-// allocations, fanned out or not. A workspace serves one caller at a time (the
-// executor's own fan-out gives each chunk its own members); executions with different
-// shapes/topologies may share one (containers grow to the high-water mark).
+// lists and decode lists. The ranks' raw ranges are not stored here: each execution
+// swaps the caller's buffers in and hands the same allocations back, and a group's sum,
+// merge or payload union is built in its first member's state, so the workspace keeps
+// no tensor-sized buffer. One workspace serves every tensor of a strategy and every
+// step of a run — after the first execution at a given topology and tensor shape, the
+// executor performs no heap allocations, fanned out or not. A workspace serves one
+// caller at a time (inside the executor's own fan-out each rank's state is written by
+// one thread); executions with different shapes/topologies may share one (containers
+// grow to the high-water mark).
 class ExecutorWorkspace {
  public:
   ExecutorWorkspace();

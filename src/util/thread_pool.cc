@@ -3,6 +3,7 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 
 #include "src/util/logging.h"
@@ -10,7 +11,7 @@
 namespace espresso {
 
 namespace {
-thread_local bool t_on_worker = false;  // set by WorkerLoop: a nested RunChunks runs inline
+thread_local bool t_on_worker = false;  // set by WorkerLoop: a nested ParallelFor runs inline
 }  // namespace
 
 size_t UsableCpus() {
@@ -95,6 +96,33 @@ void ThreadPool::Submit(TaskGroup& group, std::function<void()> task) {
   work_cv_.notify_one();
 }
 
+void ThreadPool::Withdraw(TaskGroup& group) {
+  size_t withdrawn = 0;
+  {
+    // Drop the group's entries and close the gaps, keeping the other entries in
+    // order, so withdrawn tasks take no room in the ring.
+    std::unique_lock<std::mutex> lock(mu_);
+    const size_t mask = ring_.size() - 1;
+    size_t kept = 0;
+    for (size_t i = 0; i < queued_; ++i) {
+      Entry& entry = ring_[(head_ + i) & mask];
+      if (entry.group == &group) {
+        entry.task = nullptr;
+        ++withdrawn;
+      } else {
+        if (kept != i) {
+          ring_[(head_ + kept) & mask] = std::move(entry);
+        }
+        ++kept;
+      }
+    }
+    queued_ = kept;
+  }
+  for (size_t i = 0; i < withdrawn; ++i) {
+    group.TaskFinished();
+  }
+}
+
 void ThreadPool::WorkerLoop() {
   t_on_worker = true;
   for (;;) {
@@ -124,35 +152,40 @@ ThreadPool& GlobalThreadPool() {
 
 namespace internal {
 
-void RunChunks(size_t width, size_t count, ChunkRunner run, const void* fn) {
-  if (count == 0) {
-    return;
-  }
-  const size_t chunks = std::min(std::max<size_t>(width, 1), count);
-  if (chunks == 1 || t_on_worker) {
-    for (size_t c = 0; c < chunks; ++c) {
-      run(fn, c * count / chunks, (c + 1) * count / chunks, c);
+void ParallelRun(size_t width, size_t count, IndexRunner run, const void* fn) {
+  const size_t slots = std::min(std::max<size_t>(width, 1), count);
+  if (slots <= 1 || t_on_worker) {
+    for (size_t i = 0; i < count; ++i) {
+      run(fn, i, 0);
     }
     return;
   }
-  // Each chunk task captures a pointer to this frame's job and its chunk index:
-  // 16 trivially copyable bytes, which std::function stores inline.
+  // Each slot claims indices from one counter. A task captures a pointer to this
+  // frame's job and its slot: 16 trivially copyable bytes, which std::function stores
+  // inline.
   struct Job {
-    ChunkRunner run;
+    IndexRunner run;
     const void* fn;
     size_t count;
-    size_t chunks;
-    void RunChunk(size_t c) const {
-      run(fn, c * count / chunks, (c + 1) * count / chunks, c);
+    std::atomic<size_t> next{0};
+
+    void Drain(size_t slot) {
+      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < count;
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        run(fn, i, slot);
+      }
     }
   };
-  const Job job{run, fn, count, chunks};
+  Job job{run, fn, count};
   TaskGroup group;
   ThreadPool& pool = GlobalThreadPool();
-  for (size_t c = 1; c < chunks; ++c) {
-    pool.Submit(group, [&job, c] { job.RunChunk(c); });
+  for (size_t slot = 1; slot < slots; ++slot) {
+    pool.Submit(group, [&job, slot] { job.Drain(slot); });
   }
-  job.RunChunk(0);
+  job.Drain(0);
+  // Every index is claimed, so a task no worker has started yet would find nothing:
+  // take it back instead of waiting for a worker to get to it.
+  pool.Withdraw(group);
   group.Wait();
 }
 

@@ -4,15 +4,16 @@
 //
 // ParallelFor is how the program fans work out: every selector scores its cache
 // misses through it, and the strategy executor runs an op's groups, members, sum
-// blocks and decodes through it. It runs chunk 0 on the calling thread and the other
-// chunks on the pool, under a TaskGroup on its own stack, and returns when all of them
-// have finished. Called on a pool worker it runs every chunk inline, so no pool task
-// ever waits on the pool and TaskGroup::Wait simply blocks.
+// blocks and decodes through it. The calling thread works as slot 0, pool tasks under
+// a TaskGroup on its own stack as the other slots, and every slot takes the next
+// unclaimed index until none is left, so a worker that starts late or is descheduled
+// leaves its share to the others. Called on a pool worker it runs inline, so no pool
+// task ever waits on the pool and TaskGroup::Wait simply blocks.
 //
 // A client submits against its own TaskGroup and waits on that group only, so
 // concurrent clients complete independently of each other's tasks. Submit allocates
 // nothing once the queue has grown to its high-water mark, as long as the task fits
-// std::function's inline buffer (ParallelFor's chunk tasks do), so warm fan-outs keep
+// std::function's inline buffer (ParallelFor's tasks do), so warm fan-outs keep
 // the executor's steady state allocation-free.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
@@ -75,6 +76,10 @@ class ThreadPool {
   // high-water mark (and when `task` itself holds its callable on the heap).
   void Submit(TaskGroup& group, std::function<void()> task);
 
+  // Takes back the group's queued tasks that no worker has started: they never run,
+  // and the group stops counting them. For tasks that would find nothing left to do.
+  void Withdraw(TaskGroup& group);
+
   size_t num_threads() const { return threads_.size(); }
 
  private:
@@ -100,27 +105,24 @@ class ThreadPool {
 ThreadPool& GlobalThreadPool();
 
 namespace internal {
-// Runs run(fn, begin, end, chunk) for each of ParallelFor's chunks.
-using ChunkRunner = void (*)(const void* fn, size_t begin, size_t end, size_t chunk);
-void RunChunks(size_t width, size_t count, ChunkRunner run, const void* fn);
+// Runs run(fn, i, slot) for every i in [0, count), as ParallelFor describes.
+using IndexRunner = void (*)(const void* fn, size_t i, size_t slot);
+void ParallelRun(size_t width, size_t count, IndexRunner run, const void* fn);
 }  // namespace internal
 
-// Calls fn(i, chunk) for every i in [0, count), in max(1, min(width, count))
-// contiguous chunks: chunk c covers [c * count / chunks, (c + 1) * count / chunks), in
-// index order. Chunk 0 runs on the caller and the others on GlobalThreadPool(); the
-// call returns when every chunk has finished. All chunks run inline, one after
-// another, when width <= 1 or when the caller is a pool worker. The partition depends
-// only on (width, count), so per-chunk state indexed by `chunk` is the same wherever
-// the chunks run.
+// Calls fn(i, slot) once for every i in [0, count) and returns when all calls have
+// finished. Up to min(width, count) threads run them: the caller as slot 0 and
+// GlobalThreadPool() tasks as slots 1, 2, ...; each takes the next unclaimed index
+// until none is left. Which slot runs which index depends on timing, so per-slot
+// state (indexed by `slot`, one per concurrent call) must be scratch that no result
+// depends on. Runs every index inline as slot 0, in index order, when width <= 1 or
+// when the caller is a pool worker.
 template <typename Fn>
 void ParallelFor(size_t width, size_t count, const Fn& fn) {
-  internal::RunChunks(
+  internal::ParallelRun(
       width, count,
-      [](const void* erased, size_t begin, size_t end, size_t chunk) {
-        const Fn& f = *static_cast<const Fn*>(erased);
-        for (size_t i = begin; i < end; ++i) {
-          f(i, chunk);
-        }
+      [](const void* erased, size_t i, size_t slot) {
+        (*static_cast<const Fn*>(erased))(i, slot);
       },
       &fn);
 }

@@ -68,36 +68,33 @@ TEST(ThreadPool, GlobalPoolIsOneHostSizedPool) {
   EXPECT_EQ(counter.load(), 16);
 }
 
-// A ParallelFor called on a pool worker runs every chunk inline, in chunk order, on
-// that worker: with every worker inside such a task, a chunk queued behind them would
-// never run, so a fan-out that waited on its own pool would deadlock here.
+// A ParallelFor called on a pool worker runs every index inline, as slot 0, on that
+// worker: with every worker inside such a task, a task queued behind them would never
+// run, so a fan-out that waited on its own pool would deadlock here.
 TEST(ThreadPool, NestedParallelForRunsInline) {
   ThreadPool& pool = GlobalThreadPool();
   const size_t tasks = pool.num_threads();
-  const size_t width = tasks + 1;  // more chunks than the pool has workers
+  const size_t width = tasks + 1;  // more slots than the pool has workers
   constexpr size_t kCount = 64;
   std::vector<std::thread::id> task_thread(tasks);
   std::vector<std::vector<std::thread::id>> fn_thread(tasks,
                                                       std::vector<std::thread::id>(kCount));
-  std::vector<std::vector<size_t>> fn_chunk(tasks, std::vector<size_t>(kCount, SIZE_MAX));
+  std::vector<std::vector<size_t>> fn_slot(tasks, std::vector<size_t>(kCount, SIZE_MAX));
   TaskGroup group;
   for (size_t t = 0; t < tasks; ++t) {
     pool.Submit(group, [&, t] {
       task_thread[t] = std::this_thread::get_id();
-      ParallelFor(width, kCount, [&, t](size_t i, size_t chunk) {
+      ParallelFor(width, kCount, [&, t](size_t i, size_t slot) {
         fn_thread[t][i] = std::this_thread::get_id();
-        fn_chunk[t][i] = chunk;
+        fn_slot[t][i] = slot;
       });
     });
   }
   group.Wait();
-  const size_t chunks = std::min(width, kCount);
   for (size_t t = 0; t < tasks; ++t) {
     for (size_t i = 0; i < kCount; ++i) {
       EXPECT_EQ(fn_thread[t][i], task_thread[t]) << "task " << t << " index " << i;
-      // Chunk c covers [c * count / chunks, (c + 1) * count / chunks).
-      EXPECT_LE(fn_chunk[t][i] * kCount / chunks, i);
-      EXPECT_LT(i, (fn_chunk[t][i] + 1) * kCount / chunks);
+      EXPECT_EQ(fn_slot[t][i], 0u) << "task " << t << " index " << i;
     }
   }
 }
