@@ -223,21 +223,6 @@ class OptionExecutor {
     return floats < kFanoutGrain ? 1 : GlobalThreadPool().num_threads();
   }
 
-  // Calls fn(gi, i) for member i of every group gi: several groups run in parallel,
-  // each whole on one thread; a single group runs its members in parallel.
-  template <typename Fn>
-  void ForEachMember(size_t width, const Groups& groups, const Fn& fn) const {
-    if (groups.size() == 1) {
-      ParallelFor(width, groups[0].size(), [&](size_t i, size_t) { fn(size_t{0}, i); });
-      return;
-    }
-    ParallelFor(width, groups.size(), [&](size_t gi, size_t) {
-      for (size_t i = 0; i < groups[gi].size(); ++i) {
-        fn(gi, i);
-      }
-    });
-  }
-
   // Calls fn(gi, inner_width) for every group gi. Several groups run in parallel,
   // each whole on one thread, so their routines get an inner width of 1; a single
   // group runs on the caller with the op's width, for its routine to split by member
@@ -249,6 +234,14 @@ class OptionExecutor {
       return;
     }
     ParallelFor(width, groups.size(), [&](size_t gi, size_t) { fn(gi, size_t{1}); });
+  }
+
+  // Calls fn(gi, i) for member i of every group gi, split as ForEachGroup splits.
+  template <typename Fn>
+  void ForEachMember(size_t width, const Groups& groups, const Fn& fn) const {
+    ForEachGroup(width, groups, [&](size_t gi, size_t inner) {
+      ParallelFor(inner, groups[gi].size(), [&](size_t i, size_t) { fn(gi, i); });
+    });
   }
 
   // Rank groups participating in a communication op of the given phase: machine groups
@@ -371,9 +364,9 @@ class OptionExecutor {
 
   // --- communication routines -------------------------------------------------------
 
-  // An op runs in up to three stages, each a fan-out: every member prepares what it
-  // sends (compressing if a Comp op is pending), the caller passes the first-site
-  // payloads through the channel in member order, then every group delivers.
+  // An op runs in up to three stages: every member prepares what it sends (compressing
+  // if a Comp op is pending), in parallel; the caller passes the first-site payloads
+  // through the channel, in member order; then every group delivers, in parallel.
   void Communicate(const Op& op) {
     Groups& groups = BuildGroups(op);
     size_t floats = 0;
