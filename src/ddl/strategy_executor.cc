@@ -798,11 +798,7 @@ class OptionExecutor {
     std::vector<size_t>& representatives = ws_.representatives;
     decoders.clear();
     replicas.clear();
-    if (representatives.size() <= payload_sets_) {
-      representatives.resize(payload_sets_ + 1);
-    }
-    std::fill(representatives.begin(), representatives.begin() + payload_sets_ + 1,
-              SIZE_MAX);
+    representatives.assign(payload_sets_ + 1, SIZE_MAX);  // indexed by set id
     size_t floats = 0;
     for (size_t r = 0; r < states_.size(); ++r) {
       RankState& s = states_[r];
