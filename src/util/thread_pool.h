@@ -113,10 +113,11 @@ void ParallelRun(size_t width, size_t count, IndexRunner run, const void* fn);
 // Calls fn(i, slot) once for every i in [0, count) and returns when all calls have
 // finished. Up to min(width, count) threads run them: the caller as slot 0 and
 // GlobalThreadPool() tasks as slots 1, 2, ...; each takes the next unclaimed index
-// until none is left. Which slot runs which index depends on timing, so per-slot
-// state (indexed by `slot`, one per concurrent call) must be scratch that no result
-// depends on. Runs every index inline as slot 0, in index order, when width <= 1 or
-// when the caller is a pool worker.
+// until none is left, and then the caller withdraws the tasks no worker has started,
+// so it waits only for indices in progress. Which slot runs which index depends on
+// timing, so per-slot state (indexed by `slot`, one per concurrent call) must be
+// scratch that no result depends on. Runs every index inline as slot 0, in index
+// order, when width <= 1 or when the caller is a pool worker.
 template <typename Fn>
 void ParallelFor(size_t width, size_t count, const Fn& fn) {
   internal::ParallelRun(
