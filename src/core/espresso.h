@@ -20,7 +20,7 @@
 // simulated by ParallelFor (src/util/thread_pool.h) on SelectorOptions::threads
 // threads, the caller's and the process-wide GlobalThreadPool()'s, through
 // TimelineEvaluator's thread-safe non-mutating scoring entry points. A selection whose
-// queries all hit submits no task and runs no simulation.
+// queries all hit fans nothing out and runs no simulation.
 // A tensor's candidates resume from one TimelineEvaluator::Checkpoint
 // of the timeline prefix they share; refinement sweeps visit tensors in ascending
 // order, so the checkpoint mostly advances in place. Both knobs are bit-exact: the
@@ -59,7 +59,7 @@ struct SelectorOptions {
   size_t offload_search_budget = 3000;
   // Fan-out width: a batch with at least two cache misses is simulated by this many
   // threads, the caller's and the process-wide GlobalThreadPool()'s (0 or 1 = simulate
-  // on the caller's thread). A fully cached selection submits nothing. The selected
+  // on the caller's thread). A fully cached selection fans nothing out. The selected
   // strategy is identical for any width.
   size_t threads = 0;
   // Capacity of the memoized F(S) cache (0 disables memoization). The cache is keyed

@@ -727,30 +727,34 @@ class OptionExecutor {
   // Deduplicates a payload set by range: payloads covering the same range are partial
   // sums and get aggregated in the compressed domain (the "skip" shortcut; requires
   // compressor support, e.g. shared-seed Random-k). Disjoint ranges are chunks of one
-  // logical compressed tensor and pass through untouched. In-place compaction: each
-  // duplicate is folded (in encounter order) into the first payload of its range, and
-  // only when something was folded does the surviving set get re-sorted by offset —
-  // a dedupe-free set keeps its original order, bit for bit.
+  // logical compressed tensor and pass through untouched. An empty payload (a part of
+  // a tensor with fewer elements than its partition has parts) shares its offset with
+  // the next part but not its range, so it only ever matches other empty payloads, and
+  // folding those needs no compressed-domain aggregation: they sum to nothing.
+  // In-place compaction: each duplicate is folded (in encounter order) into the first
+  // payload of its range, and only when something was folded does the surviving set
+  // get re-sorted by offset — a dedupe-free set keeps its original order, bit for bit.
   void DedupePayloads(RankState* s) const {
     mem::StableVec<RangedPayload>& ps = s->payloads;
     size_t unique = 0;
     bool aggregated = false;
     for (size_t i = 0; i < ps.size(); ++i) {
+      const bool empty = ps[i].length == 0;
       size_t found = unique;
       for (size_t k = 0; k < unique; ++k) {
-        if (ps[k].offset == ps[i].offset) {
+        if (ps[k].offset == ps[i].offset && (ps[k].length == 0) == empty) {
           found = k;
           break;
         }
       }
       if (found < unique) {
-        ESP_CHECK(config_.compressor->SupportsCompressedAggregation())
+        ESP_CHECK(empty || config_.compressor->SupportsCompressedAggregation())
             << "option skips decompress-aggregate but " << config_.compressor->name()
             << " cannot aggregate compressed payloads: " << option_.Describe();
         ESP_CHECK_EQ(ps[found].length, ps[i].length);
         if (ps[found].lost) {
           std::swap(ps[found], ps[i]);  // the range's first live payload seeds the sum
-        } else if (!ps[i].lost) {
+        } else if (!ps[i].lost && !empty) {
           config_.compressor->AggregateCompressed(ps[i].payload, &ps[found].payload);
         }
         aggregated = true;

@@ -4,9 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 namespace espresso {
 
@@ -26,25 +24,18 @@ void SetError(std::string* error, const std::string& message) {
 // concurrently (concurrency-mt-unsafe). The overload pair absorbs both strerror_r
 // variants — GNU returns the message pointer, XSI returns 0 on success into buf —
 // without caring which one the libc provides.
-#ifndef _WIN32
 [[maybe_unused]] const char* StrerrorResult(char* result, const char* /*buf*/) {
   return result;
 }
 [[maybe_unused]] const char* StrerrorResult(int result, const char* buf) {
   return result == 0 ? buf : nullptr;
 }
-#endif
 
 std::string ErrnoMessage(int err) {
   char buf[256] = {};
-#ifdef _WIN32
-  strerror_s(buf, sizeof(buf), err);
-  return std::string(buf);
-#else
   const char* message = StrerrorResult(strerror_r(err, buf, sizeof(buf)), buf);
   return message != nullptr ? std::string(message)
                             : "errno " + std::to_string(err);
-#endif
 }
 
 }  // namespace
@@ -54,11 +45,7 @@ bool WriteFileAtomic(const std::string& path, std::string_view content,
   // The temp file must live in the destination's directory: rename(2) is only atomic
   // within one filesystem. The pid suffix keeps concurrent writers from clobbering
   // each other's in-flight temp files.
-#ifndef _WIN32
   const std::string tmp_path = path + ".tmp." + std::to_string(::getpid());
-#else
-  const std::string tmp_path = path + ".tmp";
-#endif
   std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
   if (f == nullptr) {
     SetError(error, "cannot create " + tmp_path + ": " + ErrnoMessage(errno));
@@ -82,13 +69,11 @@ bool WriteFileAtomic(const std::string& path, std::string_view content,
   if (ok && std::fflush(f) != 0) {
     ok = false;
   }
-#ifndef _WIN32
   // Push the bytes to stable storage before publishing the name: a crash between
   // rename and writeback must not surface an empty renamed file.
   if (ok && ::fsync(::fileno(f)) != 0) {
     ok = false;
   }
-#endif
   if (std::fclose(f) != 0) {
     ok = false;
   }

@@ -4,14 +4,21 @@
 
 #include <algorithm>
 #include <atomic>
-#include <utility>
 
 #include "src/util/logging.h"
 
 namespace espresso {
 
 namespace {
+
 thread_local bool t_on_worker = false;  // set by WorkerLoop: a nested ParallelFor runs inline
+
+void RunInline(size_t count, internal::IndexRunner run, const void* fn) {
+  for (size_t i = 0; i < count; ++i) {
+    run(fn, i, 0);
+  }
+}
+
 }  // namespace
 
 size_t UsableCpus() {
@@ -26,31 +33,27 @@ size_t UsableCpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void TaskGroup::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return pending_ == 0; });
-}
+// One ParallelFor call, on the caller's stack. The caller is slot 0; while the job is
+// open (linked into the pool's list), each worker that joins it takes the next slot.
+struct ThreadPool::Job {
+  internal::IndexRunner run;
+  const void* fn;
+  size_t count;
+  size_t slots;  // min(width, count, workers + 1)
+  std::atomic<size_t> next_index{0};
+  // Guarded by the pool's mu_.
+  size_t next_slot = 1;  // the job is open while next_slot < slots
+  size_t inside = 0;     // workers that joined and have not left
+  Job* newer = nullptr;  // the next open job, while this one is open
+  std::condition_variable left{};  // the last worker inside left
 
-size_t TaskGroup::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_;
-}
-
-void TaskGroup::TaskAdded() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++pending_;
-}
-
-void TaskGroup::TaskFinished() {
-  std::lock_guard<std::mutex> lock(mu_);
-  --pending_;
-  if (pending_ == 0) {
-    // Notify while still holding mu_: the moment a waiter can observe
-    // pending_ == 0 it may destroy this group (ParallelFor keeps it on the
-    // stack), so the notifier must be done with cv_ before releasing the lock.
-    cv_.notify_all();
+  void Drain(size_t slot) {
+    for (size_t i = next_index.fetch_add(1, std::memory_order_relaxed); i < count;
+         i = next_index.fetch_add(1, std::memory_order_relaxed)) {
+      run(fn, i, slot);
+    }
   }
-}
+};
 
 ThreadPool::ThreadPool(size_t num_threads) {
   ESP_CHECK_GT(num_threads, 0u) << "a ThreadPool needs at least one worker";
@@ -62,7 +65,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
   work_cv_.notify_all();
@@ -71,77 +74,68 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::Submit(TaskGroup& group, std::function<void()> task) {
-  // The group count is raised BEFORE the task is queued: a Wait() racing with this
-  // Submit either sees the pending task or runs before the submission — it can never
-  // miss a task that was already handed to the pool.
-  group.TaskAdded();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queued_ == ring_.size()) {
-      // Full: unwrap the queue into a ring twice the size. Moving a std::function
-      // moves its callable's storage, so this allocates only the new ring.
-      std::vector<Entry> grown(std::max<size_t>(16, 2 * ring_.size()));
-      for (size_t i = 0; i < queued_; ++i) {
-        grown[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
-      }
-      ring_.swap(grown);
-      head_ = 0;
-    }
-    Entry& entry = ring_[(head_ + queued_) & (ring_.size() - 1)];
-    entry.task = std::move(task);
-    entry.group = &group;
-    ++queued_;
+void ThreadPool::Run(size_t width, size_t count, internal::IndexRunner run, const void* fn) {
+  const size_t slots = std::min({width, count, threads_.size() + 1});
+  if (slots <= 1 || t_on_worker) {
+    RunInline(count, run, fn);
+    return;
   }
-  work_cv_.notify_one();
+  Job job{run, fn, count, slots};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Job** link = &open_;
+    while (*link != nullptr) {
+      link = &(*link)->newer;
+    }
+    *link = &job;
+  }
+  for (size_t slot = 1; slot < slots; ++slot) {
+    work_cv_.notify_one();
+  }
+  job.Drain(0);
+  std::unique_lock<std::mutex> lock(mu_);
+  Close(job);
+  job.left.wait(lock, [&job] { return job.inside == 0; });
 }
 
-void ThreadPool::Withdraw(TaskGroup& group) {
-  size_t withdrawn = 0;
-  {
-    // Drop the group's entries and close the gaps, keeping the other entries in
-    // order, so withdrawn tasks take no room in the ring.
-    std::unique_lock<std::mutex> lock(mu_);
-    const size_t mask = ring_.size() - 1;
-    size_t kept = 0;
-    for (size_t i = 0; i < queued_; ++i) {
-      Entry& entry = ring_[(head_ + i) & mask];
-      if (entry.group == &group) {
-        entry.task = nullptr;
-        ++withdrawn;
-      } else {
-        if (kept != i) {
-          ring_[(head_ + kept) & mask] = std::move(entry);
-        }
-        ++kept;
-      }
-    }
-    queued_ = kept;
+// Every index of `job` is claimed: unlink it if it is still open, so no more workers
+// join it. Called under mu_.
+void ThreadPool::Close(Job& job) {
+  if (job.next_slot == job.slots) {
+    return;  // every slot is taken, or the job is closed already
   }
-  for (size_t i = 0; i < withdrawn; ++i) {
-    group.TaskFinished();
+  job.next_slot = job.slots;
+  Job** link = &open_;
+  while (*link != &job) {
+    link = &(*link)->newer;
   }
+  *link = job.newer;
 }
 
 void ThreadPool::WorkerLoop() {
   t_on_worker = true;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    TaskGroup* group = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return shutdown_ || queued_ > 0; });
-      if (queued_ == 0) {
-        return;  // shutdown with drained queue
-      }
-      Entry& entry = ring_[head_];
-      task = std::move(entry.task);
-      group = entry.group;
-      head_ = (head_ + 1) & (ring_.size() - 1);
-      --queued_;
+    work_cv_.wait(lock, [this] { return shutdown_ || open_ != nullptr; });
+    if (open_ == nullptr) {
+      return;  // shut down
     }
-    task();
-    group->TaskFinished();
+    Job& job = *open_;
+    const size_t slot = job.next_slot++;
+    if (job.next_slot == job.slots) {
+      open_ = job.newer;  // its last slot is taken
+    }
+    ++job.inside;
+    lock.unlock();
+    job.Drain(slot);
+    lock.lock();
+    Close(job);
+    if (--job.inside == 0) {
+      // Notify while still holding mu_: the moment the caller can observe inside == 0
+      // it returns, and the job goes with its frame, so the notifier must be done with
+      // `left` before releasing the lock.
+      job.left.notify_one();
+    }
   }
 }
 
@@ -153,40 +147,11 @@ ThreadPool& GlobalThreadPool() {
 namespace internal {
 
 void ParallelRun(size_t width, size_t count, IndexRunner run, const void* fn) {
-  const size_t slots = std::min(std::max<size_t>(width, 1), count);
-  if (slots <= 1 || t_on_worker) {
-    for (size_t i = 0; i < count; ++i) {
-      run(fn, i, 0);
-    }
+  if (width <= 1 || count <= 1) {
+    RunInline(count, run, fn);
     return;
   }
-  // Each slot claims indices from one counter. A task captures a pointer to this
-  // frame's job and its slot: 16 trivially copyable bytes, which std::function stores
-  // inline.
-  struct Job {
-    IndexRunner run;
-    const void* fn;
-    size_t count;
-    std::atomic<size_t> next{0};
-
-    void Drain(size_t slot) {
-      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < count;
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        run(fn, i, slot);
-      }
-    }
-  };
-  Job job{run, fn, count};
-  TaskGroup group;
-  ThreadPool& pool = GlobalThreadPool();
-  for (size_t slot = 1; slot < slots; ++slot) {
-    pool.Submit(group, [&job, slot] { job.Drain(slot); });
-  }
-  job.Drain(0);
-  // Every index is claimed, so a task no worker has started yet would find nothing:
-  // take it back instead of waiting for a worker to get to it.
-  pool.Withdraw(group);
-  group.Wait();
+  GlobalThreadPool().Run(width, count, run, fn);
 }
 
 }  // namespace internal

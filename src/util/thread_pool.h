@@ -1,26 +1,20 @@
 // The process's one worker pool and its one fan-out. GlobalThreadPool() is built on
-// first use with UsableCpus() workers and is never destroyed (like
-// obs::GlobalMetrics()).
+// the first ParallelFor that fans out, with UsableCpus() workers, and is never
+// destroyed (like obs::GlobalMetrics()).
 //
-// ParallelFor is how the program fans work out: every selector scores its cache
-// misses through it, and the strategy executor runs an op's groups, members, sum
-// blocks and decodes through it. The calling thread works as slot 0, pool tasks under
-// a TaskGroup on its own stack as the other slots, and every slot takes the next
-// unclaimed index until none is left, so a worker that starts late or is descheduled
-// leaves its share to the others. Called on a pool worker it runs inline, so no pool
-// task ever waits on the pool and TaskGroup::Wait simply blocks.
-//
-// A client submits against its own TaskGroup and waits on that group only, so
-// concurrent clients complete independently of each other's tasks. Submit allocates
-// nothing once the queue has grown to its high-water mark, as long as the task fits
-// std::function's inline buffer (ParallelFor's tasks do), so warm fan-outs keep
-// the executor's steady state allocation-free.
+// ParallelFor is how the program fans work out, and the only work a pool runs: every
+// selector scores its cache misses through it, and the strategy executor runs an op's
+// groups, members, sum blocks and decodes through it. A call keeps its job on its own
+// stack and links it into the pool's list of open jobs; idle workers join the oldest
+// open job. The caller and the workers that joined take the next unclaimed index until
+// none is left, so a worker that starts late or is descheduled leaves its share to the
+// others. Then the caller unlinks the job and waits, under the pool's one mutex, only
+// for the workers still inside it. Nothing is queued, so a fan-out allocates nothing.
 #ifndef SRC_UTIL_THREAD_POOL_H_
 #define SRC_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -32,100 +26,66 @@ namespace espresso {
 // cannot be read. Under `taskset -c 0` it is 1, whatever the host has.
 size_t UsableCpus();
 
-// Tracks the in-flight count of one client's tasks across a shared ThreadPool.
-// A group may be reused after Wait() returns; it must outlive every task submitted
-// against it. Thread-safe: multiple threads may submit against and wait on the same
-// group (each waiter wakes when the group drains).
-class TaskGroup {
- public:
-  TaskGroup() = default;
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  // Blocks until every task submitted against this group has completed. Tasks other
-  // clients submitted to the same pool are ignored.
-  void Wait();
-
-  // Tasks submitted against this group that have not finished yet.
-  size_t pending() const;
-
- private:
-  friend class ThreadPool;
-
-  void TaskAdded();
-  void TaskFinished();
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  size_t pending_ = 0;
-};
+namespace internal {
+// Calls the type-erased fn(i, slot).
+using IndexRunner = void (*)(const void* fn, size_t i, size_t slot);
+template <typename Fn>
+void RunIndex(const void* fn, size_t i, size_t slot) {
+  (*static_cast<const Fn*>(fn))(i, slot);
+}
+// ParallelFor's body: runs inline when width or count is at most 1 (building no pool),
+// and on GlobalThreadPool() otherwise.
+void ParallelRun(size_t width, size_t count, IndexRunner run, const void* fn);
+}  // namespace internal
 
 class ThreadPool {
  public:
   // Starts `num_threads` (at least one) workers.
   explicit ThreadPool(size_t num_threads);
-  // Runs every queued task, then joins the workers.
+  // Joins the workers. No ParallelFor may be running on the pool.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Queues a task accounted against `group`, so group.Wait() covers it. The group
-  // must outlive the task's execution. Allocates only to grow the queue past its
-  // high-water mark (and when `task` itself holds its callable on the heap).
-  void Submit(TaskGroup& group, std::function<void()> task);
-
-  // Takes back the group's queued tasks that no worker has started: they never run,
-  // and the group stops counting them. For tasks that would find nothing left to do.
-  void Withdraw(TaskGroup& group);
-
   size_t num_threads() const { return threads_.size(); }
 
- private:
-  struct Entry {
-    std::function<void()> task;
-    TaskGroup* group = nullptr;
-  };
+  // ParallelFor (below) on this pool rather than GlobalThreadPool().
+  template <typename Fn>
+  void ParallelFor(size_t width, size_t count, const Fn& fn) {
+    Run(width, count, &internal::RunIndex<Fn>, &fn);
+  }
 
+ private:
+  friend void internal::ParallelRun(size_t, size_t, internal::IndexRunner, const void*);
+  struct Job;
+
+  void Run(size_t width, size_t count, internal::IndexRunner run, const void* fn);
+  void Close(Job& job);
   void WorkerLoop();
 
   std::vector<std::thread> threads_;
-  // A grow-only ring of queued tasks: `queued_` entries from `head_`, wrapping; its
-  // size is zero or a power of two.
-  std::vector<Entry> ring_;
-  size_t head_ = 0;
-  size_t queued_ = 0;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
+  std::mutex mu_;  // guards the fields below and the open jobs' slot and worker counts
+  std::condition_variable work_cv_;  // a job was opened, or the pool shuts down
+  Job* open_ = nullptr;  // the oldest open job; each links to the next newer one
   bool shutdown_ = false;
 };
 
 // The process-wide pool; the only ThreadPool the program builds.
 ThreadPool& GlobalThreadPool();
 
-namespace internal {
-// Runs run(fn, i, slot) for every i in [0, count), as ParallelFor describes.
-using IndexRunner = void (*)(const void* fn, size_t i, size_t slot);
-void ParallelRun(size_t width, size_t count, IndexRunner run, const void* fn);
-}  // namespace internal
-
 // Calls fn(i, slot) once for every i in [0, count) and returns when all calls have
-// finished. Up to min(width, count) threads run them: the caller as slot 0 and
-// GlobalThreadPool() tasks as slots 1, 2, ...; each takes the next unclaimed index
-// until none is left, and then the caller withdraws the tasks no worker has started,
-// so it waits only for indices in progress. Which slot runs which index depends on
-// timing, so per-slot state (indexed by `slot`, one per concurrent call) must be
-// scratch that no result depends on. Runs every index inline as slot 0, in index
-// order, when width <= 1 or when the caller is a pool worker.
+// finished. Up to min(width, count, workers + 1) threads run them: the caller as slot 0
+// and GlobalThreadPool() workers as slots 1, 2, ..., in the order they join; each takes
+// the next unclaimed index until none is left. Once every index is claimed no worker
+// joins, so a slot that no worker has taken never runs, and the caller waits only for
+// indices in progress. Which slot runs which index depends on timing, so per-slot state
+// (indexed by `slot`, one per concurrent call) must be scratch that no result depends
+// on. Runs every index inline as slot 0, in index order, when width <= 1 or when the
+// caller is a pool worker. Allocates nothing.
 template <typename Fn>
 void ParallelFor(size_t width, size_t count, const Fn& fn) {
-  internal::ParallelRun(
-      width, count,
-      [](const void* erased, size_t i, size_t slot) {
-        (*static_cast<const Fn*>(erased))(i, slot);
-      },
-      &fn);
+  internal::ParallelRun(width, count, &internal::RunIndex<Fn>, &fn);
 }
 
 }  // namespace espresso

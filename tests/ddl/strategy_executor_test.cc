@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/collectives/primitives.h"
 #include "src/compress/kernels/kernels.h"
@@ -77,32 +79,64 @@ TEST(StrategyExecutor, EveryCandidateOptionAggregatesCorrectlyUnderFp16) {
   }
 }
 
-// The semantic power test: execute EVERY structural path of the decision tree and
-// check aggregation. With compressed-domain aggregation enabled the skip paths require
-// shared-seed Random-k; those are checked for rank agreement and support containment.
+// The semantic power test: execute EVERY structural path of the decision tree, and
+// every candidate, and check aggregation, on 2 x 2 and 8 x 8 ranks and down to tensors
+// with fewer elements than a partition has parts, whose zero-length parts share an
+// offset. FP16 is near-lossless, so its result must match the exact sum; DGC (top-k,
+// no compressed-domain aggregation) must agree across ranks. With compressed-domain
+// aggregation enabled the skip paths require shared-seed Random-k; those are checked
+// for rank agreement and finite values.
 TEST(StrategyExecutor, EveryEnumeratedPathExecutes) {
   const auto fp16 = CreateCompressor(CompressorConfig{.algorithm = "fp16"});
+  const auto dgc = CreateCompressor(CompressorConfig{.algorithm = "dgc"});
   const auto randomk =
       CreateCompressor(CompressorConfig{.algorithm = "randomk", .ratio = 0.25});
-  const TreeConfig plain{2, 2, false};
-  const TreeConfig with_agg{2, 2, true};
+  struct Shape {
+    size_t machines;
+    size_t gpus;
+    std::vector<size_t> sizes;
+  };
+  const std::vector<Shape> shapes = {{2, 2, {48}}, {8, 8, {1, 2, 16, 37}}};
+  for (const Shape& shape : shapes) {
+    const TreeConfig plain{shape.machines, shape.gpus, false};
+    const TreeConfig with_agg{shape.machines, shape.gpus, true};
+    std::vector<CompressionOption> plain_options = EnumerateOptions(plain).options;
+    for (CompressionOption& option : CandidateOptions(plain)) {
+      plain_options.push_back(std::move(option));
+    }
+    std::vector<CompressionOption> agg_options = EnumerateOptions(with_agg).options;
+    for (CompressionOption& option : CandidateOptions(with_agg)) {
+      agg_options.push_back(std::move(option));
+    }
+    for (const size_t n : shape.sizes) {
+      for (const CompressionOption& option : plain_options) {
+        SCOPED_TRACE(option.label + " on " + std::to_string(shape.machines) + "x" +
+                     std::to_string(shape.gpus) + ", " + std::to_string(n) + " per rank");
+        ExecutorConfig config{.machines = shape.machines, .gpus_per_machine = shape.gpus,
+                              .compressor = fp16.get()};
+        RankBuffers buffers = RandomBuffers(config.ranks(), n, 4);
+        const std::vector<float> expected = NaiveSum(buffers);
+        ExecuteOption(option, config, 0, buffers);
+        ExpectAllRanksEqual(buffers);
+        ExpectNearNaiveSum(buffers, expected, 0.05f);
 
-  for (const CompressionOption& option : EnumerateOptions(plain).options) {
-    ExecutorConfig config{.machines = 2, .gpus_per_machine = 2, .compressor = fp16.get()};
-    RankBuffers buffers = RandomBuffers(4, 48, 4);
-    const std::vector<float> expected = NaiveSum(buffers);
-    ExecuteOption(option, config, 0, buffers);
-    ExpectAllRanksEqual(buffers);
-    ExpectNearNaiveSum(buffers, expected, 0.05f);
-  }
-  for (const CompressionOption& option : EnumerateOptions(with_agg).options) {
-    ExecutorConfig config{.machines = 2, .gpus_per_machine = 2,
-                          .compressor = randomk.get()};
-    RankBuffers buffers = RandomBuffers(4, 48, 5);
-    ExecuteOption(option, config, 0, buffers);
-    ExpectAllRanksEqual(buffers);
-    for (float v : buffers[0]) {
-      ASSERT_TRUE(std::isfinite(v));
+        config.compressor = dgc.get();
+        buffers = RandomBuffers(config.ranks(), n, 6);
+        ExecuteOption(option, config, 0, buffers);
+        ExpectAllRanksEqual(buffers);
+      }
+      for (const CompressionOption& option : agg_options) {
+        SCOPED_TRACE(option.label + " on " + std::to_string(shape.machines) + "x" +
+                     std::to_string(shape.gpus) + ", " + std::to_string(n) + " per rank");
+        ExecutorConfig config{.machines = shape.machines, .gpus_per_machine = shape.gpus,
+                              .compressor = randomk.get()};
+        RankBuffers buffers = RandomBuffers(config.ranks(), n, 5);
+        ExecuteOption(option, config, 0, buffers);
+        ExpectAllRanksEqual(buffers);
+        for (float v : buffers[0]) {
+          ASSERT_TRUE(std::isfinite(v));
+        }
+      }
     }
   }
 }

@@ -282,16 +282,16 @@ TEST(AllocationCount, ExecutorSteadyStateIsAllocationFree) {
   EXPECT_EQ(delta, 0u);
 }
 
-// The one fan-out: once the pool is built and its queue has grown, a ParallelFor's
-// submissions, wake-ups, withdrawals and wait allocate nothing. The width is at least 2
-// so the tasks go through ThreadPool::Submit even on a one-CPU host.
+// The one fan-out: once the pool is built, a ParallelFor's job (on the caller's stack),
+// wake-ups and wait allocate nothing. The width is at least 2 so the job goes through
+// the pool even on a one-CPU host.
 TEST(AllocationCount, ParallelForIsAllocationFreeOnceWarm) {
   const size_t width = std::max<size_t>(2, GlobalThreadPool().num_threads());
   std::vector<uint64_t> touched(1024, 0);
   auto fan_out = [&] {
     ParallelFor(width, touched.size(), [&](size_t i, size_t) { ++touched[i]; });
   };
-  for (int i = 0; i < 10; ++i) {  // warm-up: builds the pool and grows its queue
+  for (int i = 0; i < 10; ++i) {  // warm-up: builds the pool
     fan_out();
   }
   const std::uint64_t before = AllocationCount();
@@ -305,33 +305,26 @@ TEST(AllocationCount, ParallelForIsAllocationFreeOnceWarm) {
 
 // Compresses `n` floats on every pool worker and on the caller, so the thread-local
 // kernel scratch of every thread a fanned-out op can land on is at its high-water
-// mark. Each task blocks until all have started, which puts exactly one on each worker.
+// mark. One fan-out of workers + 1 indices, each blocking until all have started,
+// puts exactly one index on the caller and one on each worker.
 void WarmEveryThread(const std::vector<const Compressor*>& compressors, size_t n) {
-  ThreadPool& pool = GlobalThreadPool();
-  const size_t workers = pool.num_threads();
+  const size_t slots = GlobalThreadPool().num_threads() + 1;
   const std::vector<float> input(n, 1.0f);
-  auto compress_all = [&] {
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t started = 0;
+  ParallelFor(slots, slots, [&](size_t, size_t) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ++started;
+      cv.notify_all();
+      cv.wait(lock, [&] { return started == slots; });
+    }
     CompressedTensor out;
     for (const Compressor* compressor : compressors) {
       compressor->Compress(input, 0, &out);
     }
-  };
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t started = 0;
-  TaskGroup group;
-  for (size_t w = 0; w < workers; ++w) {
-    pool.Submit(group, [&] {
-      std::unique_lock<std::mutex> lock(mu);
-      ++started;
-      cv.notify_all();
-      cv.wait(lock, [&] { return started == workers; });
-      lock.unlock();
-      compress_all();
-    });
-  }
-  group.Wait();
-  compress_all();
+  });
 }
 
 // The fanned-out executor keeps the headline guarantee: 8 x 8 ranks and tensors well

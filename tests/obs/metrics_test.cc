@@ -7,8 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/util/thread_pool.h"
-
 namespace espresso::obs {
 namespace {
 
@@ -101,18 +99,17 @@ TEST(MetricsRegistry, MergesThreadShardsExactly) {
   const Histogram h = registry.RegisterHistogram("work_seconds", "", {0.5, 1.5, 2.5});
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
-  {
-    ThreadPool pool(kThreads);
-    TaskGroup group;
-    for (int t = 0; t < kThreads; ++t) {
-      pool.Submit(group, [&registry, c, h, t] {
-        for (int i = 0; i < kPerThread; ++i) {
-          registry.Add(c);
-          registry.Observe(h, static_cast<double>(t % 3));
-        }
-      });
-    }
-    group.Wait();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&registry, c, h, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        registry.Add(c);
+        registry.Observe(h, static_cast<double>(t % 3));
+      }
+    });
+  }
+  for (auto& worker : workers) {
+    worker.join();
   }
   const MetricsSnapshot snapshot = registry.Scrape();
   const MetricValue* counter = snapshot.Find("work_total");

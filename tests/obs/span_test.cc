@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
-
-#include "src/util/thread_pool.h"
 
 namespace espresso::obs {
 namespace {
@@ -73,8 +72,8 @@ TEST(ScopedSpan, NestingTracksDepthAndContainment) {
   EXPECT_GE(outer_span.end_s, inner_span.end_s);
 }
 
-// Spans from pool workers must record cleanly and carry distinct thread ordinals;
-// run under TSan in CI this also proves the record path is race-free.
+// Spans from concurrent worker threads must record cleanly and carry distinct thread
+// ordinals; run under TSan in CI this also proves the record path is race-free.
 TEST(ScopedSpan, NestsUnderThreadPool) {
   MetricsRegistry registry;
   const Histogram h = registry.RegisterHistogram("pool_span_seconds", "", {10.0});
@@ -82,19 +81,18 @@ TEST(ScopedSpan, NestsUnderThreadPool) {
   collector.set_enabled(true);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;
-  {
-    ThreadPool pool(kThreads);
-    TaskGroup group;
-    for (int t = 0; t < kThreads; ++t) {
-      pool.Submit(group, [&registry, &collector, h] {
-        for (int i = 0; i < kPerThread; ++i) {
-          ScopedSpan outer("outer", "pool", h, &registry, &collector);
-          ScopedSpan inner("inner", "pool", h, &registry, &collector);
-          EXPECT_GE(ScopedSpan::CurrentDepth(), 2);
-        }
-      });
-    }
-    group.Wait();
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&registry, &collector, h] {
+      for (int i = 0; i < kPerThread; ++i) {
+        ScopedSpan outer("outer", "pool", h, &registry, &collector);
+        ScopedSpan inner("inner", "pool", h, &registry, &collector);
+        EXPECT_GE(ScopedSpan::CurrentDepth(), 2);
+      }
+    });
+  }
+  for (auto& worker : workers) {
+    worker.join();
   }
   const auto spans = collector.spans();
   EXPECT_EQ(spans.size(), 2u * kThreads * kPerThread);

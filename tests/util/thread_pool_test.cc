@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -14,41 +17,44 @@
 namespace espresso {
 namespace {
 
+// Every index runs once, and in a slot below min(width, count, workers + 1) that no
+// other thread holds at the same time: a one-worker pool has a single worker slot to
+// fill, whatever the width.
 TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(2);
-  TaskGroup group;
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit(group, [&] { counter.fetch_add(1); });
-  }
-  group.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  ThreadPool pool(2);
-  TaskGroup group;
-  std::atomic<int> counter{0};
-  pool.Submit(group, [&] { counter.fetch_add(1); });
-  group.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit(group, [&] { counter.fetch_add(1); });
-  group.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-// The destructor runs every queued task before joining, even one nobody waited on.
-TEST(ThreadPool, DestructorJoinsCleanly) {
-  std::atomic<int> counter{0};
-  TaskGroup group;
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 32; ++i) {
-      pool.Submit(group, [&] { counter.fetch_add(1); });
+  for (const size_t workers : {1, 2, 4}) {
+    ThreadPool pool(workers);
+    for (const size_t width : {2, 3, 8}) {
+      for (const size_t count : {0, 1, 2, 7, 100}) {
+        const size_t slots = std::min({width, count, workers + 1});
+        const std::unique_ptr<std::atomic<int>[]> runs(new std::atomic<int>[count]());
+        const std::unique_ptr<std::atomic<bool>[]> busy(new std::atomic<bool>[width]());
+        pool.ParallelFor(width, count, [&](size_t i, size_t slot) {
+          ASSERT_LT(slot, slots);
+          EXPECT_FALSE(busy[slot].exchange(true)) << "slot " << slot << " runs twice at once";
+          runs[i].fetch_add(1);
+          busy[slot].store(false);
+        });
+        for (size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(runs[i].load(), 1) << workers << " workers, width " << width
+                                       << ", count " << count << ", index " << i;
+        }
+      }
     }
   }
-  EXPECT_EQ(counter.load(), 32);
-  EXPECT_EQ(group.pending(), 0u);
+}
+
+// The destructor wakes the idle workers and joins them, whether or not the pool ever
+// ran a fan-out.
+TEST(ThreadPool, DestructorJoinsCleanly) {
+  { ThreadPool idle(4); }
+  std::atomic<int> counter{0};
+  {
+    ThreadPool pool(4);
+    for (int round = 0; round < 8; ++round) {
+      pool.ParallelFor(4, 32, [&](size_t, size_t) { counter.fetch_add(1); });
+    }
+  }
+  EXPECT_EQ(counter.load(), 8 * 32);
 }
 
 TEST(ThreadPool, ZeroWorkersIsRefused) {
@@ -59,73 +65,86 @@ TEST(ThreadPool, GlobalPoolIsOneHostSizedPool) {
   ThreadPool& pool = GlobalThreadPool();
   EXPECT_EQ(&pool, &GlobalThreadPool());
   EXPECT_EQ(pool.num_threads(), UsableCpus());
-  TaskGroup group;
   std::atomic<int> counter{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit(group, [&] { counter.fetch_add(1); });
-  }
-  group.Wait();
+  ParallelFor(pool.num_threads() + 1, 16, [&](size_t, size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 16);
 }
 
-// A ParallelFor called on a pool worker runs every index inline, as slot 0, on that
-// worker: with every worker inside such a task, a task queued behind them would never
-// run, so a fan-out that waited on its own pool would deadlock here.
+// An outer fan-out whose indices each block until all have started, so each of its
+// workers + 1 indices runs on its own thread: the caller and every worker. Each index
+// calls ParallelFor wider than the pool. On a worker that call runs inline, as slot 0,
+// on that worker: with every worker inside the outer job, a nested call that waited on
+// the pool would deadlock here.
 TEST(ThreadPool, NestedParallelForRunsInline) {
-  ThreadPool& pool = GlobalThreadPool();
-  const size_t tasks = pool.num_threads();
-  const size_t width = tasks + 1;  // more slots than the pool has workers
+  const size_t workers = GlobalThreadPool().num_threads();
+  const size_t outer = workers + 1;
+  const size_t width = workers + 2;  // more slots than the pool has workers
   constexpr size_t kCount = 64;
-  std::vector<std::thread::id> task_thread(tasks);
-  std::vector<std::vector<std::thread::id>> fn_thread(tasks,
-                                                      std::vector<std::thread::id>(kCount));
-  std::vector<std::vector<size_t>> fn_slot(tasks, std::vector<size_t>(kCount, SIZE_MAX));
-  TaskGroup group;
-  for (size_t t = 0; t < tasks; ++t) {
-    pool.Submit(group, [&, t] {
-      task_thread[t] = std::this_thread::get_id();
-      ParallelFor(width, kCount, [&, t](size_t i, size_t slot) {
-        fn_thread[t][i] = std::this_thread::get_id();
-        fn_slot[t][i] = slot;
-      });
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t started = 0;
+  std::vector<std::thread::id> outer_thread(outer);
+  std::vector<size_t> outer_slot(outer);
+  std::vector<std::vector<std::thread::id>> inner_thread(outer,
+                                                         std::vector<std::thread::id>(kCount));
+  std::vector<std::vector<size_t>> inner_slot(outer, std::vector<size_t>(kCount, SIZE_MAX));
+  ParallelFor(outer, outer, [&](size_t t, size_t slot) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ++started;
+      cv.notify_all();
+      cv.wait(lock, [&] { return started == outer; });
+    }
+    outer_thread[t] = std::this_thread::get_id();
+    outer_slot[t] = slot;
+    ParallelFor(width, kCount, [&, t](size_t i, size_t inner) {
+      inner_thread[t][i] = std::this_thread::get_id();
+      inner_slot[t][i] = inner;
     });
-  }
-  group.Wait();
-  for (size_t t = 0; t < tasks; ++t) {
+  });
+  std::vector<std::thread::id> distinct = outer_thread;
+  std::sort(distinct.begin(), distinct.end());
+  EXPECT_EQ(std::unique(distinct.begin(), distinct.end()) - distinct.begin(),
+            static_cast<std::ptrdiff_t>(outer));
+  for (size_t t = 0; t < outer; ++t) {
     for (size_t i = 0; i < kCount; ++i) {
-      EXPECT_EQ(fn_thread[t][i], task_thread[t]) << "task " << t << " index " << i;
-      EXPECT_EQ(fn_slot[t][i], 0u) << "task " << t << " index " << i;
+      ASSERT_NE(inner_slot[t][i], SIZE_MAX) << "index " << t << " inner " << i;
+      if (outer_slot[t] != 0) {  // on a worker
+        EXPECT_EQ(inner_thread[t][i], outer_thread[t]) << "index " << t << " inner " << i;
+        EXPECT_EQ(inner_slot[t][i], 0u) << "index " << t << " inner " << i;
+      }
     }
   }
 }
 
 // A contention schedule from the fault layer: iterations where a CPU spike is active
-// submit four times the work, so bursts and quiet rounds interleave. Run under TSan,
-// any unsynchronized access in the pool's queue or the group counts shows up as a race.
+// fan out four times the work, so bursts and quiet rounds interleave. Run under TSan,
+// any unsynchronized access to the open jobs or their counts shows up as a race.
 TEST(ThreadPool, SurvivesFaultDrivenContention) {
   FaultSpec spec;
   spec.seed = 7;
   spec.cpu_contention_probability = 0.5;
   spec.cpu_slowdown = 4.0;
   const FaultPlan plan(spec);
-  ThreadPool pool(4);
+  uint64_t per_index = 0;
+  for (int i = 0; i < 1000; ++i) {
+    per_index += static_cast<uint64_t>(i) * 2654435761u;
+  }
   std::atomic<uint64_t> work{0};
+  uint64_t expected = 0;
   for (size_t iteration = 0; iteration < 200; ++iteration) {
     const IterationFaults faults = plan.AtIteration(iteration);
-    const size_t tasks = faults.cpu_contention_active ? 16 : 4;
-    TaskGroup group;
-    for (size_t t = 0; t < tasks; ++t) {
-      pool.Submit(group, [&work] {
-        uint64_t local = 0;
-        for (int i = 0; i < 1000; ++i) {
-          local += static_cast<uint64_t>(i) * 2654435761u;
-        }
-        work.fetch_add(local, std::memory_order_relaxed);
-      });
-    }
-    group.Wait();  // synchronous-iteration barrier
+    const size_t indices = faults.cpu_contention_active ? 16 : 4;
+    ParallelFor(indices, indices, [&work](size_t, size_t) {
+      uint64_t local = 0;
+      for (int i = 0; i < 1000; ++i) {
+        local += static_cast<uint64_t>(i) * 2654435761u;
+      }
+      work.fetch_add(local, std::memory_order_relaxed);
+    });
+    expected += indices * per_index;
   }
-  EXPECT_GT(work.load(), 0u);
+  EXPECT_EQ(work.load(), expected);
 }
 
 TEST(ThreadPool, ConcurrentPoolsDoNotInterfere) {
@@ -134,11 +153,9 @@ TEST(ThreadPool, ConcurrentPoolsDoNotInterfere) {
   auto hammer = [&counter] {
     ThreadPool pool(3);
     for (int round = 0; round < 50; ++round) {
-      TaskGroup group;
-      for (int t = 0; t < 8; ++t) {
-        pool.Submit(group, [&counter] { counter.fetch_add(1, std::memory_order_relaxed); });
-      }
-      group.Wait();
+      pool.ParallelFor(4, 8, [&counter](size_t, size_t) {
+        counter.fetch_add(1, std::memory_order_relaxed);
+      });
     }
   };
   std::thread a(hammer);
@@ -148,95 +165,75 @@ TEST(ThreadPool, ConcurrentPoolsDoNotInterfere) {
   EXPECT_EQ(counter.load(), 2 * 50 * 8);
 }
 
-TEST(TaskGroup, WaitCoversOwnTasks) {
-  ThreadPool pool(4);
-  TaskGroup group;
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit(group, [&] { counter.fetch_add(1); });
-  }
-  group.Wait();
-  EXPECT_EQ(counter.load(), 64);
-  // Reusable after draining.
-  pool.Submit(group, [&] { counter.fetch_add(1); });
-  group.Wait();
-  EXPECT_EQ(counter.load(), 65);
-}
-
-// Group A's Wait() must return while group B's task is still running: B's task
-// finishes only AFTER A's wait returns, so a pool-global wait would deadlock here.
-TEST(TaskGroup, WaitDoesNotWaitForOtherGroups) {
-  ThreadPool pool(2);
-  TaskGroup group_a;
-  TaskGroup group_b;
-  std::promise<void> release_b;
-  std::shared_future<void> release_b_future(release_b.get_future());
-  std::atomic<bool> b_finished{false};
-
-  pool.Submit(group_b, [&, release_b_future] {
-    release_b_future.wait();
-    b_finished.store(true);
+// A caller waits only for the workers inside its own job: B's ParallelFor returns
+// while a worker is still blocked inside A's fn, so a pool-wide wait would deadlock
+// here. A's slot 0 holds its index until a worker has entered the other one; a worker
+// that gets to A first may take both indices, and only its first one blocks.
+TEST(ParallelFor, ReturnsWhileAnotherCallersFanOutIsBlocked) {
+  std::promise<void> entered;
+  std::shared_future<void> entered_future(entered.get_future());
+  std::promise<void> release;
+  std::shared_future<void> release_future(release.get_future());
+  std::atomic<bool> worker_entered{false};
+  std::atomic<bool> a_finished{false};
+  std::thread a([&] {
+    ParallelFor(2, 2, [&](size_t, size_t slot) {
+      if (slot == 0) {
+        entered_future.wait();
+      } else if (!worker_entered.exchange(true)) {
+        entered.set_value();
+        release_future.wait();
+      }
+    });
+    a_finished.store(true);
   });
-  std::atomic<int> a_done{0};
-  pool.Submit(group_a, [&] { a_done.fetch_add(1); });
+  entered_future.wait();
+  std::atomic<int> b_done{0};
+  ParallelFor(GlobalThreadPool().num_threads() + 1, 64,
+              [&](size_t, size_t) { b_done.fetch_add(1); });
+  EXPECT_EQ(b_done.load(), 64);
+  EXPECT_FALSE(a_finished.load());
 
-  group_a.Wait();  // must not block on group B's still-pending task
-  EXPECT_EQ(a_done.load(), 1);
-  EXPECT_FALSE(b_finished.load());
-  EXPECT_EQ(group_b.pending(), 1u);
-
-  release_b.set_value();  // only now may B finish
-  group_b.Wait();
-  EXPECT_TRUE(b_finished.load());
-  EXPECT_EQ(group_b.pending(), 0u);
+  release.set_value();  // only now may A finish
+  a.join();
+  EXPECT_TRUE(a_finished.load());
 }
 
-// TSan-covered: concurrent submitters and waiters over a shared pool, each client
-// seeing exactly its own task count. Mirrors concurrent selections fanning out on
-// the process pool.
-TEST(TaskGroup, ConcurrentGroupsCompleteIndependentlyUnderLoad) {
-  ThreadPool pool(4);
-  constexpr int kClients = 8;
-  constexpr int kTasksPerClient = 200;
-  std::vector<std::thread> clients;
-  std::atomic<int> total{0};
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&] {
+// TSan-covered: concurrent callers over the one pool, each with its own count, each
+// seeing every one of its own indices run exactly once. Mirrors concurrent selections
+// fanning out on the process pool.
+TEST(ParallelFor, ConcurrentCallersRunOnlyTheirOwnIndices) {
+  constexpr size_t kCallers = 8;
+  const size_t width = GlobalThreadPool().num_threads() + 1;
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([c, width] {
+      const size_t count = 200 + 17 * c;
       for (int round = 0; round < 3; ++round) {
-        TaskGroup group;
-        std::atomic<int> own{0};
-        for (int i = 0; i < kTasksPerClient; ++i) {
-          pool.Submit(group, [&own, &total] {
-            own.fetch_add(1);
-            total.fetch_add(1);
-          });
-        }
-        group.Wait();
-        EXPECT_EQ(own.load(), kTasksPerClient);
+        std::vector<int> runs(count, 0);
+        ParallelFor(width, count, [&runs, count](size_t i, size_t) {
+          ASSERT_LT(i, count);
+          ++runs[i];
+        });
+        EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), static_cast<std::ptrdiff_t>(count))
+            << "caller " << c << " round " << round;
       }
     });
   }
-  for (auto& t : clients) {
+  for (auto& t : callers) {
     t.join();
   }
-  EXPECT_EQ(total.load(), kClients * 3 * kTasksPerClient);
 }
 
-// TSan-covered regression: a TaskGroup destroyed the instant Wait() returns
-// (the ParallelFor pattern — group on the stack, short-lived tasks). The
-// original TaskFinished released mu_ BEFORE notify_all, so a waiter could
-// observe pending_ == 0, return, and destroy the group while the worker was
-// still about to touch the freed condition variable. Under TSan the old code
-// reports a data race on ~TaskGroup within a few thousand rounds.
-TEST(TaskGroup, DestroyImmediatelyAfterWaitReturnsIsSafe) {
-  ThreadPool pool(4);
+// TSan-covered: the job lives on the caller's stack and is gone the moment ParallelFor
+// returns, while the last worker out may just have signalled it. 20,000 back-to-back
+// fan-outs of short indices put a fresh job at the same stack address each time.
+TEST(ParallelFor, BackToBackFanOutsWithTheJobOnTheCallersStack) {
+  std::atomic<uint64_t> runs{0};
   for (int round = 0; round < 20000; ++round) {
-    TaskGroup group;
-    for (int t = 0; t < 3; ++t) {
-      pool.Submit(group, [] {});
-    }
-    group.Wait();
+    ParallelFor(4, 4, [&runs](size_t, size_t) { runs.fetch_add(1, std::memory_order_relaxed); });
   }
+  EXPECT_EQ(runs.load(), 4u * 20000);
 }
 
 }  // namespace
