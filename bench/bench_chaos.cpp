@@ -21,7 +21,6 @@
 #include "src/collectives/primitives.h"
 #include "src/core/baselines.h"
 #include "src/core/decision_tree.h"
-#include "src/fault/chaos_channel.h"
 #include "src/fault/drift_monitor.h"
 #include "src/fault/resilient_executor.h"
 #include "src/models/model_zoo.h"
@@ -57,7 +56,6 @@ TimelineSweep RunTimelineSweep() {
   spec.straggler_slowdown = 2.5;
   spec.link_jitter = 0.05;
   const FaultPlan plan(spec);
-  const FaultInjector injector(plan);
 
   TimelineSweep sweep;
   TimelineEvaluator evaluator(model, cluster, *compressor);
@@ -67,7 +65,7 @@ TimelineSweep RunTimelineSweep() {
     const IterationFaults faults = plan.AtIteration(it);
     if (faults.straggler_active) ++sweep.straggler_iterations;
     TimelineEvaluator perturbed(model, cluster, *compressor);
-    perturbed.SetResourceScales(injector.ScalesFor(faults));
+    perturbed.SetResourceScales(FaultPlan::ScalesFor(faults));
     times.push_back(perturbed.IterationTime(strategy));
   }
   sweep.p99 = Percentile(times, 99.0);
@@ -105,14 +103,14 @@ ConvergenceRun RunLossyConvergence() {
   FaultSpec spec;
   spec.seed = 2024;
   spec.drop_probability = 0.05;
-  const FaultPlan plan(spec);
-  const FaultInjector injector(plan);
-  ChaosChannel channel(&injector);
   TrainConfig lossy = config;
-  lossy.channel = &channel;
-  run.lossy_accuracy = TrainDataParallel(train, test, lossy).back().test_accuracy;
-  run.payloads_dropped = channel.stats().dropped;
-  run.payload_attempts = channel.stats().transmissions;
+  lossy.faults = FaultPlan(spec).PayloadFaultsAt(0);
+  const std::vector<EpochStats> history = TrainDataParallel(train, test, lossy);
+  run.lossy_accuracy = history.back().test_accuracy;
+  for (const EpochStats& epoch : history) {
+    run.payloads_dropped += epoch.payloads_dropped;
+    run.payload_attempts += epoch.payloads_sent;
+  }
   return run;
 }
 
@@ -125,7 +123,7 @@ ExecutorSweep RunRetryFallbackSweep() {
   FaultSpec spec;
   spec.seed = 5;
   spec.collective_failure_probability = 0.3;
-  const FaultInjector injector{FaultPlan{spec}};
+  const FaultPlan plan(spec);
   RetryPolicy policy;
   policy.max_attempts = 3;
 
@@ -148,7 +146,7 @@ ExecutorSweep RunRetryFallbackSweep() {
       gradients.push_back(std::move(buffers));
     }
     const ResilienceReport report =
-        ResilientExecuteStrategy(strategy, config, gradients, injector, policy, it);
+        ResilientExecuteStrategy(strategy, config, gradients, plan, policy, it);
     sweep.report.tensors += report.tensors;
     sweep.report.clean += report.clean;
     sweep.report.retried += report.retried;
@@ -192,15 +190,11 @@ ReselectionRun RunOnlineReselection() {
   degraded_spec.inter_bandwidth_factor = 0.25;
   const FaultPlan healthy(spec);
   const FaultPlan degraded(degraded_spec);
-  const FaultInjector healthy_injector(healthy);
-  const FaultInjector degraded_injector(degraded);
 
   ReselectionRun run;
   for (uint64_t it = 0; it < 30; ++it) {
-    const bool is_degraded = it >= 10;
-    const FaultInjector& injector = is_degraded ? degraded_injector : healthy_injector;
-    const FaultPlan& plan = is_degraded ? degraded : healthy;
-    const ClusterSpec observed = injector.PerturbCluster(profiled, plan.AtIteration(it));
+    const FaultPlan& plan = it >= 10 ? degraded : healthy;
+    const ClusterSpec observed = FaultPlan::PerturbCluster(profiled, plan.AtIteration(it));
     const auto event = reselector.Step(it, observed);
     if (event.has_value() && !run.triggered) {
       run.triggered = true;

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/core/decision_tree.h"
-#include "src/fault/chaos_channel.h"
 #include "src/fault/drift_monitor.h"
 #include "src/fault/resilient_executor.h"
 #include "src/models/model_zoo.h"
@@ -65,7 +64,6 @@ int main(int argc, char** argv) {
   const ClusterSpec profiled = NvlinkCluster(4, 4);
   const CompressorConfig gc{.algorithm = "dgc", .ratio = 0.01};
   const auto compressor = CreateCompressor(gc);
-  const FaultInjector injector(plan);
   OnlineReselector reselector(model, profiled, *compressor, gc, SelectorOptions{}, drift);
 
   std::cout << "\niter  straggler  cpu_spike  inter_bw  iteration_ms  note\n";
@@ -75,7 +73,7 @@ int main(int argc, char** argv) {
   for (uint64_t it = 0; it < iterations; ++it) {
     const IterationFaults faults = plan.AtIteration(it);
     TimelineEvaluator evaluator(model, profiled, *compressor);
-    evaluator.SetResourceScales(injector.ScalesFor(faults));
+    evaluator.SetResourceScales(FaultPlan::ScalesFor(faults));
     const TimelineResult result =
         evaluator.Evaluate(reselector.strategy(), it + 1 == iterations);
     if (it + 1 == iterations) last_entries = result.entries;
@@ -92,7 +90,7 @@ int main(int argc, char** argv) {
                           "cpu pool slowed (iteration " + std::to_string(it) + ")"});
       note << "cpu-contention ";
     }
-    const ClusterSpec observed = injector.PerturbCluster(profiled, faults);
+    const ClusterSpec observed = FaultPlan::PerturbCluster(profiled, faults);
     const auto event = reselector.Step(it, observed);
     if (event.has_value()) {
       std::ostringstream detail;
@@ -115,7 +113,7 @@ int main(int argc, char** argv) {
       8, RankBuffers(exec_config.ranks(), std::vector<float>(32, 0.5f)));
   const Strategy uniform = UniformStrategy(8, DefaultUncompressedOption(tree));
   const ResilienceReport report =
-      ResilientExecuteStrategy(uniform, exec_config, gradients, injector, retry, 0);
+      ResilientExecuteStrategy(uniform, exec_config, gradients, plan, retry, 0);
   std::cout << "\nresilient sync: " << report.clean << " clean, " << report.retried
             << " retried, " << report.fallbacks << " FP32 fallbacks\n";
   for (const FaultEventRecord& event : report.events) {

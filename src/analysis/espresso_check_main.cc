@@ -15,7 +15,6 @@
 // Usage:
 //   espresso_check <model.ini> <gc.ini> <system.ini>
 //                  [--json <path>] [--emit-corpus <dir>]
-//                  [--skip-space] [--skip-cost] [--skip-differential]
 //                  [--inject missing-option|cost-negative|validator-split]
 //
 // --inject plants one known violation per pass (a deleted enumerated option, a negative
@@ -37,7 +36,6 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <model.ini> <gc.ini> <system.ini>\n"
                "         [--json <path>] [--emit-corpus <dir>]\n"
-               "         [--skip-space] [--skip-cost] [--skip-differential]\n"
                "         [--inject missing-option|cost-negative|validator-split]\n";
   return 2;
 }
@@ -76,12 +74,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--inject") {
       if (++i >= argc) return Usage(argv[0]);
       inject = argv[i];
-    } else if (arg == "--skip-space") {
-      options.check_space = false;
-    } else if (arg == "--skip-cost") {
-      options.check_cost = false;
-    } else if (arg == "--skip-differential") {
-      options.check_differential = false;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag: " << arg << "\n";
       return Usage(argv[0]);

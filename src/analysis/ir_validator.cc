@@ -72,7 +72,7 @@ IRValidationResult ValidateStrategyIR(const StrategyIR& ir, const ModelProfile& 
   // 3. Schedule: simulate on THIS configuration and re-verify the recorded timeline.
   // Skipped once anything above erred — an illegal option prices as garbage, and a
   // wrong-sized strategy cannot be simulated against this model at all.
-  if (options.verify_schedule && !result.report.HasErrors()) {
+  if (!result.report.HasErrors()) {
     TimelineEvaluator evaluator(model, cluster, compressor);
     const TimelineResult timeline = evaluator.Evaluate(ir.strategy, /*record_entries=*/true);
     VerifierConfig verifier = options.verifier;

@@ -38,10 +38,6 @@ struct IRValidationOptions {
   // deliberate cross-config deploys (e.g. a recalibrated cluster file); legality and
   // schedule checks still run at full strictness.
   bool force_digest = false;
-  // Re-simulate the strategy on this configuration and run the ScheduleVerifier over
-  // the recorded timeline. Skipped automatically when the linter already found errors
-  // (an illegal option prices as garbage).
-  bool verify_schedule = true;
   // User constraint forwarded to the decision-tree config (JobConfig::max_compress_ops).
   size_t max_compress_ops = 0;
   // Verifier tuning. `cpu_workers` is overridden from the cluster spec; check_priority

@@ -668,16 +668,10 @@ SpaceCheckResult CheckStrategySpace(const ModelProfile& model, const ClusterSpec
   SpaceCheckResult result;
   const TreeConfig tree{cluster.machines, cluster.gpus_per_machine,
                         compressor.SupportsCompressedAggregation(), max_compress_ops};
-  if (options.check_space) {
-    RunSpacePass(tree, options, &result);
-  }
-  if (options.check_cost) {
-    RunCostPass(tree, model, cluster, compressor, options, &result);
-  }
-  if (options.check_differential) {
-    RunDifferentialPass(tree, model, cluster, compressor, compressor_config,
-                        max_compress_ops, options, &result);
-  }
+  RunSpacePass(tree, options, &result);
+  RunCostPass(tree, model, cluster, compressor, options, &result);
+  RunDifferentialPass(tree, model, cluster, compressor, compressor_config, max_compress_ops,
+                      options, &result);
   return result;
 }
 

@@ -76,10 +76,6 @@ enum class SpaceCheckInject {
 };
 
 struct SpaceCheckOptions {
-  bool check_space = true;
-  bool check_cost = true;
-  bool check_differential = true;
-
   // When non-empty, the differential pass writes the corpus (MANIFEST.tsv + .ir.json
   // files) into this directory (created if missing). A file that cannot be written is
   // an error diagnostic; corpus_files_written counts only the files written.

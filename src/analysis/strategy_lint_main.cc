@@ -7,8 +7,7 @@
 //
 // Usage:
 //   strategy_lint <model.ini> <gc.ini> <system.ini>
-//                 [--json <path>] [--no-schedule] [--no-dominance]
-//                 [--ir <path>] [--force-digest]
+//                 [--json <path>] [--ir <path>] [--force-digest]
 //                 [--inject overlap|illegal-option|dominated|stale-digest]
 //
 // Without --ir, the Espresso selector chooses the strategy (the common CI mode: lint
@@ -43,8 +42,7 @@ using namespace espresso;
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <model.ini> <gc.ini> <system.ini>\n"
-               "         [--json <path>] [--no-schedule] [--no-dominance]\n"
-               "         [--ir <path>] [--force-digest]\n"
+               "         [--json <path>] [--ir <path>] [--force-digest]\n"
                "         [--inject overlap|illegal-option|dominated|stale-digest]\n";
   return 2;
 }
@@ -99,8 +97,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string inject;
   std::string ir_path;
-  bool run_schedule = true;
-  bool run_dominance = true;
   bool force_digest = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -115,10 +111,6 @@ int main(int argc, char** argv) {
       ir_path = argv[i];
     } else if (arg == "--force-digest") {
       force_digest = true;
-    } else if (arg == "--no-schedule") {
-      run_schedule = false;
-    } else if (arg == "--no-dominance") {
-      run_dominance = false;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag: " << arg << "\n";
       return Usage(argv[0]);
@@ -180,11 +172,10 @@ int main(int argc, char** argv) {
     }
     IRValidationOptions validate;
     validate.force_digest = force_digest;
-    validate.verify_schedule = run_schedule;
     validate.max_compress_ops = job.max_compress_ops;
     IRValidationResult admitted = ValidateStrategyIR(ir, job.model, job.cluster,
                                                      *compressor, job.compressor, validate);
-    if (run_dominance && admitted.ok) {
+    if (admitted.ok) {
       DominanceResult dominance =
           CheckDominance(job.model, job.cluster, *compressor, ir.strategy);
       admitted.report.Merge(std::move(dominance.report));
@@ -230,7 +221,7 @@ int main(int argc, char** argv) {
   // An illegal option prices as garbage; only simulate/compare when the shape is sound.
   const bool simulatable = !report.HasErrors() || inject == "overlap";
   TimelineEvaluator evaluator(job.model, job.cluster, *compressor);
-  if (run_schedule && simulatable) {
+  if (simulatable) {
     const TimelineResult timeline = evaluator.Evaluate(strategy, /*record_entries=*/true);
     VerifierConfig verifier_config;
     verifier_config.cpu_workers = job.cluster.cpu_workers_per_gpu;
@@ -246,7 +237,7 @@ int main(int argc, char** argv) {
       report.Merge(VerifySimulatedTimeline(strategy, timeline.entries, verifier_config));
     }
   }
-  if (run_dominance && simulatable && inject != "overlap") {
+  if (simulatable && inject != "overlap") {
     DominanceResult dominance =
         CheckDominance(job.model, job.cluster, *compressor, strategy);
     report.Merge(std::move(dominance.report));

@@ -1,17 +1,17 @@
-// Transport abstraction for compressed payloads crossing the (functional) network.
+// Payload faults on the functional network.
 //
 // The strategy executor normally moves payloads between in-process rank buffers
-// perfectly; a PayloadChannel set in ExecutorConfig::channel models an imperfect
-// transport: a transmission can be delivered, dropped outright, or delivered with
-// corrupted contents. The executor sends each payload compressed at an option's first
-// compression site through it, except a part a rank keeps for itself
-// (src/ddl/strategy_executor.h). The fault subsystem (src/fault) provides the one
-// implementation, ChaosChannel, which drops payloads and delivers corruption silently;
-// the executor stays transport-agnostic.
+// perfectly; a lossy PayloadFaults value set in ExecutorConfig::faults models an
+// imperfect transport for one iteration: a payload can be delivered, dropped outright,
+// or delivered with corrupted contents. The executor draws a fate for each payload
+// compressed at an option's first compression site, except a part a rank keeps for
+// itself (src/ddl/strategy_executor.h). A fate is a pure function of (seed, iteration,
+// sending rank, wire id), so it may be drawn on any thread and in any order. The fault
+// subsystem's FaultPlan (src/fault) builds the value for an iteration; the executor
+// stays independent of it.
 #ifndef SRC_COLLECTIVES_CHANNEL_H_
 #define SRC_COLLECTIVES_CHANNEL_H_
 
-#include <cstddef>
 #include <cstdint>
 
 #include "src/compress/compressed_tensor.h"
@@ -25,21 +25,27 @@ enum class PayloadFate {
   kCorrupted,  // payload arrives with mutated contents (undetected corruption)
 };
 
-class PayloadChannel {
- public:
-  virtual ~PayloadChannel() = default;
+// The payload faults of one iteration. The default value is a perfect network.
+struct PayloadFaults {
+  uint64_t seed = 0;
+  uint64_t iteration = 0;
+  double drop_probability = 0.0;     // payload lost outright
+  double corrupt_probability = 0.0;  // payload delivered with one bit flipped
 
-  // Called once per training step before any Transmit, so deterministic fault
-  // schedules can key their draws on the iteration index.
-  virtual void BeginIteration(uint64_t iteration) { (void)iteration; }
-
-  // Transmits `payload` from `rank`. May mutate the payload in place (corruption).
-  // Returns the final fate; kDropped payloads must be excluded from aggregation.
-  // `tensor_id` is the executor's tensor id for a payload of a rank's whole range, and
-  // tensor_id * 1315423911 + j for part j of an alltoall.
-  virtual PayloadFate Transmit(size_t rank, uint64_t tensor_id,
-                               CompressedTensor* payload) = 0;
+  bool Lossy() const { return drop_probability > 0.0 || corrupt_probability > 0.0; }
 };
+
+// Deterministic draw in [0, 1), decorrelated across (iteration, rank, id, attempt):
+// the one source of randomness of payload fates and of collective-phase failures.
+double PayloadDraw(uint64_t seed, uint64_t iteration, uint64_t rank, uint64_t id,
+                   uint32_t attempt);
+
+// The fate of `rank`'s payload sent as `wire_id`: the executor's tensor id for a
+// payload of a rank's whole range, and tensor_id * 1315423911 + j for part j of an
+// alltoall. A corrupted payload gets one bit flipped in place (an empty one passes
+// through unchanged).
+PayloadFate DrawPayloadFate(const PayloadFaults& faults, uint64_t rank, uint64_t wire_id,
+                            CompressedTensor* payload);
 
 }  // namespace espresso
 

@@ -1,6 +1,7 @@
 #include "src/ddl/job_config.h"
 
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <type_traits>
@@ -11,6 +12,10 @@
 namespace espresso {
 
 namespace {
+
+// The timeline simulates one CPU lane per worker, so pricing a strategy costs time and
+// memory linear in cpu_workers_per_gpu (the calibration uses 3).
+constexpr int64_t kMaxCpuWorkersPerGpu = 1024;
 
 JobConfigResult Fail(const std::string& message) {
   JobConfigResult result;
@@ -42,10 +47,11 @@ bool ReadNumber(const ConfigFile& file, std::string_view section, std::string_vi
   return true;
 }
 
-// Reads an optional count that must be at least `min`. The bound is checked on the
-// signed value, before the cast, so "-1" cannot become 2^64 - 1.
+// Reads an optional count in [min, max]. The bounds are checked on the signed value,
+// before the cast, so "-1" cannot become 2^64 - 1.
 bool ReadCount(const ConfigFile& file, std::string_view section, std::string_view key,
-               int64_t min, size_t* out, std::string* error) {
+               int64_t min, size_t* out, std::string* error,
+               int64_t max = std::numeric_limits<int64_t>::max()) {
   std::optional<int64_t> v;
   if (!ReadNumber(file, section, key, ParseInt64, &v, error)) {
     return false;
@@ -55,6 +61,10 @@ bool ReadCount(const ConfigFile& file, std::string_view section, std::string_vie
   }
   if (*v < min) {
     *error = std::string(key) + " must be at least " + std::to_string(min);
+    return false;
+  }
+  if (*v > max) {
+    *error = std::string(key) + " must be at most " + std::to_string(max);
     return false;
   }
   *out = static_cast<size_t>(*v);
@@ -111,6 +121,8 @@ bool ParseModel(const ConfigFile& file, ModelProfile* model, std::string* error)
   const auto tensors = file.Entries("tensors");
   if (!tensors.empty()) {
     model->tensors.clear();
+    constexpr size_t kMaxBytes = std::numeric_limits<size_t>::max();
+    size_t total_bytes = 0;
     for (const auto& [name, value] : tensors) {
       const auto fields = SplitFields(value, ",");
       if (fields.size() != 2) {
@@ -139,6 +151,14 @@ bool ParseModel(const ConfigFile& file, ModelProfile* model, std::string* error)
         *error = "tensor '" + name + "': elements and backward_ms must be positive and finite";
         return false;
       }
+      // TensorSpec::bytes() and ModelProfile::TotalBytes() would wrap around.
+      if (spec.elements > kMaxBytes / sizeof(float) ||
+          spec.bytes() > kMaxBytes - total_bytes) {
+        *error = "tensor '" + name + "': " + std::to_string(elements) +
+                 " elements overflow the model's byte size";
+        return false;
+      }
+      total_bytes += spec.bytes();
       model->tensors.push_back(std::move(spec));
     }
   }
@@ -201,7 +221,7 @@ bool ParseCluster(const ConfigFile& file, ClusterSpec* cluster, std::string* err
       !ReadCount(file, "cluster", "gpus_per_machine", 1, &cluster->gpus_per_machine,
                  error) ||
       !ReadCount(file, "cluster", "cpu_workers_per_gpu", 1, &cluster->cpu_workers_per_gpu,
-                 error) ||
+                 error, kMaxCpuWorkersPerGpu) ||
       !ReadReal(file, "cluster", "inter_gbps", Sign::kPositive, kGbps,
                 &cluster->inter.bytes_per_second, error) ||
       !ReadReal(file, "cluster", "intra_gbps", Sign::kPositive, kGbps,
@@ -210,6 +230,12 @@ bool ParseCluster(const ConfigFile& file, ClusterSpec* cluster, std::string* err
                 &cluster->inter.latency_s, error) ||
       !ReadReal(file, "cluster", "intra_latency_us", Sign::kNonNegative, kUs,
                 &cluster->intra.latency_s, error)) {
+    return false;
+  }
+  // ClusterSpec::total_gpus() would wrap around (to 0 for 2^62 x 8).
+  if (cluster->machines > std::numeric_limits<size_t>::max() / cluster->gpus_per_machine) {
+    *error = "machines * gpus_per_machine = " + std::to_string(cluster->machines) + " * " +
+             std::to_string(cluster->gpus_per_machine) + " overflows";
     return false;
   }
   if (const auto text = file.Get("cluster", "host_copy_contends_intra")) {

@@ -15,14 +15,14 @@ namespace espresso {
 namespace {
 
 // Error-feedback residuals are keyed tensor * kIdStride + offset, one per compression
-// site; part j of an alltoall crosses the channel as tensor * kIdStride + j.
+// site; part j of an alltoall crosses the network as tensor * kIdStride + j.
 constexpr uint64_t kIdStride = 1315423911ULL;
 
 // One compressed payload together with the tensor range it decompresses into.
 struct RangedPayload {
   size_t offset = 0;
   size_t length = 0;
-  // Dropped by the channel: it travels on for its range but no receiver aggregates it.
+  // Dropped on the network: it travels on for its range but no receiver aggregates it.
   bool lost = false;
   CompressedTensor payload;
 };
@@ -49,6 +49,7 @@ struct RankState {
   // bytes, so they all decode to the same floats. Any other write to `payloads`
   // resets it.
   uint64_t payload_set = 0;
+  ChannelTally tally;  // the fates of the first-site payloads this rank sent
 
   bool HasPayloads() const { return !payloads.empty(); }
 };
@@ -182,6 +183,7 @@ class OptionExecutor {
       s.payloads.clear();
       s.pending_compress = false;
       s.payload_set = 0;
+      s.tally = {};
     }
   }
 
@@ -205,13 +207,15 @@ class OptionExecutor {
       }
     }
     // A valid option ends with every rank holding the full aggregated tensor.
+    ChannelTally tally;
     for (size_t r = 0; r < states_.size(); ++r) {
       RankState& s = states_[r];
       ESP_CHECK(s.active && !s.HasPayloads() && s.offset == 0 && s.length == elements_)
           << "option did not terminate replicated: " << option_.Describe();
       buffers_[r].swap(s.raw);
+      tally += s.tally;
     }
-    return tally_;
+    return tally;
   }
 
  private:
@@ -342,17 +346,20 @@ class OptionExecutor {
     }
   }
 
-  // Sends rank `rank`'s first-site payload `p` across the channel as `wire_id`. A
-  // dropped one is marked lost and folded back into the residual it was cut from.
-  void Transmit(size_t rank, uint64_t wire_id, RangedPayload* p) {
-    switch (config_.channel->Transmit(rank, wire_id, &p->payload)) {
+  // Sends rank `rank`'s first-site payload `p` across the lossy network as `wire_id`,
+  // counting its fate in the rank's own tally. A dropped one is marked lost and folded
+  // back into the residual it was cut from.
+  void Send(size_t rank, uint64_t wire_id, RangedPayload* p) {
+    ChannelTally& tally = states_[rank].tally;
+    ++tally.payloads_sent;
+    switch (DrawPayloadFate(config_.faults, rank, wire_id, &p->payload)) {
       case PayloadFate::kDelivered:
         break;
       case PayloadFate::kCorrupted:
-        ++tally_.payloads_corrupted;
+        ++tally.payloads_corrupted;
         break;
       case PayloadFate::kDropped:
-        ++tally_.payloads_dropped;
+        ++tally.payloads_dropped;
         p->lost = true;
         if (ErrorFeedback* feedback = FirstSiteFeedback(rank)) {
           feedback->AbsorbLostPayload(*config_.compressor, ResidualKey(p->offset),
@@ -364,9 +371,9 @@ class OptionExecutor {
 
   // --- communication routines -------------------------------------------------------
 
-  // An op runs in up to three stages: every member prepares what it sends (compressing
-  // if a Comp op is pending), in parallel; the caller passes the first-site payloads
-  // through the channel, in member order; then every group delivers, in parallel.
+  // An op runs in two stages: every member prepares what it sends (compressing if a
+  // Comp op is pending, and drawing the fates of first-site payloads on a lossy
+  // network), in parallel; then every group delivers, in parallel.
   void Communicate(const Op& op) {
     Groups& groups = BuildGroups(op);
     size_t floats = 0;
@@ -393,9 +400,6 @@ class OptionExecutor {
     }
     if (SendsPayloads(op)) {
       PreparePayloads(op, groups, width);
-      if (first_compression_ && config_.channel != nullptr) {
-        TransmitFirstSite(op, groups);
-      }
     }
     // Replicated payload sets are numbered by group, whichever group finishes first.
     const uint64_t sets = payload_sets_;
@@ -445,10 +449,12 @@ class OptionExecutor {
     }
   }
 
-  // What every member sends, before anything is transmitted or delivered: the
-  // compressions a pending Comp op asks for (into the member's own payload set) and,
-  // for an alltoall, its G parts (into slot i of each receiver's inbox). Each member
-  // writes only its own state and slots.
+  // What every member sends, before anything is delivered: the compressions a pending
+  // Comp op asks for (into the member's own payload set) and, for an alltoall, its G
+  // parts (into slot i of each receiver's inbox). On a lossy network the member then
+  // sends the first-site payloads that leave it, except a part it keeps for itself
+  // (alltoall part i, the gather root's own); alltoall part j crosses as tensor *
+  // kIdStride + j. Each member writes only its own state, slots and error feedback.
   void PreparePayloads(const Op& op, const Groups& groups, size_t width) {
     if (op.routine == Routine::kAlltoall) {
       if (ws_.inbox.size() < states_.size()) {
@@ -463,11 +469,19 @@ class OptionExecutor {
         }
       }
     }
+    const bool lossy = first_compression_ && config_.faults.Lossy();
     ForEachMember(width, groups, [&](size_t gi, size_t i) {
       const std::vector<size_t>& group = groups[gi];
       RankState& s = states_[group[i]];
       if (op.routine == Routine::kAlltoall) {
         SplitForAlltoall(group, i);
+        if (lossy && s.pending_compress) {
+          for (size_t j = 0; j < group.size(); ++j) {
+            if (j != i) {
+              Send(group[i], tensor_id_ * kIdStride + j, &ws_.inbox[group[j]][i]);
+            }
+          }
+        }
         return;
       }
       if (op.routine == Routine::kBroadcast && i != 0) {
@@ -476,6 +490,9 @@ class OptionExecutor {
       if (s.pending_compress) {
         ESP_CHECK(!s.HasPayloads()) << option_.Describe();
         CompressInto(group[i], s.raw, s.offset, &s.payloads.push());
+        if (lossy && !(op.routine == Routine::kGather && i == 0)) {
+          Send(group[i], tensor_id_, &s.payloads.front());
+        }
       } else {
         ESP_CHECK(s.HasPayloads()) << option_.Describe();
       }
@@ -502,45 +519,6 @@ class OptionExecutor {
         p.length = part.Length(j);
         p.lost = carried.lost;
         SplitSparsePayload(carried.payload, part.Offset(j), part.Length(j), &p.payload);
-      }
-    }
-  }
-
-  // Passes every first-site payload that leaves its rank through the channel, on the
-  // caller, group by group and member by member. A channel's verdict depends only on
-  // (iteration, rank, wire id), so no fate depends on the fan-out. A part a rank keeps
-  // for itself (alltoall part i, the gather root's own) stays local; an alltoall part j
-  // crosses as tensor * kIdStride + j.
-  void TransmitFirstSite(const Op& op, const Groups& groups) {
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      const std::vector<size_t>& group = groups[gi];
-      for (size_t i = 0; i < group.size(); ++i) {
-        RankState& s = states_[group[i]];
-        if (!s.pending_compress) {
-          continue;
-        }
-        switch (op.routine) {
-          case Routine::kAlltoall:
-            for (size_t j = 0; j < group.size(); ++j) {
-              if (j != i) {
-                Transmit(group[i], tensor_id_ * kIdStride + j, &ws_.inbox[group[j]][i]);
-              }
-            }
-            break;
-          case Routine::kBroadcast:
-            if (i == 0) {
-              Transmit(group[i], tensor_id_, &s.payloads.front());
-            }
-            break;
-          case Routine::kGather:
-            if (i != 0) {
-              Transmit(group[i], tensor_id_, &s.payloads.front());
-            }
-            break;
-          default:
-            Transmit(group[i], tensor_id_, &s.payloads.front());
-            break;
-        }
       }
     }
   }
@@ -851,7 +829,6 @@ class OptionExecutor {
   std::vector<RankState>& states_;
   bool first_compression_ = true;  // EF applies until the first compression completes
   uint64_t payload_sets_ = 0;      // ids handed out to replicated payload sets
-  ChannelTally tally_;
 };
 
 }  // namespace

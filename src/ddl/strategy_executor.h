@@ -24,14 +24,16 @@
 // summed 0 + g0 + g1 + ... in group order, and each rank's compression, error feedback
 // and decode stay its own, so the result is bit-identical at every pool width.
 //
-// An optional PayloadChannel models an imperfect network (src/fault). Only the payloads
-// compressed at an option's first compression site — the ones error feedback covers —
-// cross it; a part a rank keeps for itself stays local. A dropped payload is excluded
-// from every receiver and folded back into its sender's residual (a compressed set
-// whose payloads were all dropped decodes to zeros); a corrupted one is aggregated as
-// delivered. Re-compressions at later stages are treated as local. The channel is only
-// called on the calling thread: every member compresses first, then the caller sends
-// the payloads through the channel in member order, then they are delivered.
+// A lossy ExecutorConfig::faults models an imperfect network (src/collectives/channel.h).
+// Only the payloads compressed at an option's first compression site — the ones error
+// feedback covers — cross it; a part a rank keeps for itself stays local. A dropped
+// payload is excluded from every receiver and folded back into its sender's residual (a
+// compressed set whose payloads were all dropped decodes to zeros); a corrupted one is
+// aggregated as delivered. Re-compressions at later stages are treated as local. Each
+// sender draws its payloads' fates right after compressing them, on the thread that
+// runs it, and counts them in its own state: a fate depends only on (seed, iteration,
+// rank, wire id), and the sender's thread owns both the payloads and its error-feedback
+// store, so fates, bytes, residuals and the summed tally are the same at every width.
 #ifndef SRC_DDL_STRATEGY_EXECUTOR_H_
 #define SRC_DDL_STRATEGY_EXECUTOR_H_
 
@@ -53,15 +55,23 @@ struct ExecutorConfig {
   const Compressor* compressor = nullptr;          // required for compressed options
   std::vector<ErrorFeedback>* feedback = nullptr;  // one per global rank, optional
   uint64_t seed = 0;
-  PayloadChannel* channel = nullptr;  // nullptr = perfect network
+  PayloadFaults faults = {};  // the default is a perfect network
 
   size_t ranks() const { return machines * gpus_per_machine; }
 };
 
-// The channel's verdicts on one execution's payloads (zero without a channel).
+// The fates of one execution's payloads (zero on a perfect network).
 struct ChannelTally {
+  size_t payloads_sent = 0;  // first-site payloads that crossed a lossy network
   size_t payloads_dropped = 0;
   size_t payloads_corrupted = 0;  // delivered mutated, and aggregated as they arrived
+
+  ChannelTally& operator+=(const ChannelTally& other) {
+    payloads_sent += other.payloads_sent;
+    payloads_dropped += other.payloads_dropped;
+    payloads_corrupted += other.payloads_corrupted;
+    return *this;
+  }
 };
 
 // Persistent scratch for the option interpreter: per-rank states (compressed payload
@@ -95,9 +105,9 @@ class ExecutorWorkspace {
 // Executes `option` for one tensor. `buffers` holds each global rank's local gradient
 // (machine-major order: rank = machine * gpus_per_machine + local); on return every
 // rank holds the aggregated tensor, in the same allocation it passed in (the executor
-// runs in the caller's buffers). `tensor_id` keys the error-feedback residual and names
-// the tensor to the channel. `workspace` supplies all scratch; nullptr resolves to the
-// calling thread's default. Returns what the channel did to the payloads.
+// runs in the caller's buffers). `tensor_id` keys the error-feedback residual and the
+// payloads' fates. `workspace` supplies all scratch; nullptr resolves to the calling
+// thread's default. Returns the payloads' fates.
 ChannelTally ExecuteOption(const CompressionOption& option, const ExecutorConfig& config,
                            uint64_t tensor_id, RankBuffers& buffers,
                            ExecutorWorkspace* workspace = nullptr);

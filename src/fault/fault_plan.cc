@@ -9,9 +9,10 @@ namespace espresso {
 
 namespace {
 
-// Distinct stream tags so iteration-level and payload-level draws never collide.
+// Stream tag keeping iteration-level draws apart from the payload-level ones.
 constexpr uint64_t kIterationStream = 0x1755A1EA0ULL;
-constexpr uint64_t kPayloadStream = 0x9E3779B97F4A7C15ULL;
+// Rank coordinate of collective-phase failure draws, apart from every payload's.
+constexpr uint64_t kCollectiveRank = 0xFA11ED'C011ULL;
 
 }  // namespace
 
@@ -85,13 +86,38 @@ IterationFaults FaultPlan::AtIteration(uint64_t iteration) const {
   return faults;
 }
 
-double FaultPlan::PayloadDraw(uint64_t iteration, uint64_t rank, uint64_t tensor_id,
-                              uint32_t attempt) const {
-  // Two SplitMix64 rounds decorrelate the four coordinates; a third maps to [0, 1).
-  const uint64_t a = DeriveSeed(spec_.seed ^ kPayloadStream, iteration * 0x100000001B3ULL + rank);
-  const uint64_t b = DeriveSeed(a, tensor_id * 0x9E3779B9ULL + attempt);
-  Rng rng(b);
-  return rng.Uniform(0.0, 1.0);
+ClusterSpec FaultPlan::PerturbCluster(const ClusterSpec& profiled,
+                                      const IterationFaults& faults) {
+  ClusterSpec observed = profiled;
+  observed.inter =
+      profiled.inter.Degraded(faults.inter_bandwidth_factor, faults.inter_extra_latency_s);
+  observed.intra = profiled.intra.Degraded(faults.intra_bandwidth_factor);
+  return observed;
+}
+
+ResourceScales FaultPlan::ScalesFor(const IterationFaults& faults) {
+  ResourceScales scales;
+  scales.gpu = 1.0 / faults.compute_slowdown;
+  scales.cpu = 1.0 / faults.cpu_slowdown;
+  scales.intra = faults.intra_bandwidth_factor;
+  scales.inter = faults.inter_bandwidth_factor;
+  return scales;
+}
+
+PayloadFaults FaultPlan::PayloadFaultsAt(uint64_t iteration) const {
+  return PayloadFaults{.seed = spec_.seed,
+                       .iteration = iteration,
+                       .drop_probability = spec_.drop_probability,
+                       .corrupt_probability = spec_.corrupt_probability};
+}
+
+bool FaultPlan::CollectivePhaseFails(uint64_t iteration, uint64_t tensor_id,
+                                     uint32_t attempt) const {
+  const double p = spec_.collective_failure_probability;
+  if (p == 0.0) {
+    return false;
+  }
+  return PayloadDraw(spec_.seed, iteration, kCollectiveRank, tensor_id, attempt) < p;
 }
 
 bool FaultPlan::Quiet() const {

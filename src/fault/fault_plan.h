@@ -6,12 +6,25 @@
 // materializes the concrete faults of one training iteration as a pure function of
 // (seed, iteration), so a schedule is reproducible bit-for-bit: two runs with the same
 // spec see the same stragglers, the same jitter draws, the same payload fates.
+//
+// The plan is the one fault object, and it reaches every layer of the runtime:
+//   * cost model  — PerturbCluster() degrades link bandwidth/latency, feeding the
+//     TimelineEvaluator and the online re-selection path with observed (not profiled)
+//     link parameters;
+//   * simulation  — ScalesFor() converts an iteration's straggler / CPU-contention
+//     state into ResourceScales for SimEngine task durations;
+//   * data path   — PayloadFaultsAt() is the value the strategy executor draws each
+//     payload's fate from (src/collectives/channel.h); CollectivePhaseFails() injects
+//     coarse-grained phase failures for the retry/fallback machinery.
 #ifndef SRC_FAULT_FAULT_PLAN_H_
 #define SRC_FAULT_FAULT_PLAN_H_
 
 #include <cstdint>
 #include <string>
 
+#include "src/collectives/channel.h"
+#include "src/core/timeline.h"
+#include "src/costmodel/calibration.h"
 #include "src/util/config.h"
 
 namespace espresso {
@@ -37,7 +50,7 @@ struct FaultSpec {
   double cpu_contention_probability = 0.0;
   double cpu_slowdown = 1.0;  // >= 1
 
-  // Data-path faults, drawn once per payload transmission.
+  // Data-path faults, drawn once per payload transmission (PayloadFaultsAt).
   double drop_probability = 0.0;     // payload lost outright
   double corrupt_probability = 0.0;  // payload delivered with flipped bits
 
@@ -69,10 +82,21 @@ class FaultPlan {
   // order and from any thread.
   IterationFaults AtIteration(uint64_t iteration) const;
 
-  // Deterministic per-attempt draw in [0, 1) for payload-level faults, decorrelated
-  // across (iteration, rank, tensor, attempt).
-  double PayloadDraw(uint64_t iteration, uint64_t rank, uint64_t tensor_id,
-                     uint32_t attempt) const;
+  // The cluster as it actually behaves during `faults`' iteration: inter/intra links
+  // degraded and jittered per the plan. Compute-side slowdowns are returned separately
+  // by ScalesFor() because they scale simulated task durations, not link parameters.
+  static ClusterSpec PerturbCluster(const ClusterSpec& profiled, const IterationFaults& faults);
+
+  // SimEngine speed factors for one iteration (straggler GPU, contended CPU pool, and
+  // the same link factors as PerturbCluster for engines already built from the
+  // profiled cluster).
+  static ResourceScales ScalesFor(const IterationFaults& faults);
+
+  // The payload faults of `iteration`, for ExecutorConfig::faults.
+  PayloadFaults PayloadFaultsAt(uint64_t iteration) const;
+
+  // Whether a whole collective phase fails on this attempt.
+  bool CollectivePhaseFails(uint64_t iteration, uint64_t tensor_id, uint32_t attempt) const;
 
   const FaultSpec& spec() const { return spec_; }
 

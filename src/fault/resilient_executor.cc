@@ -52,20 +52,20 @@ const CompressionOption& Fp32FallbackOption() {
 
 void ResilientExecuteOption(const CompressionOption& option, const ExecutorConfig& config,
                             uint64_t tensor_id, RankBuffers& buffers,
-                            const FaultInjector& injector, const RetryPolicy& policy,
+                            const FaultPlan& plan, const RetryPolicy& policy,
                             uint64_t iteration, ResilienceReport* report,
                             ExecutorWorkspace* workspace) {
   ESP_CHECK(report != nullptr);
   ExecutorWorkspace& ws =
       workspace != nullptr ? *workspace : ExecutorWorkspace::ThreadDefault();
   ++report->tensors;
-  Rng backoff_rng(DeriveSeed(DeriveSeed(injector.plan().spec().seed, iteration),
+  Rng backoff_rng(DeriveSeed(DeriveSeed(plan.spec().seed, iteration),
                              tensor_id * 0x7F4A7C15ULL));
   // The failure draw happens before the phase commits any state: a failed attempt
   // leaves buffers and error-feedback residuals exactly as they were, so a retry (or
   // the fallback) starts from clean inputs.
   for (uint32_t attempt = 1;; ++attempt) {
-    if (!injector.CollectivePhaseFails(iteration, tensor_id, attempt)) {
+    if (!plan.CollectivePhaseFails(iteration, tensor_id, attempt)) {
       ExecuteOption(option, config, tensor_id, buffers, &ws);
       if (attempt == 1) {
         ++report->clean;
@@ -98,14 +98,14 @@ void ResilientExecuteOption(const CompressionOption& option, const ExecutorConfi
 ResilienceReport ResilientExecuteStrategy(const Strategy& strategy,
                                           const ExecutorConfig& config,
                                           std::vector<RankBuffers>& gradients,
-                                          const FaultInjector& injector,
+                                          const FaultPlan& plan,
                                           const RetryPolicy& policy, uint64_t iteration,
                                           ExecutorWorkspace* workspace) {
   ESP_CHECK_EQ(strategy.options.size(), gradients.size())
       << "strategy has one option per tensor; gradient tensor count must match";
   ResilienceReport report;
   for (size_t t = 0; t < gradients.size(); ++t) {
-    ResilientExecuteOption(strategy.options[t], config, t, gradients[t], injector, policy,
+    ResilientExecuteOption(strategy.options[t], config, t, gradients[t], plan, policy,
                            iteration, &report, workspace);
   }
   return report;

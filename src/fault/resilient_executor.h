@@ -1,5 +1,5 @@
 // Resilient wrapper around the strategy executor: collective phases that the fault
-// injector fails are retried with capped backoff, and a tensor whose retries are
+// plan fails are retried with capped backoff, and a tensor whose retries are
 // exhausted degrades gracefully to the FP32 path — an exact uncompressed aggregation
 // of the ranks' raw gradients. Because the failed compressed phase never committed,
 // the per-rank error-feedback residuals are untouched and the update is exact: nothing
@@ -13,7 +13,7 @@
 
 #include "src/core/strategy.h"
 #include "src/ddl/strategy_executor.h"
-#include "src/fault/injector.h"
+#include "src/fault/fault_plan.h"
 #include "src/fault/retry_policy.h"
 
 namespace espresso {
@@ -41,7 +41,7 @@ struct ResilienceReport {
 // to the calling thread's default workspace.
 void ResilientExecuteOption(const CompressionOption& option, const ExecutorConfig& config,
                             uint64_t tensor_id, RankBuffers& buffers,
-                            const FaultInjector& injector, const RetryPolicy& policy,
+                            const FaultPlan& plan, const RetryPolicy& policy,
                             uint64_t iteration, ResilienceReport* report,
                             ExecutorWorkspace* workspace = nullptr);
 
@@ -50,7 +50,7 @@ void ResilientExecuteOption(const CompressionOption& option, const ExecutorConfi
 ResilienceReport ResilientExecuteStrategy(const Strategy& strategy,
                                           const ExecutorConfig& config,
                                           std::vector<RankBuffers>& gradients,
-                                          const FaultInjector& injector,
+                                          const FaultPlan& plan,
                                           const RetryPolicy& policy, uint64_t iteration,
                                           ExecutorWorkspace* workspace = nullptr);
 

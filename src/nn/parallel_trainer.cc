@@ -33,7 +33,7 @@ const TrainerMetrics& Metrics() {
                                            "Compressed payloads lost in transit");
     m.payloads_corrupted = r.RegisterCounter(
         "espresso_trainer_payloads_corrupted_total",
-        "Compressed payloads the channel delivered corrupted and that were aggregated as "
+        "Compressed payloads the network delivered corrupted and that were aggregated as "
         "received");
     m.step_seconds = r.RegisterHistogram("espresso_trainer_step_seconds",
                                          "Per-iteration wall time (compute + sync)",
@@ -99,7 +99,7 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
                       .gpus_per_machine = config.workers,
                       .compressor = config.compressor,
                       .feedback = config.error_feedback ? &feedback : nullptr,
-                      .channel = config.channel};
+                      .faults = config.faults};
 
   const size_t global_batch = config.workers * config.batch_per_worker;
   const size_t steps_per_epoch = train.size() / global_batch;
@@ -120,15 +120,12 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
   for (size_t epoch = 0; epoch < config.epochs; ++epoch) {
     obs::ScopedSpan epoch_span("trainer.epoch", "trainer");
     double loss_sum = 0.0;
-    size_t dropped = 0;
-    size_t corrupted = 0;
+    ChannelTally epoch_tally;
     double epoch_compute_s = 0.0;
     double epoch_sync_s = 0.0;
     for (size_t step = 0; step < steps_per_epoch; ++step) {
       const auto step_start = std::chrono::steady_clock::now();
-      if (config.channel != nullptr) {
-        config.channel->BeginIteration(step_counter);
-      }
+      exec.faults.iteration = step_counter;
       // Each worker's gradient on its disjoint shard of the global batch, in worker
       // order.
       for (size_t w = 0; w < config.workers; ++w) {
@@ -147,9 +144,7 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
           buffers[w] = worker_grads[w][t];
         }
         exec.seed = DeriveSeed(config.seed, step_counter * tensor_count + t);
-        const ChannelTally tally = ExecuteOption(option, exec, t, buffers, &sync_workspace);
-        dropped += tally.payloads_dropped;
-        corrupted += tally.payloads_corrupted;
+        epoch_tally += ExecuteOption(option, exec, t, buffers, &sync_workspace);
         // All ranks hold the same aggregate; take rank 0's (copy-assign keeps both the
         // rank buffer's and the aggregate slot's capacity warm).
         aggregated[t] = buffers[0];
@@ -168,11 +163,11 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
       registry.Observe(Metrics().compute_seconds, compute_s);
       registry.Observe(Metrics().sync_seconds, sync_s);
     }
-    if (dropped > 0) {
-      registry.Add(Metrics().payloads_dropped, dropped);
+    if (epoch_tally.payloads_dropped > 0) {
+      registry.Add(Metrics().payloads_dropped, epoch_tally.payloads_dropped);
     }
-    if (corrupted > 0) {
-      registry.Add(Metrics().payloads_corrupted, corrupted);
+    if (epoch_tally.payloads_corrupted > 0) {
+      registry.Add(Metrics().payloads_corrupted, epoch_tally.payloads_corrupted);
     }
     const double epoch_total_s = epoch_compute_s + epoch_sync_s;
     registry.Set(Metrics().overlap_ratio,
@@ -182,8 +177,9 @@ std::vector<EpochStats> TrainDataParallel(const Dataset& train, const Dataset& t
     stats.train_loss = loss_sum / static_cast<double>(steps_per_epoch);
     stats.train_accuracy = model.Accuracy(train.x, train.labels);
     stats.test_accuracy = model.Accuracy(test.x, test.labels);
-    stats.payloads_dropped = dropped;
-    stats.payloads_corrupted = corrupted;
+    stats.payloads_sent = epoch_tally.payloads_sent;
+    stats.payloads_dropped = epoch_tally.payloads_dropped;
+    stats.payloads_corrupted = epoch_tally.payloads_corrupted;
     stats.compute_seconds = epoch_compute_s;
     stats.sync_seconds = epoch_sync_s;
     history.push_back(stats);

@@ -38,10 +38,10 @@ struct TrainConfig {
   size_t epochs = 10;
   SyncScheme scheme = SyncScheme::kExactAllreduce;
   const Compressor* compressor = nullptr;  // required for compressed schemes
-  // Optional imperfect transport for compressed payloads (fault injection), passed to
-  // the executor as ExecutorConfig::channel; the trainer announces each global step via
-  // BeginIteration so schedules stay deterministic. nullptr = perfect network.
-  PayloadChannel* channel = nullptr;
+  // Payload faults for compressed payloads (fault injection), passed to the executor
+  // as ExecutorConfig::faults with `iteration` set to each global step, so fates stay
+  // deterministic. The default is a perfect network.
+  PayloadFaults faults = {};
   bool error_feedback = true;
   // DGC momentum correction factor for the error-feedback store (0 = plain EF).
   double momentum_correction = 0.0;
@@ -53,7 +53,8 @@ struct EpochStats {
   double train_loss = 0.0;
   double train_accuracy = 0.0;
   double test_accuracy = 0.0;
-  // Fault accounting for the epoch (zero on a perfect channel).
+  // Fault accounting for the epoch (zero on a perfect network).
+  size_t payloads_sent = 0;
   size_t payloads_dropped = 0;
   size_t payloads_corrupted = 0;
   // Wall-clock decomposition of the epoch's steps: gradient computation (the

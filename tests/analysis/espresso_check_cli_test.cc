@@ -102,12 +102,6 @@ TEST(EspressoCheckCli, InjectValidatorSplitFailsWithDifferentialRule) {
       << result.output;
 }
 
-TEST(EspressoCheckCli, SkipFlagsAreAccepted) {
-  const RunResult result =
-      RunCheck(JobArgs() + " --skip-space --skip-cost --skip-differential");
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-}
-
 TEST(EspressoCheckCli, JsonReportIsByteStableAcrossRuns) {
   const std::string path_a = ::testing::TempDir() + "/espresso_check_a.json";
   const std::string path_b = ::testing::TempDir() + "/espresso_check_b.json";

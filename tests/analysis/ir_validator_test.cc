@@ -119,17 +119,5 @@ TEST(IrValidator, WarnsOnScoreDrift) {
   EXPECT_TRUE(result.report.HasRule(rules::kIrScoreDrift)) << result.report.ToString();
 }
 
-TEST(IrValidator, SkippingScheduleVerificationStillChecksDigestsAndLint) {
-  const ValidatorFixture fixture;
-  StrategyIR ir = fixture.Compile();
-  ir.model_digest ^= 1;
-  IRValidationOptions options;
-  options.verify_schedule = false;
-  const IRValidationResult result = fixture.Validate(ir, options);
-  EXPECT_FALSE(result.ok);
-  EXPECT_TRUE(result.report.HasRule(rules::kIrDigestMismatch));
-  EXPECT_EQ(result.evaluated_fs, 0.0);
-}
-
 }  // namespace
 }  // namespace espresso

@@ -50,19 +50,6 @@ TEST(SpaceChecker, CleanConfigurationPassesAllThreePasses) {
   EXPECT_GT(result.stats.differential_tampered, 0u);
 }
 
-TEST(SpaceChecker, SkipFlagsDisableTheirPasses) {
-  const SmallJob job;
-  SpaceCheckOptions options;
-  options.check_space = false;
-  options.check_cost = false;
-  options.check_differential = false;
-  const SpaceCheckResult result = job.Run(options);
-  EXPECT_TRUE(result.ok());
-  EXPECT_EQ(result.stats.mutants_total, 0u);
-  EXPECT_EQ(result.stats.interval_checks, 0u);
-  EXPECT_EQ(result.stats.differential_valid, 0u);
-}
-
 TEST(SpaceChecker, InjectMissingOptionTripsCompleteness) {
   const SmallJob job;
   SpaceCheckOptions options;

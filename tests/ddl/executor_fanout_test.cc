@@ -15,7 +15,7 @@
 #include "src/core/baselines.h"
 #include "src/core/decision_tree.h"
 #include "src/ddl/strategy_executor.h"
-#include "src/fault/chaos_channel.h"
+#include "src/fault/fault_plan.h"
 #include "src/util/rng.h"
 
 namespace espresso {
@@ -67,9 +67,10 @@ class Fingerprint {
 // Runs kSteps steps of every option at every size through one workspace, with one
 // error-feedback store per rank and size (tensor id = option index; every option of a
 // step starts from the same gradients), and hashes every rank's output and every
-// execution's channel tally.
+// execution's drop and corruption counts. Step s draws `faults` at iteration s; every
+// execution's tally is added to `totals`.
 uint64_t RunMatrix(const CompressorConfig& compressor_config, double momentum,
-                   PayloadChannel* channel = nullptr) {
+                   PayloadFaults faults = {}, ChannelTally* totals = nullptr) {
   const auto compressor = CreateCompressor(compressor_config);
   const std::vector<CompressionOption> options =
       Options(compressor->SupportsCompressedAggregation());
@@ -78,13 +79,11 @@ uint64_t RunMatrix(const CompressorConfig& compressor_config, double momentum,
   for (const size_t n : kSizes) {
     std::vector<ErrorFeedback> feedback(kRanks, ErrorFeedback(momentum));
     ExecutorConfig config{.machines = kMachines, .gpus_per_machine = kGpus,
-                          .compressor = compressor.get(), .feedback = &feedback,
-                          .channel = channel};
+                          .compressor = compressor.get(), .feedback = &feedback};
     for (int step = 0; step < kSteps; ++step) {
       config.seed = static_cast<uint64_t>(step);
-      if (channel != nullptr) {
-        channel->BeginIteration(static_cast<uint64_t>(step));
-      }
+      faults.iteration = static_cast<uint64_t>(step);
+      config.faults = faults;
       RankBuffers gradients(kRanks, std::vector<float>(n));
       for (size_t r = 0; r < kRanks; ++r) {
         Rng rng(DeriveSeed(n * kSteps + static_cast<uint64_t>(step), r));
@@ -96,6 +95,9 @@ uint64_t RunMatrix(const CompressorConfig& compressor_config, double momentum,
         fingerprint.Mix(buffers);
         fingerprint.Mix(tally.payloads_dropped);
         fingerprint.Mix(tally.payloads_corrupted);
+        if (totals != nullptr) {
+          *totals += tally;
+        }
       }
     }
   }
@@ -120,21 +122,22 @@ TEST(ExecutorFanout, EfSignSgd) {
   EXPECT_EQ(RunMatrix({.algorithm = "efsignsgd"}, 0.0), 0xa35e777724b4b025ULL);
 }
 
-// The channel sees every first-site payload on the caller, in member order, whatever
-// the width: its verdicts, the tallies and the error-feedback refunds of dropped
-// payloads are pinned with the outputs.
-TEST(ExecutorFanout, TopkThroughChaosChannel) {
+// Each sender draws its first-site payloads' fates on whichever slot runs it, and
+// counts them in its own tally: the fates, the summed tallies and the error-feedback
+// refunds of dropped payloads are pinned with the outputs, whatever the width.
+TEST(ExecutorFanout, TopkThroughLossyChannel) {
   FaultSpec spec;
   spec.drop_probability = 0.2;
   spec.corrupt_probability = 0.2;
-  const FaultInjector injector{FaultPlan(spec)};
-  ChaosChannel channel(&injector);
-  EXPECT_EQ(RunMatrix({.algorithm = "topk", .ratio = 0.05}, 0.0, &channel), 0xb162e7830565068dULL);
-  const ChannelStats& stats = channel.stats();
-  EXPECT_EQ(stats.transmissions, 38784u);
-  EXPECT_EQ(stats.delivered, 23532u);
-  EXPECT_EQ(stats.dropped, 7902u);
-  EXPECT_EQ(stats.corrupted, 7350u);
+  ChannelTally totals;
+  EXPECT_EQ(RunMatrix({.algorithm = "topk", .ratio = 0.05}, 0.0,
+                      FaultPlan(spec).PayloadFaultsAt(0), &totals),
+            0xb162e7830565068dULL);
+  EXPECT_EQ(totals.payloads_sent, 38784u);
+  EXPECT_EQ(totals.payloads_sent - totals.payloads_dropped - totals.payloads_corrupted,
+            23532u);  // delivered intact
+  EXPECT_EQ(totals.payloads_dropped, 7902u);
+  EXPECT_EQ(totals.payloads_corrupted, 7350u);
 }
 
 }  // namespace

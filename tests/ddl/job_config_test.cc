@@ -114,7 +114,10 @@ TEST(JobConfig, RejectsBadInputs) {
         "[model]\nname = gpt2\nforward_ms = nan\n",
         "[model]\nname = gpt2\noptimizer_ms = -5\n", "[tensors]\nw = 100, nan\n",
         "[tensors]\nw = 100, inf\n", "[model]\nname = gpt2\nforward_ms = fast\n",
-        "[model]\nname = gpt2\nbatch_size = 3.5\n"}) {
+        "[model]\nname = gpt2\nbatch_size = 3.5\n",
+        // Byte sizes that wrap around: one tensor's, and the model's total.
+        "[tensors]\nw = 4611686018427387904, 1.0\n",
+        "[tensors]\na = 2305843009213693952, 1.0\nb = 2305843009213693952, 1.0\n"}) {
     const JobConfigResult bad =
         LoadJobConfig(ConfigFile::ParseString(model), GcFile(), SystemFile());
     EXPECT_FALSE(bad.ok) << model;
@@ -139,7 +142,11 @@ TEST(JobConfig, RejectsBadInputs) {
         "cpu_workers_per_gpu = -1", "intra_gbps = -1", "inter_gbps = -10", "inter_gbps = 0",
         "intra_gbps = nan", "inter_gbps = inf", "inter_gbps = 1e308", "intra_latency_us = -5",
         "inter_latency_us = inf", "machines = four", "machines = 4.5",
-        "cpu_workers_per_gpu = x", "inter_gbps = fast", "host_copy_contends_intra = maybe"}) {
+        "cpu_workers_per_gpu = x", "inter_gbps = fast", "host_copy_contends_intra = maybe",
+        // A GPU count that wraps around, and more CPU lanes than a request may simulate.
+        "machines = 4611686018427387904\ngpus_per_machine = 8",
+        "machines = 4294967296\ngpus_per_machine = 4294967296",
+        "cpu_workers_per_gpu = 1000000000", "cpu_workers_per_gpu = 1025"}) {
     const JobConfigResult bad = LoadJobConfig(
         ModelZooFile(), GcFile(),
         ConfigFile::ParseString(std::string("[cluster]\ntestbed = nvlink\n") + cluster));
@@ -153,6 +160,16 @@ TEST(JobConfig, RejectsBadInputs) {
                                                     "cpu_workers_per_gpu = 1\n"
                                                     "intra_latency_us = 0\n"))
                   .ok);
+  EXPECT_TRUE(LoadJobConfig(ModelZooFile(), GcFile(),
+                            ConfigFile::ParseString("[cluster]\ncpu_workers_per_gpu = 1024\n"))
+                  .ok);
+  // A huge cluster that does not overflow is fine: the simulator models one
+  // representative GPU and machine.
+  const JobConfigResult huge = LoadJobConfig(
+      ModelZooFile(), GcFile(),
+      ConfigFile::ParseString("[cluster]\nmachines = 1000000000000\ngpus_per_machine = 8\n"));
+  ASSERT_TRUE(huge.ok) << huge.error;
+  EXPECT_EQ(huge.job.cluster.total_gpus(), 8000000000000u);
 }
 
 TEST(JobConfig, ShippedConfigFilesLoad) {

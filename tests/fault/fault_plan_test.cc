@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/espresso.h"
-#include "src/fault/injector.h"
 #include "src/models/model_zoo.h"
 
 namespace espresso {
@@ -98,13 +97,13 @@ TEST(FaultPlan, StragglerFrequencyTracksProbability) {
 }
 
 TEST(FaultPlan, PayloadDrawDeterministicAndDecorrelated) {
-  const FaultPlan plan(BusySpec(23));
-  EXPECT_EQ(plan.PayloadDraw(5, 2, 9, 1), plan.PayloadDraw(5, 2, 9, 1));
+  const uint64_t seed = 23;  // every payload and collective-phase draw goes through it
+  EXPECT_EQ(PayloadDraw(seed, 5, 2, 9, 1), PayloadDraw(seed, 5, 2, 9, 1));
   // Neighbouring coordinates must not produce the same draw.
-  EXPECT_NE(plan.PayloadDraw(5, 2, 9, 1), plan.PayloadDraw(5, 2, 9, 2));
-  EXPECT_NE(plan.PayloadDraw(5, 2, 9, 1), plan.PayloadDraw(5, 3, 9, 1));
-  EXPECT_NE(plan.PayloadDraw(5, 2, 9, 1), plan.PayloadDraw(6, 2, 9, 1));
-  EXPECT_NE(plan.PayloadDraw(5, 2, 9, 1), plan.PayloadDraw(5, 2, 10, 1));
+  EXPECT_NE(PayloadDraw(seed, 5, 2, 9, 1), PayloadDraw(seed, 5, 2, 9, 2));
+  EXPECT_NE(PayloadDraw(seed, 5, 2, 9, 1), PayloadDraw(seed, 5, 3, 9, 1));
+  EXPECT_NE(PayloadDraw(seed, 5, 2, 9, 1), PayloadDraw(seed, 6, 2, 9, 1));
+  EXPECT_NE(PayloadDraw(seed, 5, 2, 9, 1), PayloadDraw(seed, 5, 2, 10, 1));
 }
 
 TEST(FaultPlan, QuietPlanIsNeutral) {
@@ -153,7 +152,7 @@ TEST(FaultPlan, FromConfigParsesAndRangeChecks) {
 
 // The acceptance bar for the chaos harness: a seeded fault schedule must yield a
 // bit-identical perturbed iteration time, run to run.
-TEST(FaultInjector, SameSeedSamePerturbedIterationTime) {
+TEST(FaultPlan, SameSeedSamePerturbedIterationTime) {
   const ModelProfile model = Vgg16();
   const ClusterSpec cluster = NvlinkCluster(4, 4);
   const auto compressor =
@@ -163,11 +162,10 @@ TEST(FaultInjector, SameSeedSamePerturbedIterationTime) {
 
   auto run = [&]() {
     const FaultPlan plan(BusySpec(77));
-    const FaultInjector injector(plan);
     double total = 0.0;
     for (uint64_t it = 0; it < 5; ++it) {
       TimelineEvaluator evaluator(model, cluster, *compressor);
-      evaluator.SetResourceScales(injector.ScalesFor(plan.AtIteration(it)));
+      evaluator.SetResourceScales(FaultPlan::ScalesFor(plan.AtIteration(it)));
       total += evaluator.IterationTime(strategy);
     }
     return total;
@@ -175,7 +173,7 @@ TEST(FaultInjector, SameSeedSamePerturbedIterationTime) {
   EXPECT_EQ(run(), run());
 }
 
-TEST(FaultInjector, StragglerSlowsTheIterationDown) {
+TEST(FaultPlan, StragglerSlowsTheIterationDown) {
   const ModelProfile model = Vgg16();
   const ClusterSpec cluster = NvlinkCluster(4, 4);
   const auto compressor =
@@ -189,48 +187,24 @@ TEST(FaultInjector, StragglerSlowsTheIterationDown) {
   IterationFaults faults;
   faults.straggler_active = true;
   faults.compute_slowdown = 2.0;
-  FaultSpec spec;
-  spec.straggler_probability = 1.0;
-  spec.straggler_slowdown = 2.0;
-  const FaultInjector injector{FaultPlan{spec}};
   TimelineEvaluator slowed(model, cluster, *compressor);
-  slowed.SetResourceScales(injector.ScalesFor(faults));
+  slowed.SetResourceScales(FaultPlan::ScalesFor(faults));
   EXPECT_GT(slowed.IterationTime(strategy), baseline);
 }
 
-TEST(FaultInjector, PerturbClusterDegradesLinks) {
+TEST(FaultPlan, PerturbClusterDegradesLinks) {
   const ClusterSpec profiled = NvlinkCluster();
   IterationFaults faults;
   faults.inter_bandwidth_factor = 0.25;
   faults.intra_bandwidth_factor = 0.5;
   faults.inter_extra_latency_s = 1e-5;
-  const FaultInjector injector{FaultPlan{FaultSpec{}}};
-  const ClusterSpec observed = injector.PerturbCluster(profiled, faults);
+  const ClusterSpec observed = FaultPlan::PerturbCluster(profiled, faults);
   EXPECT_DOUBLE_EQ(observed.inter.bytes_per_second,
                    profiled.inter.bytes_per_second * 0.25);
   EXPECT_DOUBLE_EQ(observed.intra.bytes_per_second,
                    profiled.intra.bytes_per_second * 0.5);
   EXPECT_DOUBLE_EQ(observed.inter.latency_s, profiled.inter.latency_s + 1e-5);
   EXPECT_EQ(observed.machines, profiled.machines);
-}
-
-TEST(FaultInjector, AttemptFateRatesTrackProbabilities) {
-  FaultSpec spec;
-  spec.seed = 5;
-  spec.drop_probability = 0.10;
-  spec.corrupt_probability = 0.05;
-  const FaultInjector injector{FaultPlan{spec}};
-  size_t dropped = 0, corrupted = 0;
-  const size_t trials = 5000;
-  for (uint64_t i = 0; i < trials; ++i) {
-    switch (injector.AttemptFate(i, i % 8, i % 33)) {
-      case PayloadFate::kDropped: ++dropped; break;
-      case PayloadFate::kCorrupted: ++corrupted; break;
-      case PayloadFate::kDelivered: break;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(dropped) / trials, 0.10, 0.02);
-  EXPECT_NEAR(static_cast<double>(corrupted) / trials, 0.05, 0.015);
 }
 
 }  // namespace

@@ -105,7 +105,7 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); 
 #include "src/core/decision_tree.h"
 #include "src/core/timeline.h"
 #include "src/ddl/strategy_executor.h"
-#include "src/fault/chaos_channel.h"
+#include "src/fault/fault_plan.h"
 #include "src/models/model_zoo.h"
 #include "src/nn/parallel_trainer.h"
 #include "src/util/rng.h"
@@ -190,8 +190,8 @@ TEST(AllocationCount, PrimitivesSteadyStateIsAllocationFree) {
 // The trainer's three options (SyncOption) on a warmed 1 x 4 workspace, with top-k and
 // error feedback: top-k's sparse parts take the divisible scheme's decode-and-recompress
 // path, which the fp16 and randomk executor cases below never reach. The second pass
-// sends the payloads through a dropping and corrupting ChaosChannel, so drops,
-// corruptions and their error-feedback refunds are held to zero allocations too.
+// sends the payloads across a dropping and corrupting network, so drops, corruptions
+// and their error-feedback refunds are held to zero allocations too.
 TEST(AllocationCount, SchemesSteadyStateIsAllocationFree) {
   const size_t ranks = 4, n = 128;
   const auto topk = CreateCompressor(CompressorConfig{.algorithm = "topk", .ratio = 0.25});
@@ -204,27 +204,23 @@ TEST(AllocationCount, SchemesSteadyStateIsAllocationFree) {
   FaultSpec spec;
   spec.drop_probability = 0.2;
   spec.corrupt_probability = 0.2;
-  const FaultInjector injector{FaultPlan(spec)};
-  ChaosChannel chaos(&injector);
+  const PayloadFaults lossy = FaultPlan(spec).PayloadFaultsAt(0);
   const RankBuffers initial = MakeGradients(ranks, n, 7);
 
-  for (PayloadChannel* channel : {static_cast<PayloadChannel*>(nullptr),
-                                  static_cast<PayloadChannel*>(&chaos)}) {
+  for (const PayloadFaults& faults : {PayloadFaults{}, lossy}) {
     RankBuffers buffers = initial;
     std::vector<ErrorFeedback> feedback(ranks);
     ExecutorWorkspace workspace;
     ExecutorConfig config{.machines = 1, .gpus_per_machine = ranks,
                           .compressor = topk.get(), .feedback = &feedback,
-                          .channel = channel};
+                          .faults = faults};
     ChannelTally seen;
     auto step = [&](uint64_t iteration) {
       config.seed = iteration;
-      chaos.BeginIteration(iteration);
+      config.faults.iteration = iteration;
       for (size_t t = 0; t < options.size(); ++t) {
         Refill(buffers, initial);
-        const ChannelTally tally = ExecuteOption(options[t], config, t, buffers, &workspace);
-        seen.payloads_dropped += tally.payloads_dropped;
-        seen.payloads_corrupted += tally.payloads_corrupted;
+        seen += ExecuteOption(options[t], config, t, buffers, &workspace);
       }
     };
     for (uint64_t iteration = 0; iteration < 3; ++iteration) {  // warm-up
@@ -236,8 +232,8 @@ TEST(AllocationCount, SchemesSteadyStateIsAllocationFree) {
       step(iteration);
     }
     const std::uint64_t delta = AllocationCount() - before;
-    EXPECT_EQ(delta, 0u) << (channel != nullptr ? "chaos channel" : "perfect network");
-    if (channel != nullptr) {
+    EXPECT_EQ(delta, 0u) << (faults.Lossy() ? "lossy network" : "perfect network");
+    if (faults.Lossy()) {
       EXPECT_GT(seen.payloads_dropped, 0u);
       EXPECT_GT(seen.payloads_corrupted, 0u);
     }
@@ -330,7 +326,7 @@ void WarmEveryThread(const std::vector<const Compressor*>& compressors, size_t n
 // The fanned-out executor keeps the headline guarantee: 8 x 8 ranks and tensors well
 // over the fan-out grain, so every op below splits by group, member, sum block or
 // decode across the pool. Top-k with error feedback and fp16, each on a perfect
-// network and through a dropping and corrupting ChaosChannel.
+// network and across a dropping and corrupting one.
 TEST(AllocationCount, FannedOutExecutorSteadyStateIsAllocationFree) {
   constexpr size_t kMachines = 8, kGpus = 8, kRanks = kMachines * kGpus;
   constexpr size_t n = 4099;  // 262336 floats across the ranks
@@ -350,24 +346,23 @@ TEST(AllocationCount, FannedOutExecutorSteadyStateIsAllocationFree) {
   FaultSpec spec;
   spec.drop_probability = 0.2;
   spec.corrupt_probability = 0.2;
-  const FaultInjector injector{FaultPlan(spec)};
-  ChaosChannel chaos(&injector);
+  const PayloadFaults lossy = FaultPlan(spec).PayloadFaultsAt(0);
+  ChannelTally seen;
   const RankBuffers initial = MakeGradients(kRanks, n, 17);
   RankBuffers buffers = initial;
   for (const Compressor* compressor : {topk.get(), fp16.get()}) {
-    for (PayloadChannel* channel : {static_cast<PayloadChannel*>(nullptr),
-                                    static_cast<PayloadChannel*>(&chaos)}) {
+    for (const PayloadFaults& faults : {PayloadFaults{}, lossy}) {
       std::vector<ErrorFeedback> feedback(kRanks);
       ExecutorWorkspace workspace;
       ExecutorConfig config{.machines = kMachines, .gpus_per_machine = kGpus,
                             .compressor = compressor, .feedback = &feedback,
-                            .channel = channel};
+                            .faults = faults};
       auto step = [&](uint64_t iteration) {
         config.seed = iteration;
-        chaos.BeginIteration(iteration);
+        config.faults.iteration = iteration;
         for (size_t t = 0; t < options.size(); ++t) {
           Refill(buffers, initial);
-          ExecuteOption(options[t], config, t, buffers, &workspace);
+          seen += ExecuteOption(options[t], config, t, buffers, &workspace);
         }
       };
       for (uint64_t iteration = 0; iteration < 3; ++iteration) {  // warm-up
@@ -379,11 +374,11 @@ TEST(AllocationCount, FannedOutExecutorSteadyStateIsAllocationFree) {
       }
       const std::uint64_t delta = AllocationCount() - before;
       EXPECT_EQ(delta, 0u) << std::string(compressor->name())
-                           << (channel != nullptr ? ", chaos channel" : ", perfect network");
+                           << (faults.Lossy() ? ", lossy network" : ", perfect network");
     }
   }
-  EXPECT_GT(chaos.stats().dropped, 0u);
-  EXPECT_GT(chaos.stats().corrupted, 0u);
+  EXPECT_GT(seen.payloads_dropped, 0u);
+  EXPECT_GT(seen.payloads_corrupted, 0u);
 }
 
 // Checkpointed candidate scoring (docs/PERFORMANCE.md): once a checkpoint and a context

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/fault/chaos_channel.h"
+#include "src/fault/fault_plan.h"
 #include "src/nn/parallel_trainer.h"
 
 namespace espresso {
@@ -38,6 +38,7 @@ struct PinnedRun {
   Dataset train;
   Dataset test;
   TrainConfig config;
+  std::vector<EpochStats> history;  // the last Run's
 
   PinnedRun() {
     const Dataset all = MakeGaussianBlobs(384, 8, 3, 2.5, 7);
@@ -56,7 +57,8 @@ struct PinnedRun {
         CreateCompressor(CompressorConfig{.algorithm = algorithm, .ratio = 0.25});
     config.scheme = scheme;
     config.compressor = compressor.get();
-    return Fingerprint(TrainDataParallel(train, test, config));
+    history = TrainDataParallel(train, test, config);
+    return Fingerprint(history);
   }
 };
 
@@ -115,14 +117,16 @@ TEST(ParallelTrainerPin, IndivisibleDgcThroughLossyChannel) {
   spec.seed = 5;
   spec.drop_probability = 0.2;
   spec.corrupt_probability = 0.1;
-  const FaultPlan plan(spec);
-  const FaultInjector injector(plan);
-  ChaosChannel channel(&injector);
   PinnedRun run;
-  run.config.channel = &channel;
+  run.config.faults = FaultPlan(spec).PayloadFaultsAt(0);
   const uint64_t fingerprint = run.Run(SyncScheme::kCompressedIndivisible, "dgc");
-  EXPECT_GT(channel.stats().dropped, 0u);
-  EXPECT_GT(channel.stats().corrupted, 0u);
+  size_t dropped = 0, corrupted = 0;
+  for (const EpochStats& epoch : run.history) {
+    dropped += epoch.payloads_dropped;
+    corrupted += epoch.payloads_corrupted;
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(corrupted, 0u);
   EXPECT_EQ(fingerprint, 0x45e9240cc1d2df16ULL);
 }
 

@@ -148,7 +148,15 @@ TEST(SelectionService, BadConfigIsATypedError) {
       {kModelIni, kGcIni, "[cluster]\ntestbed = nvlink\nmachines = -1\n"},
       // Values that do not parse were once served as if absent, with the default.
       {kModelIni, "[compression]\nalgorithm = dgc\nratio = 0,05\n", kSystemIni},
-      {kModelIni, kGcIni, "[cluster]\ntestbed = nvlink\nmachines = four\n"}};
+      {kModelIni, kGcIni, "[cluster]\ntestbed = nvlink\nmachines = four\n"},
+      // A GPU count that wrapped to 0 and aborted the cost model; a billion CPU lanes
+      // that ran the timeline out of memory; a tensor priced at 0 bytes.
+      {kModelIni, kGcIni,
+       "[cluster]\ntestbed = nvlink\nmachines = 4611686018427387904\ngpus_per_machine = 8\n"},
+      {kModelIni, kGcIni,
+       "[cluster]\ntestbed = nvlink\nmachines = 4294967296\ngpus_per_machine = 4294967296\n"},
+      {kModelIni, kGcIni, cluster + "cpu_workers_per_gpu = 1000000000\n"},
+      {"[tensors]\nw = 4611686018427387904, 1.0\n", kGcIni, kSystemIni}};
   for (size_t i = 0; i < hostile.size(); ++i) {
     const auto& [model, gc, system] = hostile[i];
     EXPECT_EQ(ErrorCode(service.HandleRequest(
