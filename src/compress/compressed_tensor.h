@@ -1,10 +1,10 @@
 // Wire representation of a compressed gradient tensor.
 //
 // Every compression algorithm in the library lowers to one of three payload layouts:
-//   * kSparse     — parallel (index, value) arrays (Random-k, Top-k / DGC)
+//   * kSparse     — parallel (index, value) arrays (Random-k, Top-k / DGC, Threshold)
 //   * kPackedBits — bit/byte-packed codes plus one or more float scales
 //                   (EFSignSGD, TernGrad, QSGD)
-//   * kRaw        — reduced-precision raw payload (FP16)
+//   * kRaw        — raw payload bytes (FP16; Threshold's dense fallback)
 // ByteSize() is the exact number of bytes that would cross the network; the cost model
 // uses the analytic Compressor::CompressedBytes, and tests assert the two agree.
 #ifndef SRC_COMPRESS_COMPRESSED_TENSOR_H_
@@ -26,7 +26,9 @@ struct CompressedTensor {
   PayloadKind kind = PayloadKind::kSparse;
   uint64_t original_elements = 0;
 
-  // kSparse: element indices and their float values (same length).
+  // kSparse: element indices and their float values (same length). The indices are
+  // unique, and decompressing adds values[j] to element indices[j] and touches no
+  // other element; ErrorFeedback relies on both.
   std::vector<uint32_t> indices;
   std::vector<float> values;
 

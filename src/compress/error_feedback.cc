@@ -17,7 +17,7 @@ void ErrorFeedback::CompressWithFeedback(const Compressor& compressor, uint64_t 
   if (residual.size() != grad.size()) {
     residual.assign(grad.size(), 0.0f);
   }
-  scratch_.resize(grad.size());
+  // The corrected gradient is built in place in the residual.
   if (momentum_ > 0.0) {
     // DGC momentum correction: u_t = m * u_{t-1} + g_t; corrected = residual + u_t.
     auto& velocity = velocities_[tensor_id];
@@ -26,22 +26,34 @@ void ErrorFeedback::CompressWithFeedback(const Compressor& compressor, uint64_t 
     }
     for (size_t i = 0; i < grad.size(); ++i) {
       velocity[i] = static_cast<float>(momentum_) * velocity[i] + grad[i];
-      scratch_[i] = velocity[i] + residual[i];
+      residual[i] = velocity[i] + residual[i];
     }
   } else {
     // corrected = grad + residual
     for (size_t i = 0; i < grad.size(); ++i) {
-      scratch_[i] = grad[i] + residual[i];
+      residual[i] = grad[i] + residual[i];
     }
   }
-  compressor.Compress(scratch_, seed, out);
-  // residual' = corrected - decompress(payload). DecompressAdd adds, so decompress into
-  // a zeroed scratch first. The scratch persists across calls (assign reuses capacity),
-  // keeping the steady state allocation-free for stable tensor shapes.
+  compressor.Compress(residual, seed, out);
+  // residual' = corrected - decompress(payload).
+  if (out->kind == PayloadKind::kSparse) {
+    // Decoding a sparse payload into zeros leaves 0.0f everywhere but the kept
+    // coordinates (indices are unique), and corrected - 0.0f is corrected bit for bit:
+    // an add never yields a signalling NaN. So only the kept coordinates change, by
+    // the decode's own arithmetic 0.0f + v (as c - v, a kept -0 would become +0).
+    ESP_CHECK_EQ(out->indices.size(), out->values.size());
+    for (size_t j = 0; j < out->indices.size(); ++j) {
+      float& r = residual[out->indices[j]];
+      r = r - (0.0f + out->values[j]);
+    }
+    return;
+  }
+  // Every other payload decodes into a zeroed scratch, which persists across calls
+  // (assign reuses capacity), keeping the steady state allocation-free.
   decompressed_scratch_.assign(grad.size(), 0.0f);
   compressor.DecompressAdd(*out, decompressed_scratch_);
   for (size_t i = 0; i < grad.size(); ++i) {
-    residual[i] = scratch_[i] - decompressed_scratch_[i];
+    residual[i] = residual[i] - decompressed_scratch_[i];
   }
 }
 

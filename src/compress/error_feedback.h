@@ -4,6 +4,11 @@
 // c = g + r is compressed, and the new residual is r' = c - decompress(compress(c)).
 // This telescopes the compression error and is what lets sparsifiers/quantizers preserve
 // convergence (§2.3, §5.4 of the paper).
+//
+// c is built in place in r's storage and compressed from there. A sparse payload then
+// changes only its kept coordinates (the kSparse contract in compressed_tensor.h);
+// every other payload is decoded into a zeroed scratch and subtracted. Both give the
+// floats of decoding into zeros and subtracting, bit for bit.
 #ifndef SRC_COMPRESS_ERROR_FEEDBACK_H_
 #define SRC_COMPRESS_ERROR_FEEDBACK_H_
 
@@ -52,8 +57,7 @@ class ErrorFeedback {
   double momentum_ = 0.0;
   std::unordered_map<uint64_t, std::vector<float>> residuals_;
   std::unordered_map<uint64_t, std::vector<float>> velocities_;  // momentum-corrected u_t
-  std::vector<float> scratch_;  // corrected gradient, reused per call
-  std::vector<float> decompressed_scratch_;  // DecompressAdd target, reused per call
+  std::vector<float> decompressed_scratch_;  // dense DecompressAdd target, reused per call
 };
 
 }  // namespace espresso

@@ -28,10 +28,6 @@ ESPRESSO_KERNEL_INLINE __m256 LoadU8f(const float* p) {
 ESPRESSO_KERNEL_INLINE void StoreU8f(float* p, __m256 v) {
   _mm256_storeu_ps(p, v);  // conventions:allow(unaligned-simd) checked wrapper
 }
-ESPRESSO_KERNEL_INLINE __m256i LoadU8i(const uint32_t* p) {
-  // conventions:allow(unaligned-simd) checked wrapper
-  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-}
 ESPRESSO_KERNEL_INLINE void StoreU8i(uint32_t* p, __m256i v) {
   // conventions:allow(unaligned-simd) checked wrapper
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);

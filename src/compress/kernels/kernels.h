@@ -1,13 +1,15 @@
-// Vectorized compressor kernels with runtime ISA dispatch (ROADMAP item #3).
+// Vectorized compressor kernels with runtime ISA dispatch.
 //
-// The five compressor hot loops (Top-k magnitude selection, QSGD normalize+quantize,
-// TernGrad ternarize, EFSignSGD sign-pack, FP16 convert) funnel through the function
-// table in this header. Two tables exist: the scalar reference, always, and AVX2 on
-// x86-64 when ESPRESSO_SIMD is ON; the registry picks AVX2 at startup when the host
-// supports it. Every AVX2 entry is BIT-IDENTICAL to the scalar reference — payloads
-// memcmp equal — which is what keeps the executor equivalence matrix and the
-// espresso_check corpus valid oracles across ISAs. Three contracts make
-// that possible (docs/PERFORMANCE.md §Kernel registry):
+// The five compressor hot loops (Top-k magnitude scan and emit, QSGD
+// normalize+quantize, TernGrad ternarize, EFSignSGD sign-pack, FP16 convert) funnel
+// through the function table in this header; Top-k's histogram select between its
+// scan and its emit is one shared scalar driver (SelectKthMagnitude below). Two
+// tables exist: the scalar reference, always, and AVX2 on x86-64 when ESPRESSO_SIMD
+// is ON; the registry picks AVX2 at startup when the host supports it. Every AVX2
+// entry is BIT-IDENTICAL to the scalar reference — payloads memcmp equal — which is
+// what keeps the executor equivalence matrix and the espresso_check corpus valid
+// oracles across ISAs. Three contracts make that possible (docs/PERFORMANCE.md
+// §Kernel registry):
 //
 //   1. Lane-order reduction contract: every floating-point reduction (QSGD's L2,
 //      EFSignSGD's L1) accumulates into kReductionLanes strided double lanes —
@@ -89,8 +91,6 @@ struct KernelOps {
 
   // Magnitude scan (Top-k). out[i] = MagnitudeBits(x[i]).
   void (*abs_bits)(const float* x, size_t n, uint32_t* out) = nullptr;
-  // #{i : m[i] > t} over magnitude-bits values, unsigned integer compare.
-  size_t (*count_gt_bits)(const uint32_t* m, size_t n, uint32_t t) = nullptr;
   // Ascending-index emit: every i with MagnitudeBits(x[i]) > t, plus the first n_fill
   // indices with MagnitudeBits(x[i]) == t. Writes (indices[j], values[j] = x[i]) pairs
   // and returns the emit count. Indices come out ascending by construction — the
@@ -140,17 +140,22 @@ std::vector<const char*> HostIsaFeatures();
 
 // --- Shared selection driver ---------------------------------------------------------
 
-// Exact k-th-largest magnitude threshold (1 <= k <= n) via sampled-pivot quickselect:
-// vectorized count passes through the active table, scalar compaction of the shrinking
-// candidate set. Returns t such that #{i : bits > t} < k <= #{i : bits >= t}, in the
-// integer magnitude domain. `scratch` is caller-leased (grow-only, reused across
-// calls); on return its first n entries still hold MagnitudeBits of the input.
-uint32_t SelectKthMagnitude(const KernelOps& ops, const float* x, size_t n, size_t k,
-                            std::vector<uint32_t>* scratch);
+// The k-th largest magnitude of a tensor, in the integer magnitude domain.
+struct KthMagnitude {
+  uint32_t t = 0;   // MagnitudeBits of the k-th largest |x[i]|
+  size_t n_gt = 0;  // #{i : MagnitudeBits(x[i]) > t}; n_gt < k <= #{i : bits >= t}
+};
 
-// Thread-local grow-only scratch backing SelectKthMagnitude calls from stateless
-// Compressor::Compress implementations (the pool-leased index workspace of the Top-k
-// fix; same idiom as Random-k's shuffle pool).
+// Exact k-th-largest magnitude (1 <= k <= n) by a two-level radix histogram over the
+// magnitude bits (select.cc): linear in n whatever the data, with the abs_bits pass
+// dispatched through `ops`. `scratch` is grow-only and reused across calls (2n
+// entries); on return its first n entries hold MagnitudeBits of the input.
+KthMagnitude SelectKthMagnitude(const KernelOps& ops, const float* x, size_t n, size_t k,
+                                std::vector<uint32_t>* scratch);
+
+// Thread-local grow-only scratch for SelectKthMagnitude calls from stateless
+// Compressor::Compress implementations; a thread's compressions share it, so a warm
+// thread selects without allocating.
 std::vector<uint32_t>& ThreadScratchU32();
 
 }  // namespace espresso::kernels

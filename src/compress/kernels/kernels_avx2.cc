@@ -114,20 +114,6 @@ void Avx2AbsBits(const float* x, size_t n, uint32_t* out) {
   RefAbsBitsRange(x, n8, n, out);
 }
 
-size_t Avx2CountGtBits(const uint32_t* m, size_t n, uint32_t t) {
-  const size_t n8 = n & ~size_t{7};
-  const __m256i bias = _mm256_set1_epi32(kSignMask);
-  const __m256i tv = _mm256_set1_epi32(static_cast<int>(t ^ 0x80000000u));
-  size_t count = 0;
-  for (size_t i = 0; i < n8; i += 8) {
-    const __m256i b = _mm256_xor_si256(LoadU8i(m + i), bias);
-    const __m256i gt = _mm256_cmpgt_epi32(b, tv);  // signed cmp on biased = unsigned
-    count += static_cast<size_t>(
-        __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(gt))));
-  }
-  return count + RefCountGtBitsRange(m, n8, n, t);
-}
-
 // Scalar emit over [begin, end) carrying the (emitted, fill) state across blocks.
 ESPRESSO_KERNEL_INLINE void EmitRange(const float* x, size_t begin, size_t end,
                                       uint32_t t, size_t n_fill, uint32_t* indices,
@@ -278,7 +264,6 @@ const KernelOps& Avx2Table() {
     ops.sum_abs = Avx2SumAbs;
     ops.max_abs = Avx2MaxAbs;
     ops.abs_bits = Avx2AbsBits;
-    ops.count_gt_bits = Avx2CountGtBits;
     ops.select_topk = Avx2SelectTopK;
     ops.qsgd_quantize = Avx2Qsgd;
     ops.terngrad_quantize = Avx2TernGrad;

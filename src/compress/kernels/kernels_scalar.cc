@@ -26,10 +26,6 @@ void ScalarAbsBits(const float* x, size_t n, uint32_t* out) {
   RefAbsBitsRange(x, 0, n, out);
 }
 
-size_t ScalarCountGtBits(const uint32_t* m, size_t n, uint32_t t) {
-  return RefCountGtBitsRange(m, 0, n, t);
-}
-
 size_t ScalarSelectTopK(const float* x, size_t n, uint32_t t, size_t n_fill,
                         uint32_t* indices, float* values) {
   return RefSelectTopK(x, n, t, n_fill, indices, values);
@@ -67,7 +63,6 @@ const KernelOps& ScalarTable() {
     ops.sum_abs = ScalarSumAbs;
     ops.max_abs = ScalarMaxAbs;
     ops.abs_bits = ScalarAbsBits;
-    ops.count_gt_bits = ScalarCountGtBits;
     ops.select_topk = ScalarSelectTopK;
     ops.qsgd_quantize = ScalarQsgd;
     ops.terngrad_quantize = ScalarTernGrad;

@@ -73,15 +73,6 @@ ESPRESSO_KERNEL_INLINE void RefAbsBitsRange(const float* x, size_t begin, size_t
   }
 }
 
-ESPRESSO_KERNEL_INLINE size_t RefCountGtBitsRange(const uint32_t* m, size_t begin,
-                                                  size_t end, uint32_t t) {
-  size_t count = 0;
-  for (size_t i = begin; i < end; ++i) {
-    count += m[i] > t ? 1u : 0u;
-  }
-  return count;
-}
-
 ESPRESSO_KERNEL_INLINE size_t RefSelectTopK(const float* x, size_t n, uint32_t t,
                                             size_t n_fill, uint32_t* indices,
                                             float* values) {

@@ -25,11 +25,12 @@ size_t TopKCompressor::CompressedBytes(size_t elements) const {
   return KeptElements(elements) * (sizeof(uint32_t) + sizeof(float));
 }
 
-// Selection runs in the integer magnitude domain (kernels.h): quickselect over abs
-// bits finds the k-th threshold without materializing an index permutation, then one
-// ascending scan emits exactly the elements the old nth_element(magnitude desc, index
-// asc) + sort pipeline kept — strictly-above-threshold elements plus the lowest-index
-// ties — already in index order, so the final sort is gone structurally, not skipped.
+// Selection runs in the integer magnitude domain (kernels.h): a radix-histogram
+// select over abs bits finds the k-th threshold t and the count above it without
+// materializing an index permutation, then one ascending scan emits exactly the
+// elements the old nth_element(magnitude desc, index asc) + sort pipeline kept —
+// strictly-above-threshold elements plus the lowest-index ties — already in index
+// order, so the final sort is gone structurally, not skipped.
 void TopKCompressor::Compress(std::span<const float> input, uint64_t /*seed*/,
                               CompressedTensor* out) const {
   ESP_CHECK(out != nullptr);
@@ -41,16 +42,14 @@ void TopKCompressor::Compress(std::span<const float> input, uint64_t /*seed*/,
     return;
   }
   const kernels::KernelOps& ops = kernels::Active();
-  std::vector<uint32_t>& scratch = kernels::ThreadScratchU32();
-  const uint32_t t = kernels::SelectKthMagnitude(ops, input.data(), input.size(), k, &scratch);
-  // SelectKthMagnitude leaves the abs bits of the full input in scratch[0..n).
-  const size_t n_gt = ops.count_gt_bits(scratch.data(), input.size(), t);
-  ESP_CHECK_LT(n_gt, k + 1);
-  const size_t n_fill = k - n_gt;
+  const kernels::KthMagnitude kth = kernels::SelectKthMagnitude(
+      ops, input.data(), input.size(), k, &kernels::ThreadScratchU32());
+  ESP_CHECK_LT(kth.n_gt, k);
+  const size_t n_fill = k - kth.n_gt;
   out->indices.resize(k);
   out->values.resize(k);
   const size_t emitted =
-      ops.select_topk(input.data(), input.size(), t, n_fill, out->indices.data(),
+      ops.select_topk(input.data(), input.size(), kth.t, n_fill, out->indices.data(),
                       out->values.data());
   ESP_CHECK_EQ(emitted, k);
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <span>
+#include <string>
+
 #include "src/compress/efsignsgd.h"
 #include "src/compress/topk.h"
 #include "src/util/rng.h"
@@ -9,23 +14,99 @@
 namespace espresso {
 namespace {
 
+// Normal draws with ±0, ±inf, ±NaN and denormals riveted in. An add of two NaNs may
+// return either one (IEEE 754 leaves the choice open, and a compiler may swap a
+// commutative add's operands), so each edge value keeps its coordinate on every step:
+// wherever two NaNs meet in an add, they are the same NaN.
+std::vector<float> EdgeGradient(size_t n, int step) {
+  std::vector<float> g(n);
+  Rng rng(DeriveSeed(40, static_cast<uint64_t>(step)));
+  rng.FillNormal(g, 0.0, 1.0);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (size_t i = 0; i < n; ++i) {
+    switch (i % 23) {
+      case 1: g[i] = 0.0f; break;
+      case 4: g[i] = -0.0f; break;
+      case 7: g[i] = std::numeric_limits<float>::denorm_min(); break;
+      case 10: g[i] = -1e-42f; break;
+      case 13: g[i] = inf; break;
+      case 16: g[i] = -inf; break;
+      case 19: g[i] = std::numeric_limits<float>::quiet_NaN(); break;
+      case 21: g[i] = -std::numeric_limits<float>::quiet_NaN(); break;
+      default: break;
+    }
+  }
+  return g;
+}
+
+bool SameFloats(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// Bit for bit, over five steps: the payload is the compression of the corrected
+// gradient, and the residual is that gradient minus the payload decoded into zeros,
+// both computed here the long way.
 TEST(ErrorFeedback, ResidualIsCompressionError) {
-  TopKCompressor c(0.2);
-  ErrorFeedback ef;
-  std::vector<float> grad(50);
-  Rng rng(1);
-  rng.FillNormal(grad, 0.0, 1.0);
+  struct Case {
+    const char* label;
+    CompressorConfig config;
+    PayloadKind kind;  // the payload form of the first step
+  };
+  const Case cases[] = {
+      {"topk-1.0", {.algorithm = "topk", .ratio = 1.0}, PayloadKind::kSparse},
+      {"topk-0.1", {.algorithm = "topk", .ratio = 0.1}, PayloadKind::kSparse},
+      {"randomk", {.algorithm = "randomk", .ratio = 0.25}, PayloadKind::kSparse},
+      {"threshold-sparse", {.algorithm = "threshold", .threshold = 2.5},
+       PayloadKind::kSparse},
+      {"threshold-dense", {.algorithm = "threshold", .threshold = 0.01},
+       PayloadKind::kRaw},
+      {"efsignsgd", {.algorithm = "efsignsgd"}, PayloadKind::kPackedBits},
+      {"fp16", {.algorithm = "fp16"}, PayloadKind::kRaw},
+  };
+  const size_t n = 230;
+  for (const Case& c : cases) {
+    const auto compressor = CreateCompressor(c.config);
+    for (double momentum : {0.0, 0.9}) {
+      ErrorFeedback ef(momentum);
+      std::vector<float> residual(n, 0.0f);
+      std::vector<float> velocity(n, 0.0f);
+      for (int step = 0; step < 5; ++step) {
+        const std::vector<float> grad = EdgeGradient(n, step);
+        const uint64_t seed = 100 + static_cast<uint64_t>(step);
+        std::vector<float> corrected(n);
+        for (size_t i = 0; i < n; ++i) {
+          if (momentum > 0.0) {
+            velocity[i] = static_cast<float>(momentum) * velocity[i] + grad[i];
+            corrected[i] = velocity[i] + residual[i];
+          } else {
+            corrected[i] = grad[i] + residual[i];
+          }
+        }
+        CompressedTensor want;
+        compressor->Compress(corrected, seed, &want);
+        std::vector<float> decoded(n, 0.0f);
+        compressor->DecompressAdd(want, decoded);
+        for (size_t i = 0; i < n; ++i) {
+          residual[i] = corrected[i] - decoded[i];
+        }
 
-  CompressedTensor payload;
-  ef.CompressWithFeedback(c, /*tensor_id=*/0, grad, /*seed=*/0, &payload);
-
-  std::vector<float> decompressed(grad.size(), 0.0f);
-  c.DecompressAdd(payload, decompressed);
-  const auto residual = ef.residual(0);
-  ASSERT_EQ(residual.size(), grad.size());
-  for (size_t i = 0; i < grad.size(); ++i) {
-    // First step: corrected == grad, so residual == grad - decompress(compress(grad)).
-    EXPECT_NEAR(residual[i], grad[i] - decompressed[i], 1e-6f);
+        CompressedTensor got;
+        ef.CompressWithFeedback(*compressor, 0, grad, seed, &got);
+        const std::string where = std::string(c.label) + " momentum " +
+                                  std::to_string(momentum) + " step " +
+                                  std::to_string(step);
+        if (step == 0) {
+          ASSERT_EQ(got.kind, c.kind) << where;  // later steps may switch form
+        }
+        ASSERT_EQ(got.kind, want.kind) << where;
+        ASSERT_EQ(got.indices, want.indices) << where;
+        ASSERT_TRUE(SameFloats(got.values, want.values)) << where;
+        ASSERT_EQ(got.bytes, want.bytes) << where;
+        ASSERT_TRUE(SameFloats(got.scales, want.scales)) << where;
+        ASSERT_TRUE(SameFloats(ef.residual(0), residual)) << where;
+      }
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 
 #include "src/compress/compressor.h"
 #include "src/util/rng.h"
+#include "tests/compress/magnitude_inputs.h"
 
 namespace espresso::kernels {
 namespace {
@@ -94,17 +95,6 @@ TEST(KernelEquivalence, MagnitudeScanMatchesScalar) {
         ops->abs_bits(x, n, got.data());
         ASSERT_EQ(std::memcmp(got.data(), want.data(), (n + 1) * sizeof(uint32_t)), 0)
             << ops->isa << " abs_bits n=" << n << " off=" << off;
-        // Thresholds: below everything, a mid value, the max, and above everything.
-        std::vector<uint32_t> thresholds = {0u, 0xFFFFFFFFu};
-        if (n > 0) {
-          thresholds.push_back(want[n / 2]);
-          thresholds.push_back(*std::max_element(want.begin(), want.begin() + n));
-        }
-        for (uint32_t t : thresholds) {
-          EXPECT_EQ(ops->count_gt_bits(want.data(), n, t),
-                    ref.count_gt_bits(want.data(), n, t))
-              << ops->isa << " count_gt_bits n=" << n << " t=" << t;
-        }
       }
     }
   }
@@ -123,9 +113,10 @@ TEST(KernelEquivalence, SelectTopkMatchesScalar) {
         const float* x = buf.data() + off;
         ref.abs_bits(x, n, bits.data());
         for (uint32_t t : {bits[n / 2], uint32_t{0}}) {
-          const size_t n_gt = ref.count_gt_bits(bits.data(), n, t);
+          size_t n_gt = 0;
           size_t n_eq = 0;
           for (uint32_t b : bits) {
+            n_gt += b > t ? 1 : 0;
             n_eq += b == t ? 1 : 0;
           }
           for (size_t n_fill : {size_t{0}, std::min<size_t>(2, n_eq), n_eq}) {
@@ -218,30 +209,36 @@ TEST(KernelEquivalence, Fp16RoundTripBitIdenticalAcrossIsas) {
   }
 }
 
+// (t, #{bits > t}) must equal a full sort's on every table, over the adversarial
+// families of magnitude_inputs.h and the IEEE-edge mix of MakeInput.
 TEST(KernelEquivalence, SelectKthMagnitudeIsExactOnEveryTable) {
   std::vector<uint32_t> scratch;
-  for (const KernelOps* ops : SupportedOps()) {
-    for (size_t n : kLengths) {
-      if (n == 0) {
-        continue;
-      }
-      const std::vector<float> buf = MakeInput(n, DeriveSeed(6, n), true);
+  for (size_t n : test_inputs::kSelectLengths) {
+    std::vector<test_inputs::MagnitudeInput> inputs =
+        test_inputs::AdversarialMagnitudeInputs(n, 6);
+    inputs.push_back({"ieee-edge-mix", MakeInput(n, DeriveSeed(6, n), true)});
+    for (const test_inputs::MagnitudeInput& input : inputs) {
+      const std::vector<float>& x = input.values;
       std::vector<uint32_t> sorted(n);
-      Scalar().abs_bits(buf.data(), n, sorted.data());
+      Scalar().abs_bits(x.data(), n, sorted.data());
       std::sort(sorted.begin(), sorted.end(), std::greater<uint32_t>());
-      for (size_t k : {size_t{1}, n / 2 + 1, n}) {
-        const uint32_t t = SelectKthMagnitude(*ops, buf.data(), n, k, &scratch);
-        EXPECT_EQ(t, sorted[k - 1])
-            << ops->isa << " n=" << n << " k=" << k;
-        // Contract: #{bits > t} < k <= #{bits >= t}, and scratch keeps abs bits.
-        size_t gt = 0, ge = 0;
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(scratch[i], MagnitudeBits(buf[i])) << ops->isa << " scratch " << i;
-          gt += scratch[i] > t ? 1 : 0;
-          ge += scratch[i] >= t ? 1 : 0;
+      for (size_t k : test_inputs::SelectRanks(n)) {
+        const uint32_t want_t = sorted[k - 1];
+        const size_t want_gt = static_cast<size_t>(
+            std::lower_bound(sorted.begin(), sorted.end(), want_t,
+                             std::greater<uint32_t>()) -
+            sorted.begin());
+        for (const KernelOps* ops : SupportedOps()) {
+          const KthMagnitude got = SelectKthMagnitude(*ops, x.data(), n, k, &scratch);
+          ASSERT_EQ(got.t, want_t)
+              << ops->isa << " " << input.family << " n=" << n << " k=" << k;
+          ASSERT_EQ(got.n_gt, want_gt)
+              << ops->isa << " " << input.family << " n=" << n << " k=" << k;
+          for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(scratch[i], MagnitudeBits(x[i]))
+                << ops->isa << " " << input.family << " scratch " << i;
+          }
         }
-        EXPECT_LT(gt, k);
-        EXPECT_GE(ge, k);
       }
     }
   }

@@ -7,7 +7,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "src/compress/kernels/kernels.h"
 #include "src/util/rng.h"
+#include "tests/compress/magnitude_inputs.h"
 
 namespace espresso {
 namespace {
@@ -99,48 +101,42 @@ TEST(TopK, CompressionErrorSmallerThanRandomDrop) {
 }
 
 TEST(TopK, MatchesNthElementReferencePipeline) {
-  // Regression pin for the quickselect rewrite: the payload must stay byte-identical
+  // Regression pin for the selection rewrites: the payload must stay byte-identical
   // to the old double-materialization pipeline — iota an index permutation,
-  // nth_element by (magnitude desc, index asc), truncate to k, sort ascending.
-  // Duplicated magnitudes, ±0, and denormals stress the tie-break path where the two
-  // implementations could legally diverge if the fill rule were wrong.
-  for (double ratio : {0.05, 0.25, 1.0}) {
-    TopKCompressor c(ratio);
-    for (size_t n : {1u, 33u, 1000u, 4097u}) {
-      std::vector<float> input(n);
-      Rng rng(DeriveSeed(31, n));
-      rng.FillNormal(input, 0.0, 1.0);
-      for (size_t i = 0; i + 4 < n; i += 11) {
-        input[i + 4] = input[i];  // exact duplicate magnitudes
-      }
-      if (n > 5) {
-        input[2] = 0.0f;
-        input[5] = -0.0f;
-        input[3] = 1e-42f;  // denormal
-      }
-      CompressedTensor out;
-      c.Compress(input, 0, &out);
-      const size_t k = c.CompressedBytes(n) / (sizeof(uint32_t) + sizeof(float));
-      ASSERT_EQ(out.indices.size(), k);
+  // nth_element by (magnitude desc, index asc), truncate to k, sort ascending — with
+  // magnitudes ordered as MagnitudeBits, which gives NaN a place above +inf (a fabs
+  // comparator is undefined on NaN). The adversarial families stress the tie-break
+  // path, where the two could legally diverge if the fill rule were wrong.
+  for (size_t n : test_inputs::kSelectLengths) {
+    for (const test_inputs::MagnitudeInput& input :
+         test_inputs::AdversarialMagnitudeInputs(n, 31)) {
+      const std::vector<float>& x = input.values;
+      for (size_t k : test_inputs::SelectRanks(n)) {
+        TopKCompressor c(static_cast<double>(k) / static_cast<double>(n));
+        ASSERT_EQ(c.KeptElements(n), k);
+        CompressedTensor out;
+        c.Compress(x, 0, &out);
+        ASSERT_EQ(out.indices.size(), k);
 
-      std::vector<uint32_t> order(n);
-      std::iota(order.begin(), order.end(), 0);
-      std::nth_element(order.begin(), order.begin() + static_cast<ptrdiff_t>(k - 1),
-                       order.end(), [&](uint32_t a, uint32_t b) {
-                         const float ma = std::fabs(input[a]);
-                         const float mb = std::fabs(input[b]);
-                         if (ma != mb) {
-                           return ma > mb;
-                         }
-                         return a < b;
-                       });
-      order.resize(k);
-      std::sort(order.begin(), order.end());
-      for (size_t i = 0; i < k; ++i) {
-        ASSERT_EQ(out.indices[i], order[i]) << "ratio " << ratio << " n " << n;
-        ASSERT_EQ(std::bit_cast<uint32_t>(out.values[i]),
-                  std::bit_cast<uint32_t>(input[order[i]]))
-            << "ratio " << ratio << " n " << n << " slot " << i;
+        std::vector<uint32_t> order(n);
+        std::iota(order.begin(), order.end(), 0);
+        std::nth_element(order.begin(), order.begin() + static_cast<ptrdiff_t>(k - 1),
+                         order.end(), [&](uint32_t a, uint32_t b) {
+                           const uint32_t ma = kernels::MagnitudeBits(x[a]);
+                           const uint32_t mb = kernels::MagnitudeBits(x[b]);
+                           if (ma != mb) {
+                             return ma > mb;
+                           }
+                           return a < b;
+                         });
+        order.resize(k);
+        std::sort(order.begin(), order.end());
+        for (size_t i = 0; i < k; ++i) {
+          ASSERT_EQ(out.indices[i], order[i]) << input.family << " n " << n << " k " << k;
+          ASSERT_EQ(std::bit_cast<uint32_t>(out.values[i]),
+                    std::bit_cast<uint32_t>(x[order[i]]))
+              << input.family << " n " << n << " k " << k << " slot " << i;
+        }
       }
     }
   }
