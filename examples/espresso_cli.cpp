@@ -155,8 +155,8 @@ int main(int argc, char** argv) {
   std::cout << "Strategy: " << result.strategy.Summary() << "\n";
   if (ir_in.empty()) {
     std::cout << "Selected in "
-              << (result.gpu_stage_seconds + result.offload_stage_seconds) * 1e3 << " ms ("
-              << result.timeline_evaluations << " timeline evaluations, "
+              << result.telemetry.total_seconds * 1e3 << " ms ("
+              << result.telemetry.evaluations << " timeline evaluations, "
               << result.offload_combinations << " offload combinations"
               << (result.offload_exact ? "" : ", coordinate descent") << ")";
   }

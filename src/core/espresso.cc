@@ -668,14 +668,6 @@ SelectionResult EspressoSelector::Select() const {
         Seconds(t_refine, std::chrono::steady_clock::now());
   }
   const auto t1 = std::chrono::steady_clock::now();
-  result.gpu_stage_seconds = Seconds(t0, t1);
-
-  result.offload_tensor_count = 0;
-  for (const auto& option : gpu.options) {
-    if (option.Compressed() && option.UsesDevice(Device::kGpu)) {
-      ++result.offload_tensor_count;
-    }
-  }
 
   if (options_.enable_cpu_offload && !options_.force_cpu) {
     obs::ScopedSpan stage("selector.offload", "selector");
@@ -688,15 +680,13 @@ SelectionResult EspressoSelector::Select() const {
         result.strategy = alternative;
       }
     }
-    result.offload_stage_seconds = Seconds(t1, std::chrono::steady_clock::now());
-    result.telemetry.offload_seconds = result.offload_stage_seconds;
+    result.telemetry.offload_seconds = Seconds(t1, std::chrono::steady_clock::now());
   } else {
     result.strategy = std::move(gpu);
   }
   result.iteration_time = CachedIterationTime(result.strategy);
 
-  result.timeline_evaluations = (evaluations_ - evals_start) + nested_evals;
-  result.telemetry.evaluations = result.timeline_evaluations;
+  result.telemetry.evaluations = (evaluations_ - evals_start) + nested_evals;
   result.telemetry.simulations = (evaluator_.simulations() - sims_start) + nested_sims;
   if (cache_ != nullptr) {
     const EvalCacheStats stats = cache_->stats();

@@ -94,11 +94,7 @@ struct SelectorTelemetry {
 struct SelectionResult {
   Strategy strategy;
   double iteration_time = 0.0;
-  double gpu_stage_seconds = 0.0;      // Table 5: Algorithm 1 wall-clock
-  double offload_stage_seconds = 0.0;  // Table 6: Algorithm 2 wall-clock
-  size_t timeline_evaluations = 0;
   size_t offload_combinations = 0;     // |U| actually traversed
-  size_t offload_tensor_count = 0;     // |T_gpu|
   bool offload_exact = true;           // false if coordinate descent was used
   SelectorTelemetry telemetry;
 };

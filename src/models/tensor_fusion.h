@@ -6,7 +6,7 @@
 // fused profile's bucket carries the sum of its members' backward times.
 //
 // Espresso composes with fusion: selection simply runs on the fused profile
-// (bench_ablation section (e) measures the effect on ResNet101's 314 tensors).
+// (`espresso_paper ablation`, section (e), measures the effect on ResNet101's 314 tensors).
 #ifndef SRC_MODELS_TENSOR_FUSION_H_
 #define SRC_MODELS_TENSOR_FUSION_H_
 

@@ -1,41 +1,10 @@
 #include "src/util/logging.h"
 
-#include <atomic>
+#include <iostream>
 
 namespace espresso {
 
-namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
-}  // namespace
-
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
-void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
-const char* LogLevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
 namespace internal {
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {
-  stream_ << "[" << LogLevelName(level) << " " << file << ":" << line << "] ";
-}
-
-LogMessage::~LogMessage() {
-  stream_ << "\n";
-  std::cerr << stream_.str();
-}
 
 FatalMessage::FatalMessage(const char* file, int line, const char* condition) {
   stream_ << "[FATAL " << file << ":" << line << "] Check failed: " << condition << " ";

@@ -1,7 +1,5 @@
-// Lightweight logging and runtime-check facilities shared by every Espresso module.
-//
-// The library deliberately avoids a heavyweight logging dependency: benchmarks and the
-// decision algorithm are measured in milliseconds, so logging must be cheap when disabled.
+// Runtime-check facilities shared by every Espresso module: ESP_CHECK and its
+// comparison forms abort the process with the failed condition and its location.
 #ifndef SRC_UTIL_LOGGING_H_
 #define SRC_UTIL_LOGGING_H_
 
@@ -12,38 +10,10 @@
 
 namespace espresso {
 
-enum class LogLevel {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-};
-
-// Process-wide minimum level; messages below it are discarded.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
-const char* LogLevelName(LogLevel level);
-
 namespace internal {
 
-// Accumulates one log line and emits it (with level tag) on destruction.
-class LogMessage {
- public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
-
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
-
-  std::ostream& stream() { return stream_; }
-
- private:
-  LogLevel level_;
-  std::ostringstream stream_;
-};
-
-// Like LogMessage but aborts the process on destruction. Used by ESP_CHECK.
+// Accumulates one check-failure message and aborts the process on destruction. Used
+// by ESP_CHECK.
 class FatalMessage {
  public:
   FatalMessage(const char* file, int line, const char* condition);
@@ -61,12 +31,6 @@ class FatalMessage {
 }  // namespace internal
 
 }  // namespace espresso
-
-#define ESP_LOG(level)                                                                  \
-  if (::espresso::LogLevel::level < ::espresso::GetLogLevel()) {                        \
-  } else                                                                                \
-    ::espresso::internal::LogMessage(::espresso::LogLevel::level, __FILE__, __LINE__)   \
-        .stream()
 
 // Fatal invariant check. Always on (including release builds): the decision algorithm's
 // correctness arguments (Lemma 1, pruning rules) rely on these holding at runtime.

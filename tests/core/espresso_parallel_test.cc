@@ -202,8 +202,8 @@ TEST(EspressoParallel, SelectorsShareTheProcessPool) {
   EXPECT_EQ(ProcessThreads(), before);
 }
 
-// Telemetry invariants: stage walls partition the total, the atomic evaluation counter
-// matches the result's evaluation count, and simulations never exceed evaluations.
+// Telemetry invariants: stage walls partition the total, and simulations never exceed
+// evaluations.
 TEST(EspressoParallel, TelemetryIsConsistent) {
   const ModelProfile model = Vgg16();
   const ClusterSpec cluster = NvlinkCluster();
@@ -215,7 +215,6 @@ TEST(EspressoParallel, TelemetryIsConsistent) {
     const SelectionResult result = selector.Select();
     const SelectorTelemetry& t = result.telemetry;
     EXPECT_GT(t.evaluations, 0u);
-    EXPECT_EQ(t.evaluations, result.timeline_evaluations);
     EXPECT_LE(t.simulations, t.evaluations);
     EXPECT_GE(t.total_seconds, 0.0);
     const double stages = t.algorithm1_seconds + t.refine_seconds +

@@ -141,8 +141,8 @@ TEST(Espresso, ReportsStageTimings) {
   const auto compressor = Make("dgc");
   EspressoSelector selector(model, cluster, *compressor);
   const SelectionResult result = selector.Select();
-  EXPECT_GT(result.gpu_stage_seconds, 0.0);
-  EXPECT_GT(result.timeline_evaluations, 0u);
+  EXPECT_GT(result.telemetry.algorithm1_seconds, 0.0);
+  EXPECT_GT(result.telemetry.evaluations, 0u);
   EXPECT_GT(result.iteration_time, 0.0);
 }
 

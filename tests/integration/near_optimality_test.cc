@@ -86,7 +86,7 @@ TEST(NearOptimality, SelectionTimeOrdersOfMagnitudeBelowBruteForce) {
       CreateCompressor(CompressorConfig{.algorithm = "efsignsgd", .ratio = 0.01});
   EspressoSelector selector(model, cluster, *compressor);
   const SelectionResult result = selector.Select();
-  const double selection_seconds = result.gpu_stage_seconds + result.offload_stage_seconds;
+  const double selection_seconds = result.telemetry.total_seconds;
 #ifdef ESPRESSO_VERIFY_SCHEDULES
   // Verification builds audit every simulated timeline, so the wall-clock claim is
   // about the production configuration only; keep a loose sanity bound here.
@@ -96,7 +96,7 @@ TEST(NearOptimality, SelectionTimeOrdersOfMagnitudeBelowBruteForce) {
 #endif
 
   const double per_eval = selection_seconds /
-                          static_cast<double>(std::max<size_t>(1, result.timeline_evaluations));
+                          static_cast<double>(std::max<uint64_t>(1, result.telemetry.evaluations));
   const double brute = EstimateBruteForceSeconds(per_eval, 8, model.tensors.size());
   EXPECT_GT(brute, 24.0 * 3600.0);
 }

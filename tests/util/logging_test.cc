@@ -5,34 +5,6 @@
 namespace espresso {
 namespace {
 
-TEST(Logging, LevelRoundTrip) {
-  const LogLevel saved = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  SetLogLevel(saved);
-}
-
-TEST(Logging, LevelNames) {
-  EXPECT_STREQ(LogLevelName(LogLevel::kDebug), "DEBUG");
-  EXPECT_STREQ(LogLevelName(LogLevel::kInfo), "INFO");
-  EXPECT_STREQ(LogLevelName(LogLevel::kWarning), "WARN");
-  EXPECT_STREQ(LogLevelName(LogLevel::kError), "ERROR");
-}
-
-TEST(Logging, BelowThresholdDoesNotEvaluate) {
-  const LogLevel saved = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  // The streaming expression after ESP_LOG must not run when filtered out.
-  int evaluations = 0;
-  auto count = [&]() {
-    ++evaluations;
-    return "x";
-  };
-  ESP_LOG(kDebug) << count();
-  EXPECT_EQ(evaluations, 0);
-  SetLogLevel(saved);
-}
-
 TEST(CheckMacros, PassingChecksAreSilent) {
   ESP_CHECK(true);
   ESP_CHECK_EQ(1, 1);
